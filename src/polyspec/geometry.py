@@ -21,6 +21,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import betainc, betaln, gammaln
 
 from .quadrature import integrate_adaptive
+from .specfun import _validate_dim
 
 __all__ = [
     "Geometry",
@@ -48,8 +49,7 @@ class BallSpec:
     R: float
 
     def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.d}")
+        _validate_dim(self.d)
         if self.geometry == Geometry.EUCLIDEAN:
             if not (self.R > 0):
                 raise ValueError("Euclidean radius must be > 0")

@@ -18,6 +18,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
+from .specfun import BesselOrder
+
 __all__ = [
     "QuadResult",
     "OscillatoryIntegrand",
@@ -505,8 +507,6 @@ def gauss_jacobi_symmetric(order, m: int):
     nodes come in +/- pairs with equal weights and the weights sum to
     sqrt(pi) Gamma(nu + 1/2) / Gamma(nu + 1).  Returns (nodes, weights).
     """
-    from .specfun import BesselOrder
-
     nu = order.nu if isinstance(order, BesselOrder) else float(order)
     if nu < 0:
         raise ValueError("order must be >= 0")

@@ -5,6 +5,12 @@ normalized radial covariance kernel of isotropic monochromatic waves, Hermite
 polynomials (probabilists' convention), normalized Gegenbauer polynomials, and
 the Bessel main term of their large-degree approximation.
 
+The kernel jd goes through ``scipy.special``: ``jv`` at integer order (even
+d) and ``spherical_jn`` at half-integer order (odd d), which is several times
+faster than ``jv`` there.  Against 40-digit mpmath for d = 2..10 the absolute
+error measured at most 8e-15 for r <= 40, and at most 1.4e-13 r^{-(d-1)/2}
+(that is, relative to the kernel's envelope) for 40 < r <= 2e5.
+
 All evaluators accept scalars or numpy arrays and are pure and reentrant.
 """
 
@@ -14,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import eval_hermitenorm, gammaln, jv, spherical_jn
 
 __all__ = [
     "BesselOrder",
@@ -29,12 +35,12 @@ __all__ = [
     "eigenspace_dim",
 ]
 
-# Evaluation-strategy switch points.  The ascending series is summed in
-# double-double arithmetic, so it stays accurate up to the crossover even
-# though the alternating terms grow to ~e^x/x before cancelling.
-_SERIES_MAX = 15.0
-_TRIG_MIN = 2.0
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting
+
+def _validate_dim(d: int) -> float:
+    """Check an ambient dimension (integer >= 2) and return nu = d/2 - 1."""
+    if int(d) != d or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d}")
+    return 0.5 * d - 1.0
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,7 @@ class BesselOrder:
     d: int
 
     def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.d}")
+        _validate_dim(self.d)
 
     @property
     def nu(self) -> float:
@@ -60,8 +65,7 @@ class GegenbauerSpec:
     ell: int
 
     def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.d}")
+        _validate_dim(self.d)
         if int(self.ell) != self.ell or self.ell < 0:
             raise ValueError(f"degree must be an integer >= 0, got {self.ell}")
 
@@ -84,135 +88,11 @@ def _as_nu(order) -> float:
     return nu
 
 
-# ---------------------------------------------------------------------------
-# Double-double helpers (error-free transforms), vectorized over arrays.
-# ---------------------------------------------------------------------------
-
-def _two_sum(a, b):
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ca = _SPLITTER * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLITTER * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_renorm(h, l):
-    s = h + l
-    return s, l - (s - h)
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    return _dd_renorm(s, e + xl + yl)
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    return _dd_renorm(p, e + xh * yl + xl * yh)
-
-
-def _dd_div_scalar(xh, xl, c):
-    q1 = xh / c
-    p, e = _two_prod(q1, c)
-    return _dd_renorm(q1, (((xh - p) - e) + xl) / c)
-
-
-def _kernel_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """sum_k (-1)^k (x^2/4)^k / (k! (nu+1)_k)  =  nu! (x/2)^{-nu} J_nu(x).
-
-    Double-double accumulation keeps the alternating cancellation below
-    ~1e-25 absolute for x <= _SERIES_MAX.
-    """
-    zh, zl = _two_prod(x, x)
-    zh, zl = zh * 0.25, zl * 0.25
-    sh = np.ones_like(x)
-    sl = np.zeros_like(x)
-    th = np.ones_like(x)
-    tl = np.zeros_like(x)
-    for k in range(1, 120):
-        th, tl = _dd_mul(th, tl, zh, zl)
-        th, tl = _dd_div_scalar(th, tl, -(k * (nu + k)))
-        sh, sl = _dd_add(sh, sl, th, tl)
-        if np.all(np.abs(th) <= 1e-34 * np.abs(sh) + 1e-300):
-            break
-    return sh + sl
-
-
-def _bessel_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
-    """Large-argument phase-amplitude expansion of J_nu, adaptively truncated."""
-    mu = 4.0 * nu * nu
-    c = np.ones_like(x)
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    prev = np.full_like(x, np.inf)
-    for k in range(1, 40):
-        c = c * (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
-        mag = np.abs(c)
-        # freeze elements once terms stop shrinking (optimal truncation)
-        active &= mag < prev
-        if not active.any():
-            break
-        prev = mag
-        contrib = np.where(active, c, 0.0) * ((-1.0) ** (k // 2))
-        if k % 2 == 0:
-            p = p + contrib
-        else:
-            q = q + contrib
-        if np.all(~active | (mag < 1e-19)):
-            break
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def _spherical_bessel_trig(n: int, x: np.ndarray) -> np.ndarray:
-    """Spherical Bessel j_n by closed trig forms / upward recurrence, x > 0."""
-    s = np.sin(x)
-    j0 = s / x
-    if n == 0:
-        return j0
-    j1 = (s / x - np.cos(x)) / x
-    for k in range(1, n):
-        j0, j1 = j1, (2 * k + 1) / x * j1 - j0
-    return j1
-
-
-def _bessel_j_arr(nu: float, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    half = (round(2 * nu) % 2) == 1
-    cut = _TRIG_MIN if half else _SERIES_MAX
-    small = x <= cut
-    if small.any():
-        xs = x[small]
-        s = _kernel_series(nu, xs)
-        # J = S * (x/2)^nu / nu!; numpy 0^0 = 1 handles nu = 0 at the origin
-        out[small] = s * np.power(0.5 * xs, nu) / math.exp(gammaln(nu + 1))
-    big = ~small
-    if big.any():
-        xb = x[big]
-        if half:
-            n = int(round(nu - 0.5))
-            out[big] = np.sqrt(2.0 * xb / math.pi) * _spherical_bessel_trig(n, xb)
-        else:
-            out[big] = _bessel_asymptotic(nu, xb)
-    return out
-
-
 def bessel_j(order, x):
     """Bessel function of the first kind J_nu(x) for x >= 0.
 
     Order must be a non-negative integer or half-integer (a BesselOrder or a
-    bare number).  Ascending power series below the crossover, phase-amplitude
-    expansion above; half-integer orders use exact trigonometric forms.
+    bare number).  Evaluated by ``scipy.special.jv``.
     """
     nu = _as_nu(order)
     arr = np.asarray(x, dtype=float)
@@ -220,29 +100,25 @@ def bessel_j(order, x):
         raise ValueError("argument must be finite")
     if np.any(arr < 0):
         raise ValueError("argument must be >= 0")
-    out = _bessel_j_arr(nu, np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def _validate_dim(d: int) -> float:
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
-    return 0.5 * d - 1.0
+    out = jv(nu, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _jd_arr(d: int, r: np.ndarray) -> np.ndarray:
-    nu = 0.5 * d - 1.0
-    out = np.empty_like(r)
-    small = r <= _SERIES_MAX
-    if small.any():
-        # the normalized kernel is exactly the prefactor-free series
-        out[small] = _kernel_series(nu, r[small])
-    big = ~small
-    if big.any():
-        rb = r[big]
-        j = _bessel_j_arr(nu, rb)
-        out[big] = np.exp(gammaln(nu + 1) + nu * (math.log(2.0) - np.log(rb))) * j
-    return out
+    """jd on a checked array of arguments r >= 0."""
+    d = int(d)
+    # below 1e-6 the two-term series is exact to rounding; it also gives
+    # exactly 1 at r = 0 and keeps r^-n finite where the Bessel value underflows
+    tiny = r < 1e-6
+    x = np.where(tiny, 1.0, r)
+    if d % 2:
+        # nu = n + 1/2 and J_nu(x) = sqrt(2x/pi) j_n(x) fold the prefactor to (2n+1)!!
+        n = (d - 3) // 2
+        vals = math.prod(range(1, 2 * n + 2, 2)) * spherical_jn(n, x) / x**n
+    else:
+        n = d // 2 - 1
+        vals = math.factorial(n) * 2**n * jv(n, x) / x**n
+    return np.where(tiny, 1.0 - r * r / (2 * d), vals)
 
 
 def jd(d: int, r):
@@ -250,14 +126,14 @@ def jd(d: int, r):
 
     Unit value at r = 0 (removable singularity); equals sin(r)/r for d = 3.
     """
-    nu = _validate_dim(d)
+    _validate_dim(d)
     arr = np.asarray(r, dtype=float)
     if np.any(~np.isfinite(arr)):
         raise ValueError("argument must be finite")
     if np.any(arr < 0):
         raise ValueError("argument must be >= 0")
-    out = _jd_arr(d, np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    out = _jd_arr(d, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def jd_amplitude_constant(d: int) -> float:
@@ -285,20 +161,12 @@ def jd_asymptotic(d: int, r):
 
 
 def hermite(q: int, t):
-    """Probabilists' Hermite polynomial H_q(t).
-
-    Three-term recurrence H_{k+1} = t H_k - k H_{k-1}, H_0 = 1, H_1 = t.
-    """
+    """Probabilists' Hermite polynomial H_q(t), by ``scipy.special.eval_hermitenorm``."""
     if int(q) != q or q < 0:
         raise ValueError(f"degree must be an integer >= 0, got {q}")
     arr = np.asarray(t, dtype=float)
-    h0 = np.ones_like(arr)
-    if q == 0:
-        return float(h0) if arr.ndim == 0 else h0
-    h1 = arr.copy()
-    for k in range(1, q):
-        h0, h1 = h1, arr * h1 - k * h0
-    return float(h1) if arr.ndim == 0 else h1
+    out = eval_hermitenorm(int(q), arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def gegenbauer(spec: GegenbauerSpec, t):
@@ -309,6 +177,10 @@ def gegenbauer(spec: GegenbauerSpec, t):
     intermediate in [-1, 1] for arbitrary degree:
 
         G_k = ((2k + 2nu - 1) t G_{k-1} - (k - 1) G_{k-2}) / (k + 2nu)
+
+    ``scipy.special.eval_jacobi`` is not used: at d = 4, ell = 160 it measured
+    2x slower (0.14 s against 0.07 s per 1e5 points) and less accurate against
+    mpmath (max error 1.2e-14 against 1.3e-16).
     """
     arr = np.asarray(t, dtype=float)
     if np.any(np.abs(arr) > 1.0 + 1e-12):
@@ -343,8 +215,7 @@ def hilb_main_term(spec: GegenbauerSpec, theta):
 
 def eigenspace_dim(d: int, ell: int) -> int:
     """Dimension of the degree-ell Laplace eigenspace on S^d, exact integer."""
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
+    _validate_dim(d)
     if int(ell) != ell or ell < 1:
         raise ValueError(f"degree must be an integer >= 1, got {ell}")
     num = (2 * ell + d - 1) * math.comb(ell + d - 2, ell - 1)

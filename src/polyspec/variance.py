@@ -20,7 +20,7 @@ from scipy.special import roots_hermitenorm
 
 from . import specfun, walk
 from .geometry import BallSpec, Geometry, WeightFunction, make_weight
-from .quadrature import integrate_adaptive
+from .quadrature import NonConvergedError, integrate_adaptive
 
 __all__ = [
     "FieldSpec",
@@ -45,8 +45,7 @@ class FieldSpec:
     freq: float
 
     def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.d}")
+        specfun._validate_dim(self.d)
         if self.geometry == Geometry.EUCLIDEAN:
             if not (self.freq > 0):
                 raise ValueError("wavenumber must be > 0")
@@ -124,8 +123,6 @@ def _cached_weight(ball: BallSpec) -> WeightFunction:
 
 
 def _check_quadrature(res, tol: float) -> None:
-    from .quadrature import NonConvergedError
-
     if not res.converged and res.abs_error_estimate > 100.0 * tol:
         raise NonConvergedError(
             f"variance quadrature exhausted its budget"

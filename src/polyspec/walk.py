@@ -24,8 +24,9 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln
 
-from . import specfun
+from . import quadrature, specfun
 from .quadrature import (
+    NonConvergedError,
     OscillatoryIntegrand,
     QuadResult,
     integrate_adaptive,
@@ -92,8 +93,7 @@ class WalkSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.d}")
+        specfun._validate_dim(self.d)
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"step count must be an integer >= 1, got {self.n}")
 
@@ -133,9 +133,7 @@ def rho2_closed(d: int, r):
     (2 / (pi binom(2nu, nu))) r^(2nu) (4 - r^2)^(nu - 1/2); the central
     binomial of half-integer order goes through log-gamma.
     """
-    nu = 0.5 * d - 1.0
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
+    nu = specfun._validate_dim(d)
     arr = np.asarray(r, dtype=float)
     binom = math.exp(gammaln(2 * nu + 1) - 2 * gammaln(nu + 1))
     inside = (arr > 0) & (arr < 2)
@@ -151,17 +149,6 @@ def _psi2(d: int, u: np.ndarray) -> np.ndarray:
     inside = (u > 0) & (u < 2)
     x = np.where(inside, u, 1.0)
     return np.where(inside, rho2_closed(d, x) / x ** (d - 1), 0.0)
-
-
-def _base_singularities(d: int) -> tuple[float, ...]:
-    # psi_2 is integrably singular at u = 2 for d = 2 and jumps there for d = 3
-    return (2.0,)
-
-
-def _kinks(d: int, n: int) -> tuple[float, ...]:
-    """Radii where psi^d_n fails to be analytic: the integer lattice of
-    sub-flight supports, plus the log-infinite point of the planar 3-step."""
-    return tuple(float(k) for k in range(1, n + 1))
 
 
 def _psi_integral(d: int, prev, prev_kinks, r: float, tol: float) -> float:
@@ -256,12 +243,18 @@ class _PsiTable:
 
 @lru_cache(maxsize=None)
 def _psi_level(d: int, n: int):
-    """Callable psi^d_n plus its kink list, built bottom-up and cached."""
+    """Callable psi^d_n plus its kink list, built bottom-up and cached.
+
+    The kinks are the radii where psi^d_n fails to be analytic.  psi_2 is
+    integrably singular at u = 2 for d = 2 and jumps there for d = 3; above
+    it they are the integer lattice of sub-flight supports, which includes
+    the log-infinite point of the planar 3-step.
+    """
     if n == 2:
-        return (lambda u: _psi2(d, u)), _base_singularities(d)
+        return (lambda u: _psi2(d, u)), (2.0,)
     prev, prev_kinks = _psi_level(d, n - 1)
     table = _PsiTable(d, n, prev, prev_kinks)
-    return table, _kinks(d, n)
+    return table, tuple(float(k) for k in range(1, n + 1))
 
 
 def density_recursion(spec: WalkSpec, r: float, m_nodes: int = 64) -> float:
@@ -287,10 +280,10 @@ def density_recursion(spec: WalkSpec, r: float, m_nodes: int = 64) -> float:
         near = min(abs(r - r0) for r0 in SINGULAR_INTERIOR_POINTS.get((d, n - 1), (math.inf,)))
         clear = near > 0.05
     if clear:
-        from .quadrature import gauss_jacobi_symmetric
-
         nu = 0.5 * d - 1.0
-        s, w = gauss_jacobi_symmetric(nu, m_nodes)
+        # looked up on the module, so a wrapper installed there (perfbench's
+        # tracer) also sees this call
+        s, w = quadrature.gauss_jacobi_symmetric(nu, m_nodes)
         u = np.sqrt((1.0 - r) ** 2 + 2.0 * r * (1.0 + s))
         pref = _norm_factor(d) / (math.pi * math.exp(gammaln(2 * nu + 1)))
         psi = pref * float(np.dot(w, prev(u)))
@@ -496,8 +489,6 @@ def density_on_grid(spec: WalkSpec, grid: np.ndarray, route: DensityRoute,
         vals = rho2_closed(spec.d, grid)
         errs = np.full_like(grid, 1e-15) * np.abs(vals)
     elif route is DensityRoute.KLUYVER:
-        from .quadrature import NonConvergedError
-
         for i, r in enumerate(grid):
             res = density_kluyver(spec, float(r), tol)
             if res.status == "non_converged" and res.abs_error_estimate > 100 * tol:

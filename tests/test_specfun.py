@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import jv, roots_hermitenorm
+from scipy.special import roots_hermitenorm
 
 from polyspec import specfun as sf
 
@@ -42,14 +43,16 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_against_scipy(self, d):
+        # bessel_j is scipy's jv; the reference is 30-digit mpmath
         nu = 0.5 * d - 1.0
         x = np.concatenate(
             [np.linspace(1e-8, 20, 500), np.linspace(20, 200, 200), [1e3, 1e4]]
         )
         mine = sf.bessel_j(sf.BesselOrder(d), x)
-        ref = jv(nu, x)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(nu, v)) for v in x])
         small = x <= 20
-        # relative accuracy below the crossover, absolute above
+        # relative accuracy up to x = 20, absolute beyond
         assert np.all(
             np.abs(mine[small] - ref[small])
             <= 1e-12 * np.abs(ref[small]) + 1e-13
@@ -75,7 +78,27 @@ class TestBesselJ:
             sf.bessel_j(0.0, math.inf)
 
 
+def jd_mpmath(d: int, r: float) -> float:
+    """nu! 2^nu r^-nu J_nu(r) in 40-digit arithmetic."""
+    if r == 0.0:
+        return 1.0
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(d) / 2 - 1
+        x = mpmath.mpf(r)
+        return float(mpmath.gamma(nu + 1) * 2**nu * x**-nu * mpmath.besselj(nu, x))
+
+
 class TestJd:
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_against_mpmath(self, d):
+        near = np.concatenate([[0.0, 1e-300, 1e-9, 1e-6, 2e-6, 1e-3], np.linspace(0.1, 40, 200)])
+        far = np.geomspace(40.5, 2e5, 200)
+        ref_near = np.array([jd_mpmath(d, r) for r in near])
+        ref_far = np.array([jd_mpmath(d, r) for r in far])
+        assert np.all(np.abs(sf.jd(d, near) - ref_near) <= 2e-14)
+        # beyond the first lobes the bound follows the envelope r^{-(d-1)/2}
+        assert np.all(np.abs(sf.jd(d, far) - ref_far) <= 1e-11 * far ** (-0.5 * (d - 1)))
+
     def test_value_at_zero(self):
         for d in range(2, 9):
             assert sf.jd(d, 0.0) == pytest.approx(1.0, abs=1e-15)
