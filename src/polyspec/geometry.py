@@ -20,7 +20,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import betainc, betaln, gammaln
 
-from .quadrature import integrate_adaptive
+# integrate_adaptive is not called here; perfbench's tracer wraps the name
+from .quadrature import check_converged, integrate_adaptive, integrate_adaptive_batch  # noqa: F401
 from .specfun import _validate_dim
 
 __all__ = [
@@ -142,25 +143,25 @@ def weight_spherical(d: int, R: float, r, tol: float = 1e-10):
         out = np.full_like(rs, omega(d - 1) * omega(d))
         return float(out[0]) if scalar else out
     w_d2 = omega(d - 2)
-    out = np.empty_like(rs)
-    for i, ri in enumerate(rs):
-        if ri < 1e-12:
-            out[i] = omega(d - 1) * cap_volume(d, R)
-            continue
-        sin_r, cos_r = math.sin(ri), math.cos(ri)
+    # coincident centers: the intersection is the whole cap
+    out = np.full_like(rs, omega(d - 1) * cap_volume(d, R))
+    apart = ~(rs < 1e-12)
+    sin_r, cos_r = np.sin(rs[apart]), np.cos(rs[apart])
 
-        def zone(theta, sin_r=sin_r, cos_r=cos_r):
-            ct, st = np.cos(theta), np.sin(theta)
-            arg = (math.cos(R) - ct * cos_r) / np.maximum(st * sin_r, 1e-300)
-            phi = np.arccos(np.clip(arg, -1.0, 1.0))
-            return st ** (d - 1) * w_d2 * _sin_power_integral(d - 2, phi)
+    def zone(theta, k):
+        ct, st = np.cos(theta), np.sin(theta)
+        arg = (math.cos(R) - ct * cos_r[k]) / np.maximum(st * sin_r[k], 1e-300)
+        phi = np.arccos(np.clip(arg, -1.0, 1.0))
+        return st ** (d - 1) * w_d2 * _sin_power_integral(d - 2, phi)
 
-        # clamp transitions: the latitude circle enters or leaves the second
-        # cap directly (theta = |r - R|, r + R) or by wrapping past the far
-        # pole (theta = 2 pi - r - R, relevant once R > pi/2)
-        kinks = {abs(ri - R), ri + R, 2.0 * math.pi - ri - R}
-        res = integrate_adaptive(zone, 0.0, R, tol, split_points=sorted(kinks))
-        out[i] = omega(d - 1) * res.value
+    # clamp transitions: the latitude circle enters or leaves the second
+    # cap directly (theta = |r - R|, r + R) or by wrapping past the far
+    # pole (theta = 2 pi - r - R, relevant once R > pi/2)
+    r = rs[apart, None]
+    kinks = np.hstack([np.abs(r - R), r + R, 2.0 * math.pi - r - R])
+    res = integrate_adaptive_batch(zone, 0.0, R, tol, split_points=kinks)
+    check_converged(res, tol, "cap weight quadrature")
+    out[apart] = omega(d - 1) * res.value
     return float(out[0]) if scalar else out
 
 

@@ -5,6 +5,14 @@ open Gauss pair (no endpoint evaluations, so integrable inverse-square-root
 endpoints need no special handling), an improper oscillatory integrator that
 partitions [a, oo) into asymptotic half-periods and accelerates the partial
 sums, and Gauss-Jacobi rules for the symmetric weight (1-s^2)^(nu-1/2).
+
+The adaptive integrator is batched: integrate_adaptive_batch takes a family
+of K integrals (an integrand f(x, k), per-integral limits, tolerances and
+split points) and refines all of them in the same array operations, calling
+f once per chunk of panels with the nodes of both Gauss rules.  Each integral
+keeps its own refinement, budget and convergence flag, bit for bit those of
+a call on it alone; integrate_adaptive is the K = 1 case.  check_converged
+turns an unconverged result beyond 100 tol into NonConvergedError.
 """
 
 from __future__ import annotations
@@ -22,10 +30,13 @@ from .specfun import BesselOrder
 
 __all__ = [
     "QuadResult",
+    "QuadBatch",
     "OscillatoryIntegrand",
     "DivergentIntegralError",
     "NonConvergedError",
     "integrate_adaptive",
+    "integrate_adaptive_batch",
+    "check_converged",
     "integrate_oscillatory_tail",
     "integrate_oscillatory_mollified",
     "oscillatory_partial_integrals",
@@ -35,6 +46,13 @@ __all__ = [
 _X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
 _X16, _W16 = leggauss(16)
+_X22 = np.concatenate([_X15, _X7])  # both rules of the adaptive pair, one call
+
+# working-set bounds of the batched adaptive engine: each integrand call sees
+# at most _CHUNK_PANELS panels and at most _BLOCK integrals refine together;
+# neither changes any result
+_CHUNK_PANELS = 1024
+_BLOCK = 64
 
 _GAUSS_JACOBI_NODE_BUDGET = 4096
 
@@ -89,20 +107,220 @@ def _panel_values(f, lefts: np.ndarray, rights: np.ndarray, xg, wg):
     return half[:, 0] * (vals @ wg)
 
 
-def _panel_pair(f, lefts, rights, scale):
-    """Fine/coarse estimates and error per panel, with a guard for panels so
-    narrow that rounding pushes nodes onto an integrable endpoint singularity."""
-    fine = _panel_values(f, lefts, rights, _X15, _W15)
-    coarse = _panel_values(f, lefts, rights, _X7, _W7)
-    errs = np.abs(fine - coarse)
+@dataclass
+class QuadBatch:
+    """Results of a family of integrals: one array entry per integral."""
+
+    value: np.ndarray
+    abs_error_estimate: np.ndarray
+    n_evals: np.ndarray
+    converged: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, k: int) -> QuadResult:
+        return QuadResult(float(self.value[k]), float(self.abs_error_estimate[k]),
+                          int(self.n_evals[k]), bool(self.converged[k]))
+
+
+def check_converged(res, tol, what: str = "quadrature") -> None:
+    """Raise NonConvergedError when an integral stopped unconverged with an
+    error estimate above 100 tol.
+
+    res is a QuadResult or a QuadBatch; tol is a scalar or one per integral.
+    Unconverged integrals within 100 tol (panels frozen at rounding width
+    next to an integrable singularity) pass.
+    """
+    err = np.asarray(res.abs_error_estimate, dtype=float)
+    bad = ~np.asarray(res.converged) & (err > 100.0 * np.asarray(tol, dtype=float))
+    if np.any(bad):
+        raise NonConvergedError(
+            f"{what} exhausted its budget"
+            f" (error estimate {float(np.max(err[bad])):.2e})"
+        )
+
+
+def _weighted_sum(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w[j] rows[j], term by term in a fixed order: each column's sum
+    then depends on that column alone, never on how many columns there are
+    (a BLAS product may order the terms by array shape)."""
+    acc = rows[0] * w[0]
+    for j in range(1, len(w)):
+        acc += rows[j] * w[j]
+    return acc
+
+
+def _panel_pair(f, lefts, rights, owner, narrow_width):
+    """GL15 estimate and |GL15 - GL7| per panel.
+
+    f gets the nodes of both rules, with the integral index of each node, in
+    one call per chunk of at most _CHUNK_PANELS panels.  A non-finite
+    estimate raises, unless its panel is so narrow that rounding pushes
+    nodes onto an integrable endpoint singularity; such a panel counts 0.
+    """
+    fine = np.empty(len(lefts))
+    coarse = np.empty(len(lefts))
+    for s in range(0, len(lefts), _CHUNK_PANELS):
+        sl = slice(s, s + _CHUNK_PANELS)
+        mid = 0.5 * (lefts[sl] + rights[sl])
+        half = 0.5 * (rights[sl] - lefts[sl])
+        nodes = mid + half * _X22[:, None]
+        vals = np.asarray(f(nodes.ravel(), np.tile(owner[sl], len(_X22))), dtype=float)
+        vals = vals.reshape(nodes.shape)
+        fine[sl] = half * _weighted_sum(vals[:15], _W15)
+        coarse[sl] = half * _weighted_sum(vals[15:], _W7)
+    with np.errstate(invalid="ignore"):
+        errs = np.abs(fine - coarse)
     bad = ~np.isfinite(fine) | ~np.isfinite(coarse)
     if bad.any():
-        narrow = (rights - lefts) <= 1e-13 * scale
+        narrow = (rights - lefts) <= narrow_width
         if np.any(bad & ~narrow):
             raise ValueError("integrand returned non-finite values on a panel")
         fine = np.where(bad, 0.0, fine)
         errs = np.where(bad, 0.0, errs)
     return fine, errs
+
+
+def _initial_panels(a, b, splits, min_panels: int):
+    """Each integral's interval cut at its interior split points, every piece
+    into equal panels (about min_panels over the whole interval).  Returns
+    (lefts, rights, owner), grouped by owner in increasing x."""
+    m = len(a)
+    rows = np.repeat(np.arange(m), splits.shape[1])
+    pts = splits.ravel()
+    inside = (pts > a[rows]) & (pts < b[rows])  # NaN padding drops out here
+    owner = np.concatenate([np.arange(m), rows[inside], np.arange(m)])
+    pts = np.concatenate([a, pts[inside], b])
+    order = np.lexsort((pts, owner))
+    owner, pts = owner[order], pts[order]
+    fresh = np.ones(len(pts), dtype=bool)
+    fresh[1:] = (owner[1:] != owner[:-1]) | (pts[1:] != pts[:-1])
+    owner, pts = owner[fresh], pts[fresh]
+    piece = owner[:-1] == owner[1:]
+    lo, hi, piece_owner = pts[:-1][piece], pts[1:][piece], owner[:-1][piece]
+    count = np.maximum(
+        1, np.ceil(min_panels * (hi - lo) / (b - a)[piece_owner])
+    ).astype(np.int64)
+    # np.linspace's arithmetic: edge i at i * (hi - lo) / count + lo, last at hi
+    which = np.repeat(np.arange(len(lo)), count)
+    i = np.arange(len(which)) - np.repeat(np.cumsum(count) - count, count)
+    step = ((hi - lo) / count)[which]
+    lefts = i * step + lo[which]
+    rights = np.where(i + 1 == count[which], hi[which], (i + 1) * step + lo[which])
+    return lefts, rights, piece_owner[which]
+
+
+def _refine_block(f, first: int, a, b, tol, splits, max_evals: int, min_panels: int, out):
+    """Refine integrals first .. first + len(a) - 1 of a family together.
+
+    Every step, each integral still open bisects the panels that carry 90%
+    of its own error (largest first, within its own budget); the panel
+    arrays stay grouped by integral, in the order a single integral would
+    keep them, so each result is independent of its neighbours.
+    """
+    value, error, n_evals, converged = out
+    m = len(a)
+    narrow = 1e-13 * (np.abs(a) + np.abs(b) + 1.0)  # frozen panel width
+    lefts, rights, owner = _initial_panels(a, b, splits, min_panels)
+    vals, errs = _panel_pair(f, lefts, rights, owner + first, narrow[owner])
+    spent = 22 * np.bincount(owner, minlength=m)
+    while True:
+        counts = np.bincount(owner, minlength=m)
+        act = np.flatnonzero(counts)
+        starts = np.cumsum(counts[act]) - counts[act]
+        total = np.add.reduceat(vals, starts)
+        total_err = np.add.reduceat(errs, starts)
+        # panels at rounding width are frozen: their residual is irreducible
+        cand = (rights - lefts > narrow[owner]) & (errs > 0)
+        n_cand = np.bincount(owner[cand], minlength=m)[act]
+        ok = total_err <= tol[act]
+        done = ok | (spent[act] >= max_evals) | (n_cand == 0)
+        fin = act[done]
+        value[first + fin] = total[done]
+        error[first + fin] = total_err[done]
+        n_evals[first + fin] = spent[fin]
+        converged[first + fin] = ok[done]
+        if done.all():
+            return
+        if done.any():
+            live = ~np.isin(owner, fin)
+            lefts, rights, owner = lefts[live], rights[live], owner[live]
+            vals, errs, cand = vals[live], errs[live], cand[live]
+            act, n_cand = act[~done], n_cand[~done]
+        # per integral: candidates first, by decreasing error (stable)
+        order = np.lexsort((-errs, ~cand, owner))
+        row = np.empty(m, dtype=np.int64)
+        row[act] = np.arange(len(act))
+        o_sorted = owner[order]
+        n_panels = np.bincount(o_sorted, minlength=m)
+        rank = np.arange(len(order)) - (np.cumsum(n_panels) - n_panels)[o_sorted]
+        c_sorted = cand[order]
+        # cumulative errors row by row (a sequential sum within each row, so
+        # no integral's split count depends on another's errors)
+        table = np.zeros((len(act), int(n_cand.max())))
+        table[row[o_sorted[c_sorted]], rank[c_sorted]] = errs[order][c_sorted]
+        csum = np.cumsum(table, axis=1)
+        n_split = np.count_nonzero(csum < 0.90 * csum[:, -1:], axis=1) + 1
+        n_split = np.minimum(n_split, np.minimum(
+            n_cand, np.maximum(1, (max_evals - spent[act]) // 44)))
+        take = np.zeros(m, dtype=np.int64)
+        take[act] = n_split
+        idx = order[c_sorted & (rank < take[o_sorted])]
+        spent[act] += 44 * n_split
+        keep = np.ones(len(lefts), dtype=bool)
+        keep[idx] = False
+        mids = 0.5 * (lefts[idx] + rights[idx])
+        new_l = np.concatenate([lefts[idx], mids])
+        new_r = np.concatenate([mids, rights[idx]])
+        new_o = np.concatenate([owner[idx], owner[idx]])
+        sub_v, sub_e = _panel_pair(f, new_l, new_r, new_o + first, narrow[new_o])
+        regroup = np.argsort(np.concatenate([owner[keep], new_o]), kind="stable")
+        lefts = np.concatenate([lefts[keep], new_l])[regroup]
+        rights = np.concatenate([rights[keep], new_r])[regroup]
+        owner = np.concatenate([owner[keep], new_o])[regroup]
+        vals = np.concatenate([vals[keep], sub_v])[regroup]
+        errs = np.concatenate([errs[keep], sub_e])[regroup]
+
+
+def integrate_adaptive_batch(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a,
+    b,
+    tol=1e-10,
+    *,
+    split_points=None,
+    max_evals: int = 2_000_000,
+    min_panels: int = 1,
+) -> QuadBatch:
+    """Adaptive integration of a family of K integrals over finite intervals.
+
+    f(x, k) gets flat arrays of nodes x and of the index k of the integral
+    each node belongs to.  a, b and tol broadcast to one value per integral;
+    split_points is a (K, S) array of known interior kinks per integral,
+    rows padded with NaN (points outside (a_k, b_k) are ignored).  Each
+    integral is refined exactly as it would be alone, with its own budget of
+    max_evals evaluations, so its value, n_evals and converged flag do not
+    depend on the rest of the family or on its position in it.
+    """
+    splits = np.zeros((1, 0)) if split_points is None else np.asarray(split_points, dtype=float)
+    if splits.ndim != 2:
+        raise ValueError("split_points must be a (K, S) array")
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(tol), splits.shape[:1])
+    if len(shape) != 1:
+        raise ValueError("a, b and tol must be scalars or 1-D")
+    n = shape[0]
+    a = np.broadcast_to(np.asarray(a, dtype=float), shape)
+    b = np.broadcast_to(np.asarray(b, dtype=float), shape)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), shape)
+    splits = np.broadcast_to(splits, (n, splits.shape[1]))
+    if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
+        raise ValueError("need finite a < b")
+    out = (np.empty(n), np.empty(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
+    for first in range(0, n, _BLOCK):
+        sl = slice(first, first + _BLOCK)
+        _refine_block(f, first, a[sl], b[sl], tol[sl], splits[sl], max_evals, min_panels, out)
+    return QuadBatch(*out)
 
 
 def integrate_adaptive(
@@ -121,54 +339,13 @@ def integrate_adaptive(
     the largest embedded-pair discrepancy |GL15 - GL7|; endpoints are never
     evaluated.  split_points seeds the initial partition with known interior
     kinks.  Non-convergence within the budget returns the best estimate with
-    converged=False.
+    converged=False.  This is integrate_adaptive_batch with one integral.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError("need finite a < b")
-    cuts = [a] + sorted(p for p in split_points if a < p < b) + [b]
-    edges = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        k = max(1, int(math.ceil(min_panels * (hi - lo) / (b - a))))
-        edges.append(np.linspace(lo, hi, k + 1))
-    lefts = np.concatenate([e[:-1] for e in edges])
-    rights = np.concatenate([e[1:] for e in edges])
-    scale = abs(a) + abs(b) + 1.0
-
-    vals, errs = _panel_pair(f, lefts, rights, scale)
-    n_evals = 22 * len(lefts)
-
-    while True:
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        if total_err <= tol:
-            return QuadResult(total, total_err, n_evals, True)
-        if n_evals >= max_evals:
-            return QuadResult(total, total_err, n_evals, False)
-        # split the panels carrying most of the error; panels already at
-        # rounding width are frozen (their residual error is irreducible)
-        splittable = (rights - lefts) > 1e-13 * scale
-        if not splittable.any():
-            return QuadResult(total, total_err, n_evals, total_err <= tol)
-        err_rank = np.where(splittable, errs, -1.0)
-        order = np.argsort(err_rank)[::-1]
-        order = order[err_rank[order] > 0]
-        if len(order) == 0:
-            return QuadResult(total, total_err, n_evals, False)
-        csum = np.cumsum(errs[order])
-        n_split = max(1, int(np.searchsorted(csum, 0.90 * csum[-1])) + 1)
-        n_split = min(n_split, len(order), max(1, (max_evals - n_evals) // 44))
-        idx = order[:n_split]
-        keep = np.ones(len(lefts), dtype=bool)
-        keep[idx] = False
-        mids = 0.5 * (lefts[idx] + rights[idx])
-        new_l = np.concatenate([lefts[idx], mids])
-        new_r = np.concatenate([mids, rights[idx]])
-        sub_v, sub_e = _panel_pair(f, new_l, new_r, scale)
-        vals = np.concatenate([vals[keep], sub_v])
-        errs = np.concatenate([errs[keep], sub_e])
-        lefts = np.concatenate([lefts[keep], new_l])
-        rights = np.concatenate([rights[keep], new_r])
-        n_evals += 44 * n_split
+    res = integrate_adaptive_batch(
+        lambda x, k: f(x), a, b, tol, split_points=[list(split_points)],
+        max_evals=max_evals, min_panels=min_panels,
+    )
+    return res[0]
 
 
 def _levin_u(s: np.ndarray, kmax: int = 12):

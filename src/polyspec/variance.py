@@ -20,7 +20,7 @@ from scipy.special import roots_hermitenorm
 
 from . import specfun, walk
 from .geometry import BallSpec, Geometry, WeightFunction, make_weight
-from .quadrature import NonConvergedError, integrate_adaptive
+from .quadrature import check_converged, integrate_adaptive
 
 __all__ = [
     "FieldSpec",
@@ -122,14 +122,6 @@ def _cached_weight(ball: BallSpec) -> WeightFunction:
     return make_weight(ball)
 
 
-def _check_quadrature(res, tol: float) -> None:
-    if not res.converged and res.abs_error_estimate > 100.0 * tol:
-        raise NonConvergedError(
-            f"variance quadrature exhausted its budget"
-            f" (error estimate {res.abs_error_estimate:.2e})"
-        )
-
-
 def variance_exact_euclidean(spec: PolyspectrumSpec, tol: float = 1e-9) -> VarianceEstimate:
     """q! int_0^2R jd(lambda r)^q W(r) r^(d-1) dr by oscillation-resolving
     adaptive quadrature (at least 8 panels per kernel period)."""
@@ -145,7 +137,7 @@ def variance_exact_euclidean(spec: PolyspectrumSpec, tol: float = 1e-9) -> Varia
     min_panels = max(8, int(math.ceil(2.0 * R / (math.pi / (4.0 * lam)))))
     res = integrate_adaptive(f, 0.0, 2.0 * R, tol / qfac, min_panels=min_panels,
                              max_evals=6_000_000)
-    _check_quadrature(res, tol / qfac)
+    check_converged(res, tol / qfac, "variance quadrature")
     return VarianceEstimate(
         spec, qfac * res.value, Method.EXACT_QUADRATURE,
         qfac * res.abs_error_estimate, regime_of(spec),
@@ -183,7 +175,7 @@ def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9,
     min_panels += min_panels % 2
     res = integrate_adaptive(f, 0.0, math.pi, tol / qfac, min_panels=min_panels,
                              max_evals=6_000_000)
-    _check_quadrature(res, tol / qfac)
+    check_converged(res, tol / qfac, "variance quadrature")
     return VarianceEstimate(
         spec, qfac * res.value, Method.EXACT_QUADRATURE,
         qfac * res.abs_error_estimate, regime,
@@ -193,6 +185,7 @@ def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9,
 def _weight_mean_integral(w: WeightFunction) -> float:
     """int_0^end W(r) dr, the Q2 envelope constant's domain factor."""
     res = integrate_adaptive(lambda r: np.asarray(w(r)), 0.0, w.support_end, 1e-10)
+    check_converged(res, 1e-10, "weight integral")
     return res.value
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import gammaln
+from scipy.special import ellipkm1, gammaln
 
 from . import quadrature, specfun
 from .quadrature import (
@@ -151,59 +151,87 @@ def _psi2(d: int, u: np.ndarray) -> np.ndarray:
     return np.where(inside, rho2_closed(d, x) / x ** (d - 1), 0.0)
 
 
-def _psi_integral(d: int, prev, prev_kinks, r: float, tol: float) -> float:
-    """One recursion step: average psi_{n-1} over step directions.
+def _psi3_planar(u) -> np.ndarray:
+    """psi^2_3 = p_3(u) / u, the planar three-step density in closed form.
+
+    p_3(x) = 4x / (pi^2 sqrt((3-x)(x+1)^3)) K(m) on (0, 1) and
+    sqrt(x) / pi^2 K(m) on (1, 3) (Borwein, Straub, Wan & Zudilin, Canad. J.
+    Math. 2012).  K goes through ellipkm1 on the closed-form complement
+    1 - m = (1-x)^3 (x+3) / ((3-x)(x+1)^3), resp. (x-1)^3 (x+3) / (16x), which
+    keeps full relative accuracy into the log-infinite point x = 1.  There
+    1 - m is floored at the smallest normal double: a finite cap on the
+    integrable spike, which quadrature nodes do hit exactly.
+    """
+    u = np.asarray(u, dtype=float)
+    inside = (u >= 0) & (u < 3)
+    x = np.where(inside, u, 0.5)
+    low = x < 1.0
+    dist = np.abs(1.0 - x)
+    # p_3 = K / (pi^2 sqrt(den)) * (x on (0, 1), sqrt(x) on (1, 3))
+    den = np.where(low, (3.0 - x) * (x + 1.0) * (x + 1.0) * (x + 1.0) / 16.0, x)
+    one_minus_m = dist * dist * dist * (x + 3.0) / (16.0 * den)
+    k = ellipkm1(np.maximum(one_minus_m, np.finfo(float).tiny))
+    return np.where(inside, k / (math.pi**2 * np.sqrt(den)), 0.0)
+
+
+def _step_pref(d: int) -> float:
+    """(nu!)^2 4^nu / (pi (2nu)!), the prefactor of one recursion step."""
+    return _norm_factor(d) / (math.pi * math.exp(gammaln(d - 1.0)))
+
+
+def _psi_step(d: int, prev, prev_kinks, rs):
+    """Integrand and split points of one recursion step at each radius in rs.
 
     In the angle variable the step reads
 
         psi_n(r) = pref int_0^pi psi_{n-1}(sqrt(1 + 2 r cos(phi) + r^2))
                    sin(phi)^(2 nu) dphi,
 
-    pref = (nu!)^2 4^nu / (pi (2nu)!); the integrand is split at the angles
-    where the argument crosses a kink radius of the previous level.
+    pref = _step_pref(d).  Returns (f, splits) for integrate_adaptive_batch:
+    f(phi, k) is the integrand at radius rs[k], and row k of splits holds
+    the angles where the argument crosses a kink radius of the previous
+    level (NaN where it does not).
     """
-    nu = 0.5 * d - 1.0
-    pref = _norm_factor(d) / (math.pi * math.exp(gammaln(2 * nu + 1)))
+    rs = np.asarray(rs, dtype=float)
+    power = float(d - 2)  # 2 nu
+    root = 2.0 * np.sqrt(rs)
 
-    def integrand(phi: np.ndarray) -> np.ndarray:
+    def integrand(phi: np.ndarray, k) -> np.ndarray:
         # cancellation-free form of sqrt(1 + 2 r cos(phi) + r^2); the naive
         # expression loses everything below u ~ 1e-8 when r is near 1
-        c = np.cos(0.5 * phi)
-        u = np.hypot(1.0 - r, 2.0 * math.sqrt(r) * c)
-        return prev(u) * np.sin(phi) ** (2.0 * nu)
+        u = np.hypot(1.0 - rs[k], root[k] * np.cos(0.5 * phi))
+        return prev(u) * np.sin(phi) ** power if power else prev(u)
 
-    splits = []
-    for u0 in prev_kinks:
-        s = (u0 * u0 - 1.0 - r * r) / (2.0 * r)
-        if -1.0 < s < 1.0:
-            splits.append(math.acos(s))
+    kinks = np.asarray(prev_kinks, dtype=float)
+    s = (kinks * kinks - 1.0 - (rs * rs)[:, None]) / (2.0 * rs[:, None])
+    with np.errstate(invalid="ignore"):
+        splits = np.where((s > -1.0) & (s < 1.0), np.arccos(s), np.nan)
     # for d = 2 the argument grazes the 1/u blow-up of the density kernel at
     # phi = pi when r is near 1; the resulting peak of width |1 - r| hides
     # between quadrature nodes, so panel it down explicitly
-    u_min = abs(1.0 - r)
-    if d == 2 and u_min < 0.1:
-        ladder = math.pi - np.geomspace(max(u_min, 1e-11) * 0.5, 1.0, 30)
-        splits.extend(float(x) for x in ladder if 0.0 < x < math.pi)
-    res = integrate_adaptive(
-        integrand, 0.0, math.pi, tol, split_points=splits, max_evals=400_000
-    )
-    return pref * res.value
+    u_min = np.abs(1.0 - rs)
+    near = u_min < 0.1
+    if d == 2 and near.any():
+        ladder = np.full((len(rs), 30), np.nan)
+        ladder[near] = math.pi - np.geomspace(
+            np.maximum(u_min[near], 1e-11) * 0.5, 1.0, 30, axis=-1
+        )
+        splits = np.concatenate([splits, ladder], axis=1)
+    return integrand, splits
 
 
 class _PsiTable:
     """psi^d_n tabulated per unit segment with kink-graded grids.
 
-    A registered logarithmic spike (the planar 3-step walk at unit radius)
-    is subtracted before interpolation with a coefficient fitted from the
-    innermost graded nodes, and restored analytically on evaluation: the
-    remainder is interpolation-friendly while the spike itself is exact.
+    Every node of the level is one integral of a single batched engine call;
+    a node left unconverged with an error above 100 tol raises
+    NonConvergedError.
     """
 
     def __init__(self, d: int, n: int, prev, prev_kinks, tol: float = 1e-9):
         self.d = d
         self.n = n
-        self.segments = []
-        spike = SINGULAR_INTERIOR_POINTS.get((d, n), (None,))[0]
+        grids = []
         for k in range(n):
             lo, hi = float(k), float(k + 1)
             width = hi - lo
@@ -214,30 +242,26 @@ class _PsiTable:
                 [lo + width * np.geomspace(1e-9, 0.25, 30),
                  hi - width * np.geomspace(1e-9, 0.25, 30)]
             )
-            pts = np.unique(np.concatenate([base, edges]))
-            vals = np.array([_psi_integral(d, prev, prev_kinks, float(r), tol) for r in pts])
-            log_amp = 0.0
-            if spike is not None and (abs(lo - spike) < 1e-12 or abs(hi - spike) < 1e-12):
-                delta = np.abs(pts - spike)
-                i1, i2 = np.argsort(delta)[:2]
-                log_amp = (vals[i1] - vals[i2]) / math.log(delta[i2] / delta[i1])
-                vals = vals - log_amp * np.log(1.0 / delta)
-            self.segments.append(
-                (lo, hi, PchipInterpolator(pts, vals, extrapolate=True), log_amp, spike)
-            )
+            grids.append(np.unique(np.concatenate([base, edges])))
+        f, splits = _psi_step(d, prev, prev_kinks, np.concatenate(grids))
+        # looked up on the module, so a wrapper installed there sees the call
+        res = quadrature.integrate_adaptive_batch(
+            f, 0.0, math.pi, tol, split_points=splits, max_evals=400_000
+        )
+        quadrature.check_converged(res, tol, f"psi recursion level (d={d}, n={n})")
+        vals = np.split(_step_pref(d) * res.value, np.cumsum([len(g) for g in grids])[:-1])
+        self.segments = [
+            (float(k), float(k + 1), PchipInterpolator(pts, v, extrapolate=True))
+            for k, (pts, v) in enumerate(zip(grids, vals))
+        ]
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         out = np.zeros_like(u)
-        for lo, hi, interp, log_amp, spike in self.segments:
+        for lo, hi, interp in self.segments:
             mask = (u >= lo) & (u < hi)
             if mask.any():
-                vals = interp(u[mask])
-                if log_amp:
-                    vals = vals + log_amp * np.log(
-                        1.0 / np.maximum(np.abs(u[mask] - spike), 1e-300)
-                    )
-                out[mask] = vals
+                out[mask] = interp(u[mask])
         return np.maximum(out, 0.0)
 
 
@@ -248,13 +272,16 @@ def _psi_level(d: int, n: int):
     The kinks are the radii where psi^d_n fails to be analytic.  psi_2 is
     integrably singular at u = 2 for d = 2 and jumps there for d = 3; above
     it they are the integer lattice of sub-flight supports, which includes
-    the log-infinite point of the planar 3-step.
+    the log-infinite point of the planar 3-step.  That level is the exact
+    density, so the planar tables start from n = 4.
     """
     if n == 2:
         return (lambda u: _psi2(d, u)), (2.0,)
+    kinks = tuple(float(k) for k in range(1, n + 1))
+    if (d, n) == (2, 3):
+        return _psi3_planar, kinks
     prev, prev_kinks = _psi_level(d, n - 1)
-    table = _PsiTable(d, n, prev, prev_kinks)
-    return table, tuple(float(k) for k in range(1, n + 1))
+    return _PsiTable(d, n, prev, prev_kinks), kinks
 
 
 def density_recursion(spec: WalkSpec, r: float, m_nodes: int = 64) -> float:
@@ -285,8 +312,7 @@ def density_recursion(spec: WalkSpec, r: float, m_nodes: int = 64) -> float:
         # tracer) also sees this call
         s, w = quadrature.gauss_jacobi_symmetric(nu, m_nodes)
         u = np.sqrt((1.0 - r) ** 2 + 2.0 * r * (1.0 + s))
-        pref = _norm_factor(d) / (math.pi * math.exp(gammaln(2 * nu + 1)))
-        psi = pref * float(np.dot(w, prev(u)))
+        psi = _step_pref(d) * float(np.dot(w, prev(u)))
     else:
         # the d = 2 base blows up (integrably) at u = 2; grazing it with the
         # path endpoint is the approach to the infinite-density point
@@ -297,7 +323,12 @@ def density_recursion(spec: WalkSpec, r: float, m_nodes: int = 64) -> float:
                 SingularProximityWarning,
                 stacklevel=2,
             )
-        psi = _psi_integral(d, prev, prev_kinks, float(r), 1e-10)
+        f, splits = _psi_step(d, prev, prev_kinks, [float(r)])
+        res = integrate_adaptive(
+            lambda phi: f(phi, 0), 0.0, math.pi, 1e-10,
+            split_points=splits[0][np.isfinite(splits[0])], max_evals=400_000,
+        )
+        psi = _step_pref(d) * res.value
     return psi * r ** (d - 1)
 
 
@@ -373,8 +404,9 @@ def classify_idq(d: int, q: int) -> Classification:
     conditional for (2, 3) and (3, 3); absolutely convergent whenever the
     envelope decays faster than 1/t, i.e. (d-1)(q/2 - 1) > 1.
     """
-    if int(d) != d or d < 2 or int(q) != q or q < 2:
-        raise ValueError("need integers d >= 2, q >= 2")
+    specfun._validate_dim(d)
+    if int(q) != q or q < 2:
+        raise ValueError(f"moment order must be an integer >= 2, got {q}")
     if q == 2 or (d, q) == (2, 4):
         return Classification.DIVERGENT
     if (d, q) in ((2, 3), (3, 3)):

@@ -42,6 +42,101 @@ class TestIntegrateAdaptive:
         assert res.status == "non_converged"
 
 
+# members of one family: (integrand, a, b, tol, split points); the third has
+# an inverse-square-root endpoint, the last exhausts its budget
+_FAMILY = [
+    (lambda x: np.cos(5.0 * x) * np.exp(-x), 0.0, 2.0, 1e-12, (0.7, 1.3)),
+    (lambda x: np.abs(x - 0.3), 0.0, 1.0, 1e-12, (0.3,)),
+    (lambda r: 2.0 / (math.pi * np.sqrt(4.0 - r * r)), 0.0, 2.0, 1e-8, ()),
+    (lambda x: np.log(np.abs(x - 1.0)), 0.5, 3.0, 1e-10, (1.0, 2.0, 2.5)),
+    (lambda r: 1.0 / np.sqrt(np.abs(r)), 1e-300, 1.0, 1e-14, ()),
+]
+
+
+def _family_integrand(funcs):
+    def f(x, k):
+        out = np.empty_like(x)
+        for j, g in enumerate(funcs):
+            sel = k == j
+            if sel.any():
+                out[sel] = g(x[sel])
+        return out
+
+    return f
+
+
+def _family_splits(rows):
+    width = max(len(r) for r in rows)
+    return np.array([list(r) + [np.nan] * (width - len(r)) for r in rows])
+
+
+class TestAdaptiveBatch:
+    def test_family_matches_separate_calls(self):
+        funcs, a, b, tol, splits = zip(*_FAMILY)
+        fam = quad.integrate_adaptive_batch(
+            _family_integrand(funcs), a, b, tol,
+            split_points=_family_splits(splits), max_evals=30_000,
+        )
+        assert len(fam) == len(_FAMILY)
+        for k, (g, lo, hi, t, sp) in enumerate(_FAMILY):
+            one = quad.integrate_adaptive(g, lo, hi, t, split_points=sp, max_evals=30_000)
+            assert fam[k] == one, k
+        assert list(fam.converged) == [True, True, True, True, False]
+        assert fam.n_evals[-1] >= 30_000
+
+    def test_independent_of_blocks_and_order(self, monkeypatch):
+        omega = np.linspace(0.5, 40.0, 150)
+        f = lambda x, k: np.cos(omega[k] * x) / (1.0 + x)
+        splits = np.where(omega[:, None] > 20.0, np.array([[0.5, 1.5]]), np.nan)
+        ref = quad.integrate_adaptive_batch(f, 0.0, 2.0, 1e-11, split_points=splits)
+        monkeypatch.setattr(quad, "_BLOCK", 7)
+        monkeypatch.setattr(quad, "_CHUNK_PANELS", 5)
+        small = quad.integrate_adaptive_batch(f, 0.0, 2.0, 1e-11, split_points=splits)
+        rev = omega[::-1].copy()
+        back = quad.integrate_adaptive_batch(
+            lambda x, k: np.cos(rev[k] * x) / (1.0 + x), 0.0, 2.0, 1e-11,
+            split_points=splits[::-1],
+        )
+        for res, order in ((small, slice(None)), (back, slice(None, None, -1))):
+            assert np.array_equal(res.value[order], ref.value)
+            assert np.array_equal(res.abs_error_estimate[order], ref.abs_error_estimate)
+            assert np.array_equal(res.n_evals[order], ref.n_evals)
+            assert np.array_equal(res.converged[order], ref.converged)
+        assert ref.converged.all()
+
+    def test_empty_family(self):
+        res = quad.integrate_adaptive_batch(
+            lambda x, k: x, np.zeros(0), np.ones(0), split_points=np.zeros((0, 3))
+        )
+        assert len(res) == 0
+        for arr in (res.value, res.abs_error_estimate, res.n_evals, res.converged):
+            assert arr.shape == (0,)
+
+    def test_non_finite_on_wide_panel_raises(self):
+        f = lambda x, k: np.where(k == 1, np.nan, x)
+        with pytest.raises(ValueError):
+            quad.integrate_adaptive_batch(f, 0.0, [1.0, 1.0])
+        with pytest.raises(ValueError):
+            quad.integrate_adaptive(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
+
+    def test_check_converged(self):
+        exhausted = quad.integrate_adaptive(
+            lambda r: 1.0 / np.sqrt(np.abs(r)), 1e-300, 1.0, 1e-14, max_evals=500
+        )
+        with pytest.raises(quad.NonConvergedError):
+            quad.check_converged(exhausted, 1e-14)
+        # within 100 tol of its target an unconverged result passes
+        quad.check_converged(exhausted, exhausted.abs_error_estimate / 100.0)
+        funcs, a, b, tol, splits = zip(*_FAMILY)
+        fam = quad.integrate_adaptive_batch(
+            _family_integrand(funcs), a, b, tol,
+            split_points=_family_splits(splits), max_evals=30_000,
+        )
+        with pytest.raises(quad.NonConvergedError):
+            quad.check_converged(fam, tol)
+        quad.check_converged(fam[0], tol[0])
+
+
 class TestOscillatoryTail:
     def test_dirichlet_cube(self):
         g = quad.OscillatoryIntegrand(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from polyspec import walk
+from polyspec import quadrature, walk
 from polyspec.walk import Classification, DensityRoute, IdqRoute, WalkSpec
 
 
@@ -69,6 +69,64 @@ class TestDensityRecursion:
     def test_rejects_out_of_range_n(self):
         with pytest.raises(ValueError):
             walk.density_recursion(WalkSpec(2, 9), 1.0)
+
+    def test_planar_four_step_against_kluyver(self):
+        # the planar recursion starts from the exact three-step density
+        spec = WalkSpec(2, 4)
+        for r in (0.4, 1.0, 1.5, 2.3, 2.6, 3.4, 3.8):
+            ref = walk.density_kluyver(spec, r, tol=1e-11)
+            assert ref.converged, r
+            assert walk.density_recursion(spec, r) == pytest.approx(ref.value, abs=1e-9), r
+
+
+class TestExactPlanarThreeStep:
+    def test_against_mpmath_hypergeometric(self):
+        mpmath = pytest.importorskip("mpmath")
+        psi3, kinks = walk._psi_level(2, 3)
+        assert kinks == (1.0, 2.0, 3.0)
+        offsets = [1e-12, 1e-9, 1e-6, 1e-3, 0.1]
+        grid = sorted({1.0 + s * e for e in offsets for s in (-1, 1)}
+                      | {1e-6, 0.05, 0.3, 0.6, 1.4, 1.8, 2.2, 2.7, 2.99, 3.0 - 1e-9})
+        # 1 - z ~ (1 - x)^3 / 4 near x = 1: at |x - 1| = 1e-12 the argument
+        # alone needs ~36 digits
+        with mpmath.workdps(60):
+            for x in grid:
+                xm = mpmath.mpf(x)
+                z = xm**2 * (9 - xm**2) ** 2 / (3 + xm**2) ** 3
+                p3 = (2 * mpmath.sqrt(3) / mpmath.pi * xm / (3 + xm**2)
+                      * mpmath.hyp2f1(mpmath.mpf(1) / 3, mpmath.mpf(2) / 3, 1, z))
+                ref = float(p3 / xm)
+                assert float(psi3(np.array([x]))[0]) == pytest.approx(ref, rel=1e-14), x
+
+    def test_finite_cap_at_unit_radius(self):
+        psi3, _ = walk._psi_level(2, 3)
+        vals = psi3(np.array([1.0, 3.0, 3.5]))
+        assert np.isfinite(vals[0]) and vals[0] > psi3(np.array([1.0 - 1e-12]))[0]
+        assert vals[1] == 0.0 and vals[2] == 0.0
+
+    def test_idq_2_5_recursion_endpoint(self):
+        rec = walk.idq(2, 5, IdqRoute.RECURSION_ENDPOINT)
+        assert rec.value == pytest.approx(walk.idq_closed_form(2, 5), rel=1e-9)
+
+
+def test_psi_levels_work_count(monkeypatch):
+    """The psi levels `polyspec table` reads take one engine call each and,
+    together, fewer than 30 M integrand evaluations."""
+    engine = quadrature.integrate_adaptive_batch
+    evals = []
+
+    def counting(*args, **kwargs):
+        res = engine(*args, **kwargs)
+        evals.append(int(res.n_evals.sum()))
+        return res
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive_batch", counting)
+    walk._psi_level.cache_clear()
+    for d in range(2, 7):
+        walk._psi_level(d, 6)
+    # d = 2 tabulates n = 4, 5, 6 (n = 3 is exact); d >= 3 tabulates n = 3 to 6
+    assert len(evals) == 3 + 4 * 4
+    assert sum(evals) < 30_000_000
 
 
 class TestDensityKluyver:
@@ -155,6 +213,16 @@ class TestClassification:
         assert walk.classify_idq(5, 3) is Classification.ABSOLUTE
         assert walk.classify_idq(2, 5) is Classification.ABSOLUTE
         assert walk.classify_idq(3, 4) is Classification.ABSOLUTE
+
+    def test_bad_dimension_message_matches_walkspec(self):
+        for d in (1, 2.5):
+            with pytest.raises(ValueError) as spec_err:
+                WalkSpec(d, 3)
+            with pytest.raises(ValueError) as cls_err:
+                walk.classify_idq(d, 3)
+            assert str(cls_err.value) == str(spec_err.value)
+        with pytest.raises(ValueError, match="moment order"):
+            walk.classify_idq(3, 1)
 
     def test_envelope_threshold(self):
         for d in range(2, 8):
