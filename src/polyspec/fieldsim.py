@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc
 
 from . import specfun, walk
 from .geometry import Geometry
@@ -335,4 +335,4 @@ def mc_walk_density_check(spec: walk.WalkSpec, n_samples: int, bins: int,
     exp_arr *= counts_arr.sum() / exp_arr.sum()
     stat = float(np.sum((counts_arr - exp_arr) ** 2 / exp_arr))
     dof = len(exp_arr) - 1
-    return stat, float(chi2_dist.sf(stat, dof))
+    return stat, float(chdtrc(dof, stat))

@@ -98,13 +98,23 @@ class OscillatoryIntegrand:
             raise ValueError("phase_period must be > 0")
 
 
-def _panel_values(f, lefts: np.ndarray, rights: np.ndarray, xg, wg):
-    """Batched fixed-rule estimates over many panels: one call to f."""
+def _panel_nodes(lefts: np.ndarray, rights: np.ndarray, xg):
+    """Nodes of a fixed rule on each panel (one row per panel), and the
+    panels' half widths."""
     mid = 0.5 * (lefts + rights)[:, None]
     half = 0.5 * (rights - lefts)[:, None]
-    nodes = mid + half * xg[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return half[:, 0] * (vals @ wg)
+    return mid + half * xg[None, :], half[:, 0]
+
+
+def _eval_nodes(f, nodes: np.ndarray) -> np.ndarray:
+    """f on a 2-D node array, in one call on the flattened nodes."""
+    return np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+
+
+def _panel_values(f, lefts: np.ndarray, rights: np.ndarray, xg, wg):
+    """Batched fixed-rule estimates over many panels: one call to f."""
+    nodes, half = _panel_nodes(lefts, rights, xg)
+    return half * (_eval_nodes(f, nodes) @ wg)
 
 
 @dataclass
@@ -492,33 +502,32 @@ def integrate_oscillatory_mollified(
     non-oscillating component decaying like t^(-alpha) survives as an
     algebraic error in powers of T^(-1/2), which a short Richardson
     extrapolation over doubled T removes.
+
+    T doubles from level to level, so the tail panels on [T, 2T] are exactly
+    the next level's plain panels: their integrand values are kept and
+    summed again without the cutoff, and each node is evaluated once.
     """
     p = g.phase_period
     t0 = min(max(12.0 * p, 55.0 / max(min_frequency, 1e-6)), max_t / 2.0**levels)
     width = p / max(1, chunks_per_period)
     vals = []
     xs = []
-    plain_total = 0.0
-    plain_end = 0.0
-    n_evals = 0
+    n = max(8, int(math.ceil(t0 / width)))
+    cuts = np.linspace(0.0, t0, n + 1)
+    plain_total = float(_panel_values(g.evaluator, cuts[:-1], cuts[1:], _X16, _W16).sum())
+    n_evals = 16 * n
     for j in range(levels):
         big_t = t0 * 2.0**j
-        n = max(8, int(math.ceil((big_t - plain_end) / width)))
-        cuts = np.linspace(plain_end, big_t, n + 1)
-        plain_total += float(_panel_values(g.evaluator, cuts[:-1], cuts[1:], _X16, _W16).sum())
-        plain_end = big_t
+        n = max(8, int(math.ceil(big_t / width)))
+        cuts = np.linspace(big_t, 2.0 * big_t, n + 1)
+        nodes, half = _panel_nodes(cuts[:-1], cuts[1:], _X16)
+        raw = _eval_nodes(g.evaluator, nodes)
         n_evals += 16 * n
-
-        n2 = max(8, int(math.ceil(big_t / width)))
-        cuts = np.linspace(big_t, 2.0 * big_t, n2 + 1)
-
-        def damped(t: np.ndarray, big_t=big_t) -> np.ndarray:
-            return np.asarray(g.evaluator(t)) * _smooth_cutoff((t - big_t) / big_t)
-
-        tail = float(_panel_values(damped, cuts[:-1], cuts[1:], _X16, _W16).sum())
-        n_evals += 16 * n2
-        vals.append(plain_total + tail)
+        damped = raw * _smooth_cutoff((nodes - big_t) / big_t)
+        vals.append(plain_total + float((half * (damped @ _W16)).sum()))
         xs.append(big_t**-0.5)
+        # undamped, the same panels are the next level's plain part
+        plain_total += float((half * (raw @ _W16)).sum())
 
     # Neville extrapolation to x = 0, anchored at the largest T
     order = np.argsort(xs)

@@ -5,11 +5,17 @@ normalized radial covariance kernel of isotropic monochromatic waves, Hermite
 polynomials (probabilists' convention), normalized Gegenbauer polynomials, and
 the Bessel main term of their large-degree approximation.
 
-The kernel jd goes through ``scipy.special``: ``jv`` at integer order (even
-d) and ``spherical_jn`` at half-integer order (odd d), which is several times
-faster than ``jv`` there.  Against 40-digit mpmath for d = 2..10 the absolute
-error measured at most 8e-15 for r <= 40, and at most 1.4e-13 r^{-(d-1)/2}
-(that is, relative to the kernel's envelope) for 40 < r <= 2e5.
+The kernel jd goes through ``scipy.special``: ``spherical_jn`` at
+half-integer order (odd d), which is several times faster than ``jv`` there,
+and ``jv`` at integer order (even d), except that d = 2 and d = 4 use the
+Cephes ``j0`` / ``j1`` for r <= 40, about 30 times faster than ``jv``.
+Against 30-digit mpmath ``j0`` measured within 3.7e-16 and ``j1`` within
+8.9e-16 r^{-1/2} on [0, 40]; beyond 40 they drift (to 1.0e-12 and
+3.1e-12 r^{-1/2} on [2e4, 2e5]) while ``jv`` stays at 3.7e-16 r^{-1/2}, so
+``jv`` takes over there.  Against 40-digit mpmath for d = 2..10 the absolute
+error of jd measured at most 8e-15 for r <= 40, and at most
+1.4e-13 r^{-(d-1)/2} (that is, relative to the kernel's envelope) for
+40 < r <= 2e5.
 
 All evaluators accept scalars or numpy arrays and are pure and reentrant.
 """
@@ -20,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermitenorm, gammaln, jv, spherical_jn
+from scipy.special import eval_hermitenorm, gammaln, j0, j1, jv, spherical_jn
 
 __all__ = [
     "BesselOrder",
@@ -34,6 +40,12 @@ __all__ = [
     "hilb_main_term",
     "eigenspace_dim",
 ]
+
+
+# Largest argument at which d = 2, 4 take the Cephes j0 / j1: within 3.7e-16
+# (j0) and 8.9e-16 r^{-1/2} (j1) of 30-digit mpmath on [0, 40]; beyond, they
+# drift to 2.1e-14 r^{-1/2} on [200, 400] and 1.0e-12 r^{-1/2} on [2e4, 2e5]
+_CEPHES_MAX = 40.0
 
 
 def _validate_dim(d: int) -> float:
@@ -117,7 +129,13 @@ def _jd_arr(d: int, r: np.ndarray) -> np.ndarray:
         vals = math.prod(range(1, 2 * n + 2, 2)) * spherical_jn(n, x) / x**n
     else:
         n = d // 2 - 1
-        vals = math.factorial(n) * 2**n * jv(n, x) / x**n
+        if n < 2:
+            bessel = (j0 if n == 0 else j1)(x, out=np.empty_like(x))
+            far = x > _CEPHES_MAX
+            bessel[far] = jv(n, x[far])
+        else:
+            bessel = jv(n, x)
+        vals = math.factorial(n) * 2**n * bessel / x**n
     return np.where(tiny, 1.0 - r * r / (2 * d), vals)
 
 

@@ -65,7 +65,7 @@ SINGULAR_INTERIOR_POINTS = {(2, 3): (1.0,)}
 
 
 class SingularProximityWarning(UserWarning):
-    """The recursion base was evaluated near one of its singular radii."""
+    """A density was evaluated near one of its singular radii."""
 
 
 class DensityRoute(str, Enum):
@@ -290,7 +290,8 @@ def density_recursion(spec: WalkSpec, r: float, m_nodes: int = 64) -> float:
     The direction average uses the symmetric Gauss-Jacobi rule when the
     argument path stays inside a single analytic piece of the previous level;
     otherwise the integral is split at the kink crossings and refined
-    adaptively.  Registered infinite-density points return inf.
+    adaptively.  The planar three-step density is the closed form
+    _psi3_planar, not a step.  Registered infinite-density points return inf.
     """
     d, n = spec.d, spec.n
     if not 3 <= n <= MAX_RECURSION_STEPS:
@@ -300,6 +301,15 @@ def density_recursion(spec: WalkSpec, r: float, m_nodes: int = 64) -> float:
     for r0 in SINGULAR_INTERIOR_POINTS.get((d, n), ()):
         if abs(r - r0) < 1e-12:
             return math.inf
+    if (d, n) == (2, 3):
+        if abs(r - 1.0) < SINGULAR_WARNING_RADIUS:
+            warnings.warn(
+                f"planar three-step density evaluated within {SINGULAR_WARNING_RADIUS:g}"
+                f" of its singular radius (d={d}, r={r})",
+                SingularProximityWarning,
+                stacklevel=2,
+            )
+        return r * float(_psi3_planar(r))
     prev, prev_kinks = _psi_level(d, n - 1)
     lo, hi = abs(1.0 - r), 1.0 + r
     clear = all(not (lo - 0.05 < k < hi + 0.05) for k in prev_kinks) and lo > 0.05
@@ -314,20 +324,12 @@ def density_recursion(spec: WalkSpec, r: float, m_nodes: int = 64) -> float:
         u = np.sqrt((1.0 - r) ** 2 + 2.0 * r * (1.0 + s))
         psi = _step_pref(d) * float(np.dot(w, prev(u)))
     else:
-        # the d = 2 base blows up (integrably) at u = 2; grazing it with the
-        # path endpoint is the approach to the infinite-density point
-        if d == 2 and n == 3 and abs(r - 1.0) < SINGULAR_WARNING_RADIUS:
-            warnings.warn(
-                f"recursion base evaluated within {SINGULAR_WARNING_RADIUS:g} of its"
-                f" singular radius (d={d}, r={r})",
-                SingularProximityWarning,
-                stacklevel=2,
-            )
         f, splits = _psi_step(d, prev, prev_kinks, [float(r)])
         res = integrate_adaptive(
             lambda phi: f(phi, 0), 0.0, math.pi, 1e-10,
             split_points=splits[0][np.isfinite(splits[0])], max_evals=400_000,
         )
+        quadrature.check_converged(res, 1e-10, "density recursion step")
         psi = _step_pref(d) * res.value
     return psi * r ** (d - 1)
 

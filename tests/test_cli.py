@@ -143,6 +143,13 @@ class TestTableCommand:
 
 
 class TestInfrastructure:
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats alone is ~0.4 s of import; the chi-square tail is scipy.special's
+        code = "import sys, polyspec.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "False"
+
     def test_usage_error_exit_code(self):
         proc = run_cli(["density", "--d", "3"], check=False)
         assert proc.returncode == 2

@@ -248,3 +248,17 @@ class TestMollified:
         a = quad.integrate_oscillatory_tail(g, 0.0, 1e-10)
         b = quad.integrate_oscillatory_mollified(g, 1e-10)
         assert b.value == pytest.approx(a.value, abs=5e-9)
+
+    def test_each_node_evaluated_once(self):
+        # each level's tail panels on [T, 2T] are the next level's plain panels
+        seen = []
+
+        def f(t):
+            seen.append(np.array(t))
+            return sf.jd(2, t) ** 3 * t
+
+        g = quad.OscillatoryIntegrand(f, decay_exponent=0.5, phase_offset=math.pi / 4)
+        res = quad.integrate_oscillatory_mollified(g, 1e-10)
+        nodes = np.concatenate(seen)
+        assert len(nodes) == res.n_evals
+        assert len(np.unique(nodes)) == len(nodes)

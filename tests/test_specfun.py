@@ -91,7 +91,9 @@ def jd_mpmath(d: int, r: float) -> float:
 class TestJd:
     @pytest.mark.parametrize("d", range(2, 11))
     def test_against_mpmath(self, d):
-        near = np.concatenate([[0.0, 1e-300, 1e-9, 1e-6, 2e-6, 1e-3], np.linspace(0.1, 40, 200)])
+        # 40 (1 -+ 1e-12) straddle the seam where d = 2, 4 switch from j0/j1 to jv
+        near = np.concatenate([[0.0, 1e-300, 1e-9, 1e-6, 2e-6, 1e-3, 40 * (1 - 1e-12),
+                                40 * (1 + 1e-12)], np.linspace(0.1, 40, 200)])
         far = np.geomspace(40.5, 2e5, 200)
         ref_near = np.array([jd_mpmath(d, r) for r in near])
         ref_far = np.array([jd_mpmath(d, r) for r in far])

@@ -79,24 +79,34 @@ class TestDensityRecursion:
             assert walk.density_recursion(spec, r) == pytest.approx(ref.value, abs=1e-9), r
 
 
+def p3_mpmath(x: float) -> float:
+    """The planar three-step density p_3(x) by 60-digit mpmath 2F1 (Borwein,
+    Straub, Wan & Zudilin).  1 - z ~ (1 - x)^3 / 4 near x = 1: at
+    |x - 1| = 1e-12 the argument alone needs ~36 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        xm = mpmath.mpf(x)
+        z = xm**2 * (9 - xm**2) ** 2 / (3 + xm**2) ** 3
+        return float(2 * mpmath.sqrt(3) / mpmath.pi * xm / (3 + xm**2)
+                     * mpmath.hyp2f1(mpmath.mpf(1) / 3, mpmath.mpf(2) / 3, 1, z))
+
+
 class TestExactPlanarThreeStep:
     def test_against_mpmath_hypergeometric(self):
-        mpmath = pytest.importorskip("mpmath")
         psi3, kinks = walk._psi_level(2, 3)
         assert kinks == (1.0, 2.0, 3.0)
         offsets = [1e-12, 1e-9, 1e-6, 1e-3, 0.1]
         grid = sorted({1.0 + s * e for e in offsets for s in (-1, 1)}
                       | {1e-6, 0.05, 0.3, 0.6, 1.4, 1.8, 2.2, 2.7, 2.99, 3.0 - 1e-9})
-        # 1 - z ~ (1 - x)^3 / 4 near x = 1: at |x - 1| = 1e-12 the argument
-        # alone needs ~36 digits
-        with mpmath.workdps(60):
-            for x in grid:
-                xm = mpmath.mpf(x)
-                z = xm**2 * (9 - xm**2) ** 2 / (3 + xm**2) ** 3
-                p3 = (2 * mpmath.sqrt(3) / mpmath.pi * xm / (3 + xm**2)
-                      * mpmath.hyp2f1(mpmath.mpf(1) / 3, mpmath.mpf(2) / 3, 1, z))
-                ref = float(p3 / xm)
-                assert float(psi3(np.array([x]))[0]) == pytest.approx(ref, rel=1e-14), x
+        for x in grid:
+            ref = p3_mpmath(x) / x
+            assert float(psi3(np.array([x]))[0]) == pytest.approx(ref, rel=1e-14), x
+
+    def test_density_recursion_is_closed_form(self):
+        # a step from psi_2 was off by 1.7e-7 relative at r = 0.9
+        for r in (0.3, 0.9, 1.2, 1.5, 2.0, 2.5, 2.95):
+            assert walk.density_recursion(WalkSpec(2, 3), r) == pytest.approx(
+                p3_mpmath(r), rel=1e-13), r
 
     def test_finite_cap_at_unit_radius(self):
         psi3, _ = walk._psi_level(2, 3)
