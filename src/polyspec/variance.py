@@ -183,7 +183,12 @@ def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9,
 
 
 def _weight_mean_integral(w: WeightFunction) -> float:
-    """int_0^end W(r) dr, the Q2 envelope constant's domain factor."""
+    """int_0^end W(r) dr, the Q2 envelope constant's domain factor.
+
+    Exact for a tabulated weight; integrated adaptively otherwise.
+    """
+    if w.integral is not None:
+        return w.integral
     res = integrate_adaptive(lambda r: np.asarray(w(r)), 0.0, w.support_end, 1e-10)
     check_converged(res, 1e-10, "weight integral")
     return res.value

@@ -21,7 +21,8 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+# PchipInterpolator is not called here; perfbench's tracer wraps the name
+from scipy.interpolate import CubicSpline, PchipInterpolator  # noqa: F401
 from scipy.special import ellipkm1, gammaln
 
 from . import quadrature, specfun
@@ -179,8 +180,8 @@ def _step_pref(d: int) -> float:
     return _norm_factor(d) / (math.pi * math.exp(gammaln(d - 1.0)))
 
 
-def _psi_step(d: int, prev, prev_kinks, rs):
-    """Integrand and split points of one recursion step at each radius in rs.
+def _psi_step(d: int, n: int, prev, prev_kinks, rs):
+    """Integrand and split points of the step to level n at each radius in rs.
 
     In the angle variable the step reads
 
@@ -190,7 +191,9 @@ def _psi_step(d: int, prev, prev_kinks, rs):
     pref = _step_pref(d).  Returns (f, splits) for integrate_adaptive_batch:
     f(phi, k) is the integrand at radius rs[k], and row k of splits holds
     the angles where the argument crosses a kink radius of the previous
-    level (NaN where it does not).
+    level (NaN where it does not).  For radii within 0.1 of 1, a geometric
+    ladder of splits into phi = pi is added when d = 2 or when the previous
+    level is psi_2 (n = 3), which is ~1/u at u = 0 in every dimension.
     """
     rs = np.asarray(rs, dtype=float)
     power = float(d - 2)  # 2 nu
@@ -206,12 +209,13 @@ def _psi_step(d: int, prev, prev_kinks, rs):
     s = (kinks * kinks - 1.0 - (rs * rs)[:, None]) / (2.0 * rs[:, None])
     with np.errstate(invalid="ignore"):
         splits = np.where((s > -1.0) & (s < 1.0), np.arccos(s), np.nan)
-    # for d = 2 the argument grazes the 1/u blow-up of the density kernel at
-    # phi = pi when r is near 1; the resulting peak of width |1 - r| hides
-    # between quadrature nodes, so panel it down explicitly
+    # the argument grazes the 1/u blow-up of psi_2 at phi = pi when r is near
+    # 1; the resulting peak of width |1 - r| hides between quadrature nodes,
+    # and the error estimate misses it, so panel it down explicitly.  On the
+    # d >= 3 steps from a table the ladder measured no gain, only cost
     u_min = np.abs(1.0 - rs)
     near = u_min < 0.1
-    if d == 2 and near.any():
+    if (d == 2 or n == 3) and near.any():
         ladder = np.full((len(rs), 30), np.nan)
         ladder[near] = math.pi - np.geomspace(
             np.maximum(u_min[near], 1e-11) * 0.5, 1.0, 30, axis=-1
@@ -225,7 +229,10 @@ class _PsiTable:
 
     Every node of the level is one integral of a single batched engine call;
     a node left unconverged with an error above 100 tol raises
-    NonConvergedError.
+    NonConvergedError.  Each segment is a not-a-knot cubic spline: C^2, so
+    the next level's integrand has no derivative jumps for the adaptive
+    engine to bisect toward.  The kinks of psi_n sit at integer radii, the
+    segment ends, so no spline spans one and none rings there.
     """
 
     def __init__(self, d: int, n: int, prev, prev_kinks, tol: float = 1e-9):
@@ -243,7 +250,7 @@ class _PsiTable:
                  hi - width * np.geomspace(1e-9, 0.25, 30)]
             )
             grids.append(np.unique(np.concatenate([base, edges])))
-        f, splits = _psi_step(d, prev, prev_kinks, np.concatenate(grids))
+        f, splits = _psi_step(d, n, prev, prev_kinks, np.concatenate(grids))
         # looked up on the module, so a wrapper installed there sees the call
         res = quadrature.integrate_adaptive_batch(
             f, 0.0, math.pi, tol, split_points=splits, max_evals=400_000
@@ -251,7 +258,7 @@ class _PsiTable:
         quadrature.check_converged(res, tol, f"psi recursion level (d={d}, n={n})")
         vals = np.split(_step_pref(d) * res.value, np.cumsum([len(g) for g in grids])[:-1])
         self.segments = [
-            (float(k), float(k + 1), PchipInterpolator(pts, v, extrapolate=True))
+            (float(k), float(k + 1), CubicSpline(pts, v, extrapolate=True))
             for k, (pts, v) in enumerate(zip(grids, vals))
         ]
 
@@ -324,7 +331,7 @@ def density_recursion(spec: WalkSpec, r: float, m_nodes: int = 64) -> float:
         u = np.sqrt((1.0 - r) ** 2 + 2.0 * r * (1.0 + s))
         psi = _step_pref(d) * float(np.dot(w, prev(u)))
     else:
-        f, splits = _psi_step(d, prev, prev_kinks, [float(r)])
+        f, splits = _psi_step(d, n, prev, prev_kinks, [float(r)])
         res = integrate_adaptive(
             lambda phi: f(phi, 0), 0.0, math.pi, 1e-10,
             split_points=splits[0][np.isfinite(splits[0])], max_evals=400_000,

@@ -5,7 +5,8 @@ import pytest
 
 from polyspec import variance as va
 from polyspec import walk
-from polyspec.geometry import Geometry, omega
+from polyspec.geometry import Geometry, make_weight, omega
+from polyspec.quadrature import integrate_adaptive
 
 E, S = Geometry.EUCLIDEAN, Geometry.SPHERICAL
 
@@ -165,6 +166,14 @@ class TestAsymptotic:
             devs.append(abs(lam**3 * v.value / target - 1.0))
         assert devs[-1] < devs[0]
         assert devs[-1] < devs[-2] or devs[-2] < devs[-3]
+
+    @pytest.mark.parametrize("d, R", [(2, 1.0), (2, 1.5), (3, 0.7), (4, 2.5)])
+    def test_weight_mean_integral_is_exact_table_integral(self, d, R):
+        w = make_weight(sphere(d, 20, 2, R).ball)
+        assert w.integral is not None
+        ref = integrate_adaptive(lambda r: w(r), 0.0, w.support_end, 1e-10)
+        assert ref.converged
+        assert va._weight_mean_integral(w) == pytest.approx(ref.value, rel=1e-11)
 
     def test_positive_predictions(self):
         for spec in (euclid(2, 50.0, 3, 1.0), sphere(3, 20, 4, 1.0)):

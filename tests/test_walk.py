@@ -34,12 +34,13 @@ class TestRho2Closed:
 class TestDensityRecursion:
     def test_d3_n3_closed_region(self):
         # psi is identically 1/2 on (0,1): rho = r^2/2
-        assert walk.density_recursion(WalkSpec(3, 3), 0.5) == pytest.approx(
-            0.125, abs=1e-10
-        )
+        for r in (0.5, 1.0 - 1e-6, 1.0 - 1e-9):
+            assert walk.density_recursion(WalkSpec(3, 3), r) == pytest.approx(
+                r * r / 2.0, abs=1e-10
+            ), r
 
     def test_d3_n3_outer_piece(self):
-        for r in (1.5, 2.2, 2.9):
+        for r in (1.5, 2.2, 2.9, 1.0 + 1e-6, 1.0 + 1e-9):
             assert walk.density_recursion(WalkSpec(3, 3), r) == pytest.approx(
                 r * (3.0 - r) / 4.0, abs=1e-9
             )
@@ -119,9 +120,39 @@ class TestExactPlanarThreeStep:
         assert rec.value == pytest.approx(walk.idq_closed_form(2, 5), rel=1e-9)
 
 
+def rayleigh_treloar(n: int, r):
+    """The exact d = 3 random-flight density (Rayleigh 1919, Treloar 1946):
+    rho_n(r) = r / (2^(n-1) (n-2)!) sum_k (-1)^k C(n, k) (n - 2k - r)_+^(n-2)."""
+    s = sum((-1) ** k * math.comb(n, k) * np.maximum(n - 2 * k - r, 0.0) ** (n - 2)
+            for k in range(n + 1))
+    return r / (2 ** (n - 1) * math.factorial(n - 2)) * s
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_d3_levels_against_rayleigh_treloar(n):
+    # PCHIP tables were off by up to 6.6e-6; the step from psi_2 near r = 1
+    # by 1.4e-6 without the split ladder
+    tab, _ = walk._psi_level(3, n)
+    grid = np.unique(np.concatenate(
+        [np.linspace(0.0, n, 3001)]
+        + [k + s * np.geomspace(1e-9, 0.4, 40) for k in range(n + 1) for s in (-1, 1)]
+    ))
+    grid = grid[(grid > 0) & (grid < n)]
+    err = np.abs(tab(grid) * grid**2 - rayleigh_treloar(n, grid))
+    assert err.max() < 1e-8, grid[err.argmax()]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_recursion_endpoint_against_direct(d):
+    for q in range(5, 9):
+        direct = walk.idq(d, q, IdqRoute.DIRECT_INTEGRAL)
+        rec = walk.idq(d, q, IdqRoute.RECURSION_ENDPOINT)
+        assert rec.value == pytest.approx(direct.value, rel=1e-7), q
+
+
 def test_psi_levels_work_count(monkeypatch):
     """The psi levels `polyspec table` reads take one engine call each and,
-    together, fewer than 30 M integrand evaluations."""
+    together, fewer than 8 M integrand evaluations (PCHIP tables took 26 M)."""
     engine = quadrature.integrate_adaptive_batch
     evals = []
 
@@ -136,7 +167,7 @@ def test_psi_levels_work_count(monkeypatch):
         walk._psi_level(d, 6)
     # d = 2 tabulates n = 4, 5, 6 (n = 3 is exact); d >= 3 tabulates n = 3 to 6
     assert len(evals) == 3 + 4 * 4
-    assert sum(evals) < 30_000_000
+    assert sum(evals) < 8_000_000
 
 
 class TestDensityKluyver:
