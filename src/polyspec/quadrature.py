@@ -40,6 +40,7 @@ __all__ = [
     "integrate_oscillatory_tail",
     "integrate_oscillatory_mollified",
     "oscillatory_partial_integrals",
+    "canonical_panel_nodes",
     "gauss_jacobi_symmetric",
 ]
 
@@ -115,6 +116,15 @@ def _panel_values(f, lefts: np.ndarray, rights: np.ndarray, xg, wg):
     """Batched fixed-rule estimates over many panels: one call to f."""
     nodes, half = _panel_nodes(lefts, rights, xg)
     return half * (_eval_nodes(f, nodes) @ wg)
+
+
+def canonical_panel_nodes(width: float, k0: int, k1: int):
+    """16-point Gauss nodes on panels k0 .. k1 - 1 of the grid width * k (one
+    row per panel) and the panels' half widths.  A node depends only on
+    (width, k, its index in the rule), never on the range it is built in, so
+    callers can share values computed on these nodes."""
+    cuts = width * np.arange(k0, k1 + 1)
+    return _panel_nodes(cuts[:-1], cuts[1:], _X16)
 
 
 @dataclass
@@ -428,6 +438,17 @@ def _validated(transform, seq: np.ndarray):
     return est, err
 
 
+def _neville_to_zero(xs: np.ndarray, ys) -> np.ndarray:
+    """Neville's tableau extrapolated to x = 0: entry k is the value at 0 of
+    the polynomial through (xs[i], ys[i]), i <= k."""
+    tab = np.array(ys, dtype=float)
+    out = [tab[0]]
+    for k in range(1, len(xs)):
+        tab = tab[:-1] + (tab[:-1] - tab[1:]) * xs[:-k] / (xs[k:] - xs[:-k])
+        out.append(tab[0])
+    return np.array(out)
+
+
 def _richardson_inverse_t(sums: np.ndarray, t0: float, p: float):
     """Neville extrapolation of partial sums to T = oo in powers of 1/T.
 
@@ -445,18 +466,12 @@ def _richardson_inverse_t(sums: np.ndarray, t0: float, p: float):
         m //= 2
     if len(xs) < 3:
         return sums[-1], np.inf
-    xs = np.array(xs)
-    tab = np.array(ys)
-    prev = tab[0]
-    best = (float(prev), np.inf)
-    for k in range(1, len(xs)):
-        tab = tab[:-1] + (tab[:-1] - tab[1:]) * xs[:len(tab) - 1] / (
-            xs[k:] - xs[: len(tab) - 1]
-        )
-        change = abs(tab[0] - prev)
-        if k >= 2 and change < best[1]:
-            best = (float(tab[0]), float(change) + 1e-15 * abs(tab[0]))
-        prev = tab[0]
+    ext = _neville_to_zero(np.array(xs), ys)
+    change = np.abs(np.diff(ext))
+    best = (float(ext[0]), np.inf)
+    for k in range(2, len(ext)):
+        if change[k - 1] < best[1]:
+            best = (float(ext[k]), float(change[k - 1]) + 1e-15 * abs(ext[k]))
     return best
 
 
@@ -503,47 +518,56 @@ def integrate_oscillatory_mollified(
     algebraic error in powers of T^(-1/2), which a short Richardson
     extrapolation over doubled T removes.
 
-    T doubles from level to level, so the tail panels on [T, 2T] are exactly
-    the next level's plain panels: their integrand values are kept and
-    summed again without the cutoff, and each node is evaluated once.
+    Every panel is one of the canonical grid width * k (canonical_panel_nodes,
+    width = phase_period / chunks_per_period), with the start cutoff rounded
+    up to a whole number of panels, so integrals with the same width share
+    their nodes.  T doubles from level to level, so the tail panels on
+    [T, 2T] are exactly the next level's plain panels: their integrand values
+    are kept and summed again without the cutoff, and each node is evaluated
+    once.  The error estimate is floored at the rounding level of the
+    extrapolated sums.
     """
     p = g.phase_period
     t0 = min(max(12.0 * p, 55.0 / max(min_frequency, 1e-6)), max_t / 2.0**levels)
     width = p / max(1, chunks_per_period)
+    m0 = max(8, int(math.ceil(t0 / width)))  # t0 rounded up to whole panels
+    nodes, half = canonical_panel_nodes(width, 0, m0)
+    part = half * (_eval_nodes(g.evaluator, nodes) @ _W16)
+    plain_total = float(part.sum())
+    abs_total = float(np.abs(part).sum())
+    n_evals = 16 * m0
     vals = []
     xs = []
-    n = max(8, int(math.ceil(t0 / width)))
-    cuts = np.linspace(0.0, t0, n + 1)
-    plain_total = float(_panel_values(g.evaluator, cuts[:-1], cuts[1:], _X16, _W16).sum())
-    n_evals = 16 * n
     for j in range(levels):
-        big_t = t0 * 2.0**j
-        n = max(8, int(math.ceil(big_t / width)))
-        cuts = np.linspace(big_t, 2.0 * big_t, n + 1)
-        nodes, half = _panel_nodes(cuts[:-1], cuts[1:], _X16)
+        k0 = m0 << j
+        big_t = width * k0
+        nodes, half = canonical_panel_nodes(width, k0, 2 * k0)
         raw = _eval_nodes(g.evaluator, nodes)
-        n_evals += 16 * n
+        n_evals += 16 * k0
         damped = raw * _smooth_cutoff((nodes - big_t) / big_t)
         vals.append(plain_total + float((half * (damped @ _W16)).sum()))
         xs.append(big_t**-0.5)
         # undamped, the same panels are the next level's plain part
-        plain_total += float((half * (raw @ _W16)).sum())
+        part = half * (raw @ _W16)
+        plain_total += float(part.sum())
+        abs_total += float(np.abs(part).sum())
 
-    # Neville extrapolation to x = 0, anchored at the largest T
-    order = np.argsort(xs)
-    xs_arr = np.array(xs)[order]
-    tab = np.array(vals)[order]
-    prev = tab[0]
-    best = (float(prev), abs(tab[0] - tab[-1]) if levels > 1 else np.inf)
+    # Neville extrapolation to x = 0, anchored at the largest T.  No error
+    # estimate goes below the rounding level of entry k: eps times the sum of
+    # the absolute panel contributions, times the sum of |Lagrange weights|
+    # at 0 that entry applies to the sums
+    xs = np.array(xs[::-1])
+    ext = _neville_to_zero(xs, vals[::-1])
+    floor = [np.finfo(float).eps * abs_total * sum(
+        abs(np.prod([x / (x - xj) for x in xs[:k + 1] if x != xj])) for xj in xs[:k + 1]
+    ) for k in range(levels)]
+    best, err = float(ext[0]), (abs(vals[-1] - vals[0]) if levels > 1 else np.inf)
+    err = max(err, floor[0])
     for k in range(1, levels):
-        tab = tab[:-1] + (tab[:-1] - tab[1:]) * xs_arr[: len(tab) - 1] / (
-            xs_arr[k:] - xs_arr[: len(tab) - 1]
-        )
-        change = abs(tab[0] - prev)
-        if change < best[1]:
-            best = (float(tab[0]), float(change) + 1e-15 * abs(tab[0]))
-        prev = tab[0]
-    return QuadResult(best[0], best[1], n_evals, best[1] < tol)
+        cand = float(abs(ext[k] - ext[k - 1])) + floor[k]
+        if cand < err:
+            best, err = float(ext[k]), cand
+    return QuadResult(best, err, n_evals, err < tol)
 
 
 def _divergence_diagnosis(panels: np.ndarray, times: np.ndarray, alpha: float) -> bool:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_hermitenorm
 
 from . import specfun, walk
+from ._memo import build_once
 from .geometry import BallSpec, Geometry, WeightFunction, make_weight
 from .quadrature import check_converged, integrate_adaptive
 
@@ -117,7 +117,7 @@ def regime_of(spec: PolyspectrumSpec) -> Regime:
     return Regime.GENERIC
 
 
-@lru_cache(maxsize=64)
+@build_once(maxsize=64)
 def _cached_weight(ball: BallSpec) -> WeightFunction:
     return make_weight(ball)
 

@@ -15,10 +15,10 @@ the same density machinery and yields an independent second route.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 # PchipInterpolator is not called here; perfbench's tracer wraps the name
@@ -26,6 +26,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator  # noqa: F401
 from scipy.special import ellipkm1, gammaln
 
 from . import quadrature, specfun
+from ._memo import build_once
 from .quadrature import (
     NonConvergedError,
     OscillatoryIntegrand,
@@ -272,7 +273,7 @@ class _PsiTable:
         return np.maximum(out, 0.0)
 
 
-@lru_cache(maxsize=None)
+@build_once
 def _psi_level(d: int, n: int):
     """Callable psi^d_n plus its kink list, built bottom-up and cached.
 
@@ -359,12 +360,51 @@ def _min_beat_frequency(n: int, r: float) -> float:
     return min(freqs) if freqs else 1.0
 
 
+# jd(d, t)^n on the canonical panel nodes of one (d, n, width), values only:
+# panel k holds entries 16k .. 16k + 15.  One key stays resident, and each
+# extension is published by swapping in a new tuple under the lock, so a
+# reader always sees a complete table.
+_kernel_table: tuple = ((), np.empty(0))
+_kernel_lock = threading.Lock()
+
+
+def _kernel_power(d: int, n: int, width: float, t: np.ndarray) -> np.ndarray:
+    """specfun.jd(d, t) ** n, bit for bit, shared across Kluyver radii.
+
+    When t are whole panels of the canonical grid of this width (as
+    integrate_oscillatory_mollified asks for them), the values come from a
+    table that grows by the missing panels only; any other t is computed
+    directly, so the table only ever changes speed.
+    """
+    global _kernel_table
+    m, rest = divmod(t.size, 16)
+    k0 = math.floor(t[0] / width) if t.ndim == 1 and m and math.isfinite(t[0]) else -1
+    if rest or k0 < 0 or not np.array_equal(
+        quadrature.canonical_panel_nodes(width, k0, k0 + m)[0].ravel(), t
+    ):
+        return specfun.jd(d, t) ** n
+    key, k1 = (d, n, width), k0 + m
+    entry = _kernel_table
+    if entry[0] != key or len(entry[1]) < 16 * k1:
+        with _kernel_lock:
+            entry = _kernel_table
+            have = entry[1] if entry[0] == key else entry[1][:0]
+            done = len(have) // 16
+            if done < k1:
+                nodes = quadrature.canonical_panel_nodes(width, done, k1)[0].ravel()
+                entry = (key, np.concatenate([have, specfun.jd(d, nodes) ** n]))
+                _kernel_table = entry
+    return entry[1][16 * k0:16 * k1]
+
+
 def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     """rho^d_n(r) by the oscillatory Bessel-moment integral.
 
     rho^d_n(r) = (1/((nu!)^2 4^nu)) int_0^inf (t r)^(2nu+1) jd(t r) jd(t)^n dt,
-    an improper integral evaluated by inter-zero partial sums plus sequence
-    acceleration.  Interior resonances with a non-summable envelope are the
+    an improper integral evaluated by mollified truncation on the engine's
+    canonical panel grid.  The factor jd(t)^n does not depend on r: it is
+    read from a table shared by every radius with the same (d, n, width).
+    Interior resonances with a non-summable envelope are the
     infinite-density points and come back with status 'divergent'.
     """
     d, n = spec.d, spec.n
@@ -378,9 +418,6 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     fac = _norm_factor(d)
     alpha = (d - 1) * (n - 1) / 2.0
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return (t * r) ** (2 * nu + 1) * specfun.jd(d, t * r) * specfun.jd(d, t) ** n
-
     if _resonant_frequency(n, r) and alpha <= 1.0 + 1e-12:
         return QuadResult(math.inf, math.inf, 0, False, status="divergent")
 
@@ -388,6 +425,11 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     # sharp-truncation acceleration is unreliable; mollified truncation with
     # Richardson over doubled cutoffs handles every mixture uniformly
     chunks = max(2, int(math.ceil((n + r + 2) / 2.0)))
+    width = math.pi / chunks  # the engine's panel width
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return (t * r) ** (2 * nu + 1) * specfun.jd(d, t * r) * _kernel_power(d, n, width, t)
+
     g = OscillatoryIntegrand(
         integrand,
         decay_exponent=alpha,

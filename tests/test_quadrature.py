@@ -262,3 +262,51 @@ class TestMollified:
         nodes = np.concatenate(seen)
         assert len(nodes) == res.n_evals
         assert len(np.unique(nodes)) == len(nodes)
+
+    def test_panels_on_canonical_grid(self):
+        # [0, t0] with t0 rounded up to whole panels, then [T, 2T] with
+        # T = width m0 2^j: the same nodes for every integral of one width
+        seen = []
+
+        def f(t):
+            seen.append(np.array(t))
+            return sf.jd(3, t) ** 4 * t * t
+
+        g = quad.OscillatoryIntegrand(f, decay_exponent=2.0, phase_offset=math.pi / 2)
+        res = quad.integrate_oscillatory_mollified(g, 1e-10, min_frequency=1.3,
+                                                   chunks_per_period=3)
+        width = math.pi / 3
+        m0 = math.ceil(55.0 / 1.3 / width)
+        ranges = [(0, m0)] + [(m0 << j, m0 << (j + 1)) for j in range(4)]
+        assert len(seen) == len(ranges)
+        for t, (k0, k1) in zip(seen, ranges):
+            nodes, _ = quad.canonical_panel_nodes(width, k0, k1)
+            assert np.array_equal(t, nodes.ravel())
+        assert res.n_evals == 16 * (m0 << 4)
+
+    def test_canonical_nodes_do_not_depend_on_range(self):
+        width = math.pi / 5
+        whole, _ = quad.canonical_panel_nodes(width, 0, 300)
+        part, _ = quad.canonical_panel_nodes(width, 123, 257)
+        assert np.array_equal(whole[123:257], part)
+
+    @pytest.mark.parametrize("s", [3.0, 6.0, 8.0])
+    def test_error_floor_at_rounding_level(self, s):
+        # int_0^oo cos(t) exp(-(t/s)^2) dt: every level sums the same panels,
+        # so the extrapolants agree exactly and only rounding is left: eps
+        # times the absolute panel sum, about s / sqrt(pi), whatever the value
+        g = quad.OscillatoryIntegrand(lambda t: np.cos(t) * np.exp(-(t / s) ** 2),
+                                      decay_exponent=5.0)
+        res = quad.integrate_oscillatory_mollified(g, 1e-12)
+        exact = math.sqrt(math.pi) * s / 2.0 * math.exp(-s * s / 4.0)
+        assert abs(res.value - exact) <= res.abs_error_estimate
+        assert res.abs_error_estimate >= np.finfo(float).eps * s / 2.0
+
+
+class TestNeville:
+    def test_polynomial_extrapolated_exactly(self):
+        xs = np.array([0.1, 0.2, 0.4, 0.8])
+        ext = quad._neville_to_zero(xs, 3.0 - 2.0 * xs + 5.0 * xs**2)
+        assert ext[0] == 3.0 - 2.0 * 0.1 + 5.0 * 0.01
+        assert ext[2] == pytest.approx(3.0, abs=1e-14)
+        assert ext[3] == pytest.approx(3.0, abs=1e-14)

@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -198,3 +201,26 @@ class TestHermiteIdentity:
             va.hermite_covariance_identity_check(0, 0.5)
         with pytest.raises(ValueError):
             va.hermite_covariance_identity_check(2, 1.5)
+
+
+def test_cached_weight_builds_once_under_threads(monkeypatch):
+    real, builds = va.make_weight, []
+
+    def counting(ball):
+        builds.append(ball)
+        time.sleep(0.05)  # keep the build open while the other thread asks
+        return real(ball)
+
+    monkeypatch.setattr(va, "make_weight", counting)
+    va._cached_weight.cache_clear()
+    ball = sphere(2, 20, 2, 0.9).ball
+    barrier = threading.Barrier(2)
+
+    def run():
+        barrier.wait()
+        return va._cached_weight(ball)
+
+    with ThreadPoolExecutor(2) as pool:
+        a, b = [f.result() for f in [pool.submit(run) for _ in range(2)]]
+    assert builds == [ball]
+    assert a is b

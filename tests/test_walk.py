@@ -1,10 +1,14 @@
 import math
+import random
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from polyspec import quadrature, walk
+from polyspec import quadrature, specfun, walk
 from polyspec.walk import Classification, DensityRoute, IdqRoute, WalkSpec
 
 
@@ -191,6 +195,134 @@ class TestDensityKluyver:
     def test_outside_support(self):
         res = walk.density_kluyver(WalkSpec(2, 4), 4.2)
         assert res.value == 0.0
+
+    def test_error_bars_cover_rayleigh_treloar(self):
+        # the floor at the rounding level of the extrapolated sums: at
+        # r = 4.875 the estimate was 9.9e-20 on a value of 9.9e-5, while a
+        # start cutoff moved by less than one panel moved the value by 4.0e-16
+        res = walk.density_kluyver(WalkSpec(3, 5), 4.875, 1e-8)
+        assert abs(res.value - rayleigh_treloar(5, 4.875)) <= res.abs_error_estimate
+        assert res.abs_error_estimate >= 4.0e-16
+        for i in range(1, 40):
+            r = 5 * i / 40
+            res = walk.density_kluyver(WalkSpec(3, 5), r, 1e-8)
+            if res.converged:
+                assert abs(res.value - rayleigh_treloar(5, r)) <= res.abs_error_estimate, r
+
+
+# the 80 Kluyver radii of the benchmark's sweep: the CLI's 41-point grids
+SWEEP_POINTS = [(d, n, n * i / 40) for d, n in ((2, 4), (3, 5)) for i in range(1, 41)]
+
+
+def _kluyver(points):
+    return {p: walk.density_kluyver(WalkSpec(p[0], p[1]), p[2], 1e-8) for p in points}
+
+
+def _cold_kernel_table(monkeypatch):
+    monkeypatch.setattr(walk, "_kernel_table", ((), np.empty(0)))
+
+
+def _race(fn, *args):
+    """fn(*args) from two threads released together."""
+    barrier = threading.Barrier(2)
+
+    def run():
+        barrier.wait()
+        return fn(*args)
+
+    with ThreadPoolExecutor(2) as pool:
+        futures = [pool.submit(run) for _ in range(2)]
+        return [f.result() for f in futures]
+
+
+@pytest.fixture(scope="module")
+def sweep_reference():
+    """The sweep radii in ascending order from a cold kernel table, and the
+    number of jd points they took."""
+    jd, points = specfun.jd, [0]
+
+    def counting(d, r):
+        points[0] += np.size(r)
+        return jd(d, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _cold_kernel_table(mp)
+        mp.setattr(specfun, "jd", counting)
+        results = _kluyver(SWEEP_POINTS)
+    return results, points[0]
+
+
+class TestKernelTable:
+    def test_sweep_jd_work_count(self, sweep_reference):
+        # 9.67 M when every radius evaluated jd(t)^n itself
+        assert sweep_reference[1] < 6_500_000
+
+    @pytest.mark.parametrize("order", ["descending", "shuffled"])
+    def test_results_independent_of_call_order(self, sweep_reference, order, monkeypatch):
+        points = SWEEP_POINTS[::-1]
+        if order == "shuffled":
+            points = random.Random(6).sample(SWEEP_POINTS, len(SWEEP_POINTS))
+        _cold_kernel_table(monkeypatch)
+        assert _kluyver(points) == sweep_reference[0]
+
+    def test_results_independent_of_thread_count(self, sweep_reference, monkeypatch):
+        _cold_kernel_table(monkeypatch)
+        with ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(lambda p: _kluyver([p])[p], SWEEP_POINTS))
+        assert dict(zip(SWEEP_POINTS, got)) == sweep_reference[0]
+
+    def test_table_is_fresh_power_bit_for_bit(self, monkeypatch):
+        _cold_kernel_table(monkeypatch)
+        sizes = []
+        for r in (0.3, 1.9, 1.1):  # one panel width; 1.9 starts later, near a beat
+            walk.density_kluyver(WalkSpec(2, 4), r)
+            sizes.append(len(walk._kernel_table[1]))
+        assert sizes[0] < sizes[1] == sizes[2]
+        (d, n, width), vals = walk._kernel_table
+        assert (d, n, width) == (2, 4, math.pi / 4)
+        nodes = quadrature.canonical_panel_nodes(width, 0, len(vals) // 16)[0].ravel()
+        assert np.array_equal(vals, specfun.jd(d, nodes) ** n)
+        part = quadrature.canonical_panel_nodes(width, 37, 101)[0].ravel()
+        assert np.array_equal(walk._kernel_power(2, 4, width, part), specfun.jd(2, part) ** 4)
+
+    def test_other_nodes_computed_directly(self, monkeypatch):
+        _cold_kernel_table(monkeypatch)
+        width = math.pi / 4
+        nodes = quadrature.canonical_panel_nodes(width, 0, 8)[0].ravel()
+        for t in (nodes + 1e-3, nodes[:-1], np.linspace(0.1, 5.0, 32)):
+            assert np.array_equal(walk._kernel_power(2, 4, width, t), specfun.jd(2, t) ** 4)
+        assert len(walk._kernel_table[1]) == 0
+
+    def test_kernel_table_extends_once(self, monkeypatch):
+        _cold_kernel_table(monkeypatch)
+        jd, points = specfun.jd, []
+
+        def counting(d, r):
+            points.append(np.size(r))
+            time.sleep(0.05)  # keep the extension open while the other thread asks
+            return jd(d, r)
+
+        monkeypatch.setattr(specfun, "jd", counting)
+        width = math.pi / 4
+        nodes = quadrature.canonical_panel_nodes(width, 0, 64)[0].ravel()
+        a, b = _race(walk._kernel_power, 2, 4, width, nodes)
+        assert points == [len(nodes)]
+        assert np.array_equal(a, b) and np.array_equal(a, jd(2, nodes) ** 4)
+
+
+def test_psi_level_builds_once_under_threads(monkeypatch):
+    real, builds = walk._PsiTable, []
+
+    def counting(*args, **kwargs):
+        builds.append(args[:2])
+        time.sleep(0.05)  # keep the build open while the other thread asks
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(walk, "_PsiTable", counting)
+    walk._psi_level.cache_clear()
+    a, b = _race(walk._psi_level, 3, 4)
+    assert builds == [(3, 3), (3, 4)]
+    assert a is b
 
 
 class TestRouteAgreement:
