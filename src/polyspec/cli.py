@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,24 +43,6 @@ def _jsonable(x):
     if isinstance(x, float) and not math.isfinite(x):
         return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
     return x
-
-
-def worker_count(flag_value: int | None) -> int:
-    """Flag wins over the POLYSPEC_THREADS environment variable."""
-    if flag_value is not None:
-        return max(1, flag_value)
-    env = os.environ.get("POLYSPEC_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(args, header: list[str], rows: list[list], inputs: dict,
@@ -161,8 +141,7 @@ def _cmd_variance(args, started: float) -> int:
         raise argparse.ArgumentTypeError("provide exactly one of --freq / --freq-grid")
     freqs = ([args.freq] if args.freq is not None
              else [float(f) for f in args.freq_grid.split(",")])
-    workers = worker_count(args.threads)
-    rows = _parallel_map(lambda f: _variance_row(args, f), freqs, workers)
+    rows = [_variance_row(args, f) for f in freqs]
     inputs = {"geometry": args.geometry, "d": args.d, "q": args.q, "R": args.R,
               "freqs": freqs, "method": args.method, "trials": args.trials,
               "resolution": args.resolution}
@@ -214,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--output-path", type=str, default=None)
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("density", help="random-flight radius density on a grid")
     p.add_argument("--d", type=int, required=True)

@@ -34,8 +34,10 @@ __all__ = [
     "weight_euclidean",
     "weight_spherical",
     "make_weight",
-    "weight_derivative",
 ]
+
+# base grid size of a spherical cap-weight table
+WEIGHT_TABLE_POINTS = 800
 
 
 class Geometry(str, Enum):
@@ -186,7 +188,7 @@ class WeightFunction:
         return self(0.0)
 
 
-def make_weight(spec: BallSpec, table_points: int = 800) -> WeightFunction:
+def make_weight(spec: BallSpec) -> WeightFunction:
     """Build the weight function for a ball spec.
 
     Euclidean weights are closed-form; spherical weights are tabulated once
@@ -214,9 +216,9 @@ def make_weight(spec: BallSpec, table_points: int = 800) -> WeightFunction:
     base = np.unique(
         np.concatenate(
             [
-                np.linspace(0.0, math.pi, table_points),
-                np.linspace(0.0, min(2.0 * spec.R, math.pi), table_points // 2),
-                np.geomspace(1e-6, math.pi, table_points // 4),
+                np.linspace(0.0, math.pi, WEIGHT_TABLE_POINTS),
+                np.linspace(0.0, min(2.0 * spec.R, math.pi), WEIGHT_TABLE_POINTS // 2),
+                np.geomspace(1e-6, math.pi, WEIGHT_TABLE_POINTS // 4),
             ]
         )
     )
@@ -229,19 +231,3 @@ def make_weight(spec: BallSpec, table_points: int = 800) -> WeightFunction:
 
     return WeightFunction(spec, math.pi, ev_tab, float(interp.integrate(0.0, math.pi)))
 
-
-def weight_derivative(w: WeightFunction, r) -> float:
-    """dW/dr by Richardson-extrapolated central differences.
-
-    Step 1e-5 of the support length; rejects evaluation at the endpoints.
-    """
-    end = w.support_end
-    arr = np.asarray(r, dtype=float)
-    if np.any((arr <= 0) | (arr >= end)):
-        raise ValueError("derivative defined only inside the open support")
-    h = 1e-5 * end
-    h = np.minimum(h, 0.5 * np.minimum(arr, end - arr))
-    d1 = (w(arr + h) - w(arr - h)) / (2 * h)
-    d2 = (w(arr + 0.5 * h) - w(arr - 0.5 * h)) / h
-    out = (4.0 * d2 - d1) / 3.0
-    return float(out) if arr.ndim == 0 else out

@@ -32,7 +32,6 @@ __all__ = [
     "QuadResult",
     "QuadBatch",
     "OscillatoryIntegrand",
-    "DivergentIntegralError",
     "NonConvergedError",
     "integrate_adaptive",
     "integrate_adaptive_batch",
@@ -56,10 +55,17 @@ _CHUNK_PANELS = 1024
 _BLOCK = 64
 
 _GAUSS_JACOBI_NODE_BUDGET = 4096
+_EPS = float(np.finfo(float).eps)
 
+# mollified engine: cutoff levels T, 2T, .. (T doubles per level), and the
+# largest cutoff the start T is capped by
+_MOLLIFIED_LEVELS = 4
+_MOLLIFIED_MAX_T = 2.0e5
 
-class DivergentIntegralError(ArithmeticError):
-    """The requested improper integral diverges."""
+# oscillatory tail engine: panel budget, and the panel count before the
+# first acceleration
+_TAIL_MAX_PANELS = 20_000
+_TAIL_MIN_PANELS = 64
 
 
 class NonConvergedError(ArithmeticError):
@@ -368,47 +374,8 @@ def integrate_adaptive(
     return res[0]
 
 
-def _levin_u(s: np.ndarray, kmax: int = 12):
-    """Levin u-transform of a partial-sum sequence.
-
-    Explicit form with beta = 1 and remainder estimates omega_n = (n+1) a_n.
-    Returns (estimate, error_estimate); the error estimate is the spread of
-    the last transform orders.
-    """
-    s = np.asarray(s, dtype=float)
-    n = len(s)
-    if n < 4:
-        return s[-1], np.inf
-    a = np.empty(n)
-    a[0] = s[0]
-    a[1:] = np.diff(s)
-    omega = (np.arange(n) + 1.0) * a
-    usable = np.abs(omega) > 1e-300
-    if not usable[-min(n, kmax + 2):].all():
-        return s[-1], np.inf
-    ests = []
-    for k in range(3, min(kmax, n - 1) + 1):
-        m = n - 1 - k  # transform window ends at the newest sums
-        num = 0.0
-        den = 0.0
-        for j in range(k + 1):
-            c = (-1.0) ** j * math.comb(k, j) * ((1.0 + m + j) / (1.0 + m + k)) ** (k - 1)
-            w = c / omega[m + j]
-            num += w * s[m + j]
-            den += w
-        if den == 0.0 or not math.isfinite(den):
-            continue
-        ests.append(num / den)
-    if len(ests) < 2:
-        return s[-1], np.inf
-    ests = np.array(ests[-4:])
-    est = ests[-1]
-    err = float(np.max(np.abs(np.diff(ests)))) + 1e-16 * abs(est)
-    return float(est), err
-
-
 def _iterated_aitken(s: np.ndarray):
-    """Fallback acceleration: repeated Aitken delta-squared."""
+    """Repeated Aitken delta-squared on a partial-sum sequence."""
     v = np.asarray(s, dtype=float)
     prev = v[-1]
     err = np.inf
@@ -426,16 +393,6 @@ def _iterated_aitken(s: np.ndarray):
         prev = nxt[-1]
         v = nxt
     return float(prev), float(err)
-
-
-def _validated(transform, seq: np.ndarray):
-    """Run a sequence transform twice (full and truncated window) and widen
-    the error estimate by the disagreement; guards against false plateaus."""
-    est, err = transform(seq)
-    if len(seq) >= 24 and math.isfinite(err):
-        est2, _ = transform(seq[: max(12, int(0.85 * len(seq)))])
-        err = max(err, 0.7 * abs(est - est2))
-    return est, err
 
 
 def _neville_to_zero(xs: np.ndarray, ys) -> np.ndarray:
@@ -478,15 +435,20 @@ def _richardson_inverse_t(sums: np.ndarray, t0: float, p: float):
 def _accelerate_sums(sums: np.ndarray, t0: float = 0.0, p: float = math.pi):
     """Best available limit estimate for a partial-sum sequence.
 
-    Candidates: Levin-u on the newest window (sharp for alternating tails),
-    Richardson extrapolation in 1/T over period-doubled boundaries (sharp
-    for monotone algebraic tails), and iterated Aitken as a fallback.
+    Candidates: Richardson extrapolation in 1/T over period-doubled
+    boundaries (sharp for monotone algebraic tails) and iterated Aitken on
+    the newest window.  Aitken runs a second time on a truncated window and
+    its error estimate is widened by the disagreement, a guard against
+    false plateaus.
     """
     n = len(sums)
-    cands = [_validated(_levin_u, sums[-min(n, 40):])]
-    if n >= 64:
-        cands.append(_richardson_inverse_t(sums, t0, p))
-    cands.append(_validated(_iterated_aitken, sums[-min(n, 48):]))
+    cands = [_richardson_inverse_t(sums, t0, p)] if n >= 64 else []
+    seq = sums[-min(n, 48):]
+    est, err = _iterated_aitken(seq)
+    if len(seq) >= 24 and math.isfinite(err):
+        est2, _ = _iterated_aitken(seq[: max(12, int(0.85 * len(seq)))])
+        err = max(err, 0.7 * abs(est - est2))
+    cands.append((est, err))
     return min(cands, key=lambda c: c[1] if math.isfinite(c[1]) else np.inf)
 
 
@@ -504,8 +466,6 @@ def integrate_oscillatory_mollified(
     tol: float = 1e-9,
     *,
     min_frequency: float = 1.0,
-    levels: int = 4,
-    max_t: float = 2.0e5,
     chunks_per_period: int = 2,
 ) -> QuadResult:
     """Improper oscillatory integral by mollified truncation.
@@ -528,7 +488,8 @@ def integrate_oscillatory_mollified(
     extrapolated sums.
     """
     p = g.phase_period
-    t0 = min(max(12.0 * p, 55.0 / max(min_frequency, 1e-6)), max_t / 2.0**levels)
+    t0 = min(max(12.0 * p, 55.0 / max(min_frequency, 1e-6)),
+             _MOLLIFIED_MAX_T / 2.0**_MOLLIFIED_LEVELS)
     width = p / max(1, chunks_per_period)
     m0 = max(8, int(math.ceil(t0 / width)))  # t0 rounded up to whole panels
     nodes, half = canonical_panel_nodes(width, 0, m0)
@@ -538,7 +499,7 @@ def integrate_oscillatory_mollified(
     n_evals = 16 * m0
     vals = []
     xs = []
-    for j in range(levels):
+    for j in range(_MOLLIFIED_LEVELS):
         k0 = m0 << j
         big_t = width * k0
         nodes, half = canonical_panel_nodes(width, k0, 2 * k0)
@@ -558,42 +519,16 @@ def integrate_oscillatory_mollified(
     # at 0 that entry applies to the sums
     xs = np.array(xs[::-1])
     ext = _neville_to_zero(xs, vals[::-1])
-    floor = [np.finfo(float).eps * abs_total * sum(
+    floor = [_EPS * abs_total * sum(
         abs(np.prod([x / (x - xj) for x in xs[:k + 1] if x != xj])) for xj in xs[:k + 1]
-    ) for k in range(levels)]
-    best, err = float(ext[0]), (abs(vals[-1] - vals[0]) if levels > 1 else np.inf)
+    ) for k in range(_MOLLIFIED_LEVELS)]
+    best, err = float(ext[0]), abs(vals[-1] - vals[0])
     err = max(err, floor[0])
-    for k in range(1, levels):
+    for k in range(1, _MOLLIFIED_LEVELS):
         cand = float(abs(ext[k] - ext[k - 1])) + floor[k]
         if cand < err:
             best, err = float(ext[k]), cand
     return QuadResult(best, err, n_evals, err < tol)
-
-
-def _divergence_diagnosis(panels: np.ndarray, times: np.ndarray, alpha: float) -> bool:
-    """True when the panel sums indicate a non-summable mean component.
-
-    A constant-sign tail whose fitted envelope exponent is <= 1 cannot sum to
-    a finite limit (the oscillation-free part behaves like int t^-a dt); a
-    non-decaying tail of either sign (alpha <= 0) likewise diverges.
-    """
-    if len(panels) < 48:
-        return False
-    tail = panels[-48:]
-    tt = times[-48:]
-    if alpha <= 0.0:
-        # Cauchy failure: increments not shrinking
-        first = abs(tail[:24].sum())
-        second = abs(tail[24:].sum())
-        return second > 0.5 * first and second > 1e-13 * (1.0 + abs(panels.sum()))
-    same_sign = bool(np.all(tail > 0) or np.all(tail < 0))
-    if not same_sign:
-        return False
-    mags = np.abs(tail)
-    if np.any(mags == 0.0):
-        return False
-    slope = np.polyfit(np.log(tt), np.log(mags), 1)[0]
-    return slope >= -1.02
 
 
 def oscillatory_partial_integrals(
@@ -617,18 +552,24 @@ def integrate_oscillatory_tail(
     a: float,
     tol: float = 1e-9,
     *,
-    max_panels: int = 20_000,
-    min_panels: int = 64,
     chunks_per_period: int = 2,
 ) -> QuadResult:
     """Improper integral int_a^oo g as a limit of inter-zero partial sums.
 
     Panels of one phase_period each (aligned to phase_offset), integrated by
-    a fixed rule and summed; the partial-sum sequence is accelerated by a
-    Levin u-transform with iterated-Aitken fallback.  Absolutely convergent
-    tails (decay_exponent > 1) may instead stop by plain truncation once the
-    analytic envelope bound C T^(1-alpha)/(alpha-1) meets the tolerance.
-    Conditionally convergent inputs always take the acceleration path.
+    a fixed rule and summed; the partial-sum sequence is accelerated by
+    Richardson extrapolation in 1/T or iterated Aitken, whichever estimates
+    the smaller error.  Absolutely convergent tails (decay_exponent > 1) may
+    instead stop by plain truncation once the analytic envelope bound
+    C T^(1-alpha)/(alpha-1) meets the tolerance.  Conditionally convergent
+    inputs always take the acceleration path.  Whether the integral
+    converges at all is the caller's question: a divergent one exhausts the
+    panel budget and comes back unconverged.
+
+    The error estimate never drops below the rounding level of the running
+    sum, eps (sum_k |S_k| + |head|) over the partial sums S_k and the head
+    integral on [a, t0] (the first-order bound of recursive summation); the
+    floor moves neither the value nor the converged flag.
     """
     alpha = g.decay_exponent
     p = g.phase_period
@@ -649,10 +590,15 @@ def integrate_oscillatory_tail(
     sums: list[float] = []
     panels: list[float] = []
     total = 0.0
-    batch = max(16, min_panels)
+    batch = _TAIL_MIN_PANELS
     t = t0
-    best: tuple[float, float] | None = None
-    while len(panels) < max_panels:
+    best = None
+
+    def result(value: float, err: float, converged: bool) -> QuadResult:
+        floor = _EPS * (float(np.abs(np.asarray(sums)).sum()) + abs(head))
+        return QuadResult(head + value, max(err, floor), n_evals, converged)
+
+    while batch > 0:
         edges = t + p * np.arange(batch + 1)
         sub = max(1, chunks_per_period)
         fine = np.linspace(edges[:-1], edges[1:], sub + 1, axis=1)
@@ -666,48 +612,20 @@ def integrate_oscillatory_tail(
             sums.append(total)
         t = float(edges[-1])
 
-        if len(sums) >= min_panels:
-            diag = _divergence_diagnosis(
-                np.asarray(panels), t0 + p * np.arange(1, len(panels) + 1), alpha
-            )
-            if diag:
-                return QuadResult(
-                    head + total, np.inf, n_evals, False, status="divergent"
-                )
-            # fast path: plain truncation once the analytic tail bound is met
-            if alpha > 1.0:
-                recent = np.abs(panels[-8:])
-                c_env = float(np.max(recent)) / p * t**alpha
-                tail = 2.0 * c_env * t ** (1.0 - alpha) / (alpha - 1.0)
-                if tail < tol:
-                    return QuadResult(head + total, tail, n_evals, True)
-            est, err = _accelerate_sums(np.asarray(sums), t0, p)
-            if math.isfinite(err):
-                if best is None or err < best[1]:
-                    best = (est, err)
-                if err < tol:
-                    return QuadResult(head + est, err, n_evals, True)
-        batch = min(max(batch, len(panels)) , max_panels - len(panels))
-        if batch <= 0:
-            break
-
-    sums_arr = np.asarray(sums)
-    panels_arr = np.asarray(panels)
-    est_a, err_a = _accelerate_sums(sums_arr, t0, p)
-    if best is None or err_a < best[1]:
-        best = (est_a, err_a)
-    if best[1] < tol:
-        return QuadResult(head + best[0], best[1], n_evals, True)
-
-    # divergence diagnosis: Cauchy criterion on second-half increments
-    half = sums_arr[len(sums_arr) // 2]
-    incr = abs(sums_arr[-1] - half)
-    cauchy_fail = incr > max(10.0 * tol, 1e-8 * abs(sums_arr[-1]) + 10.0 * tol)
-    tail_sign = np.sign(panels_arr[-48:])
-    same_sign = np.all(tail_sign >= 0) or np.all(tail_sign <= 0)
-    if cauchy_fail and (alpha <= 0.0 or (same_sign and alpha <= 1.0 + 1e-9)):
-        return QuadResult(head + float(sums_arr[-1]), np.inf, n_evals, False, status="divergent")
-    return QuadResult(head + best[0], best[1], n_evals, False)
+        # fast path: plain truncation once the analytic tail bound is met
+        if alpha > 1.0:
+            recent = np.abs(panels[-8:])
+            c_env = float(np.max(recent)) / p * t**alpha
+            tail = 2.0 * c_env * t ** (1.0 - alpha) / (alpha - 1.0)
+            if tail < tol:
+                return result(total, tail, True)
+        est, err = _accelerate_sums(np.asarray(sums), t0, p)
+        if math.isfinite(err) and (best is None or err < best[1]):
+            best = (est, err)
+        if err < tol:
+            return result(est, err, True)
+        batch = min(len(panels), _TAIL_MAX_PANELS - len(panels))
+    return result(*(best or (total, math.inf)), False)
 
 
 def gauss_jacobi_symmetric(order, m: int):

@@ -28,7 +28,6 @@ from scipy.special import ellipkm1, gammaln
 from . import quadrature, specfun
 from ._memo import build_once
 from .quadrature import (
-    NonConvergedError,
     OscillatoryIntegrand,
     QuadResult,
     integrate_adaptive,
@@ -60,6 +59,10 @@ __all__ = [
 
 MAX_RECURSION_STEPS = 8
 SINGULAR_WARNING_RADIUS = 1e-3
+# Gauss-Jacobi nodes of a recursion step whose path stays in one analytic piece
+RECURSION_JACOBI_NODES = 64
+# walks drawn by the Monte Carlo density route
+MC_DENSITY_SAMPLES = 1_000_000
 
 # interior points where the density is infinite: the planar three-step walk
 # at unit radius is the only one (larger n smooths it away)
@@ -292,7 +295,7 @@ def _psi_level(d: int, n: int):
     return _PsiTable(d, n, prev, prev_kinks), kinks
 
 
-def density_recursion(spec: WalkSpec, r: float, m_nodes: int = 64) -> float:
+def density_recursion(spec: WalkSpec, r: float) -> float:
     """rho^d_n(r) through the n -> n-1 recursion, n between 3 and the cap.
 
     The direction average uses the symmetric Gauss-Jacobi rule when the
@@ -328,7 +331,7 @@ def density_recursion(spec: WalkSpec, r: float, m_nodes: int = 64) -> float:
         nu = 0.5 * d - 1.0
         # looked up on the module, so a wrapper installed there (perfbench's
         # tracer) also sees this call
-        s, w = quadrature.gauss_jacobi_symmetric(nu, m_nodes)
+        s, w = quadrature.gauss_jacobi_symmetric(nu, RECURSION_JACOBI_NODES)
         u = np.sqrt((1.0 - r) ** 2 + 2.0 * r * (1.0 + s))
         psi = _step_pref(d) * float(np.dot(w, prev(u)))
     else:
@@ -360,12 +363,14 @@ def _min_beat_frequency(n: int, r: float) -> float:
     return min(freqs) if freqs else 1.0
 
 
-# jd(d, t)^n on the canonical panel nodes of one (d, n, width), values only:
-# panel k holds entries 16k .. 16k + 15.  One key stays resident, and each
+# jd(d, t)^n on the canonical panel nodes of one (d, n), one array per panel
+# width: panel k holds entries 16k .. 16k + 15.  Every width of the current
+# (d, n) stays resident, since a density grid mixes several, and each
 # extension is published by swapping in a new tuple under the lock, so a
 # reader always sees a complete table.
-_kernel_table: tuple = ((), np.empty(0))
+_kernel_table: tuple = ((), {})
 _kernel_lock = threading.Lock()
+_NO_VALUES = np.empty(0)
 
 
 def _kernel_power(d: int, n: int, width: float, t: np.ndarray) -> np.ndarray:
@@ -383,18 +388,20 @@ def _kernel_power(d: int, n: int, width: float, t: np.ndarray) -> np.ndarray:
         quadrature.canonical_panel_nodes(width, k0, k0 + m)[0].ravel(), t
     ):
         return specfun.jd(d, t) ** n
-    key, k1 = (d, n, width), k0 + m
+    key, k1 = (d, n), k0 + m
     entry = _kernel_table
-    if entry[0] != key or len(entry[1]) < 16 * k1:
+    vals = entry[1].get(width, _NO_VALUES) if entry[0] == key else _NO_VALUES
+    if len(vals) < 16 * k1:
         with _kernel_lock:
             entry = _kernel_table
-            have = entry[1] if entry[0] == key else entry[1][:0]
-            done = len(have) // 16
+            tables = entry[1] if entry[0] == key else {}
+            vals = tables.get(width, _NO_VALUES)
+            done = len(vals) // 16
             if done < k1:
                 nodes = quadrature.canonical_panel_nodes(width, done, k1)[0].ravel()
-                entry = (key, np.concatenate([have, specfun.jd(d, nodes) ** n]))
-                _kernel_table = entry
-    return entry[1][16 * k0:16 * k1]
+                vals = np.concatenate([vals, specfun.jd(d, nodes) ** n])
+                _kernel_table = (key, {**tables, width: vals})
+    return vals[16 * k0:16 * k1]
 
 
 def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
@@ -403,7 +410,7 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     rho^d_n(r) = (1/((nu!)^2 4^nu)) int_0^inf (t r)^(2nu+1) jd(t r) jd(t)^n dt,
     an improper integral evaluated by mollified truncation on the engine's
     canonical panel grid.  The factor jd(t)^n does not depend on r: it is
-    read from a table shared by every radius with the same (d, n, width).
+    read from a table shared by every radius with the same (d, n).
     Interior resonances with a non-summable envelope are the
     infinite-density points and come back with status 'divergent'.
     """
@@ -494,7 +501,9 @@ def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
 
     Routes: DirectIntegral evaluates the oscillatory integral; RecursionEndpoint
     uses (nu!)^2 4^nu psi^d_{q-1}(1); ClosedForm covers q = 3 and (2, 5).
-    Divergent classifications return no value regardless of route.
+    Divergent classifications return no value regardless of route; they
+    are decided analytically by classify_idq, never numerically.  A direct
+    integral left unconverged beyond 100 tol raises NonConvergedError.
     """
     route = IdqRoute(route)
     cls = classify_idq(d, q)
@@ -520,8 +529,7 @@ def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
         phase_offset=(d - 1) * math.pi / 4.0,
     )
     res = integrate_oscillatory_tail(g, 0.0, tol, chunks_per_period=max(2, (q + 2) // 2))
-    if res.status == "divergent":
-        return IdqResult(d, q, Classification.DIVERGENT, None, None, route)
+    quadrature.check_converged(res, tol, f"moment integral (d={d}, q={q})")
     return IdqResult(d, q, cls, res.value, res.abs_error_estimate, route)
 
 
@@ -560,8 +568,7 @@ def sample_walk(spec: WalkSpec, n_samples: int, seed: int) -> np.ndarray:
 
 
 def density_on_grid(spec: WalkSpec, grid: np.ndarray, route: DensityRoute,
-                    seed: int = 42, tol: float = 1e-8,
-                    mc_samples: int = 1_000_000):
+                    seed: int = 42, tol: float = 1e-8):
     """Density values and per-point error estimates on a grid of radii."""
     grid = np.asarray(grid, dtype=float)
     vals = np.empty_like(grid)
@@ -574,19 +581,16 @@ def density_on_grid(spec: WalkSpec, grid: np.ndarray, route: DensityRoute,
     elif route is DensityRoute.KLUYVER:
         for i, r in enumerate(grid):
             res = density_kluyver(spec, float(r), tol)
-            if res.status == "non_converged" and res.abs_error_estimate > 100 * tol:
-                raise NonConvergedError(
-                    f"density integral failed to converge at r={r:g}"
-                    f" (estimate error {res.abs_error_estimate:.2e})"
-                )
-            vals[i] = res.value if res.status != "divergent" else math.inf
+            if res.status != "divergent":  # divergent: an infinite-density point
+                quadrature.check_converged(res, tol, f"density integral at r={r:g}")
+            vals[i] = res.value
             errs[i] = res.abs_error_estimate
     elif route is DensityRoute.RECURSION:
         for i, r in enumerate(grid):
             vals[i] = density_recursion(spec, float(r))
             errs[i] = 1e-6 * abs(vals[i]) + 1e-9 if math.isfinite(vals[i]) else math.inf
     elif route is DensityRoute.MONTE_CARLO:
-        radii = sample_walk(spec, mc_samples, seed)
+        radii = sample_walk(spec, MC_DENSITY_SAMPLES, seed)
         if len(grid) > 1:
             widths = np.empty_like(grid)
             widths[1:-1] = 0.5 * (grid[2:] - grid[:-2])
@@ -597,8 +601,8 @@ def density_on_grid(spec: WalkSpec, grid: np.ndarray, route: DensityRoute,
         for i, (r, w) in enumerate(zip(grid, widths)):
             lo, hi = max(0.0, r - w / 2), min(float(spec.n), r + w / 2)
             count = int(np.count_nonzero((radii >= lo) & (radii < hi)))
-            vals[i] = count / (mc_samples * (hi - lo))
-            errs[i] = math.sqrt(max(count, 1)) / (mc_samples * (hi - lo))
+            vals[i] = count / (MC_DENSITY_SAMPLES * (hi - lo))
+            errs[i] = math.sqrt(max(count, 1)) / (MC_DENSITY_SAMPLES * (hi - lo))
     else:
         raise ValueError(f"unknown route {route}")
     return vals, errs

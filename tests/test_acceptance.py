@@ -264,3 +264,38 @@ def test_criterion_11_hilb_validation():
         ok = ok and (errs[80] <= 0.5 * errs[40] or errs[80] <= 1e-12)
         details.append(f"d={d}: {errs[40]:.2e} -> {errs[80]:.2e}")
     report("criterion 11 (Hilb validation)", ok, "; ".join(details))
+
+
+def test_criterion_12_odd_q_hyperspherical_harmonics():
+    # the paper's headline: odd q >= 5 on Random Hyperspherical Harmonics,
+    # left as a conjecture by Marinucci & Wigman (Comm. Math. Phys. 2014).
+    # On caps of radius 1 the exact/asymptotic ratio tends to 1 at rate 1/ell
+    ok = True
+    details = []
+    ells = (25, 50, 100, 200, 400)
+    for d, q in [(2, 5), (3, 5), (2, 7)]:
+        ratios = []
+        for ell in ells:
+            spec = va.PolyspectrumSpec(va.FieldSpec(S, d, ell), q, 1.0)
+            ratios.append(
+                va.variance_exact_spherical(spec).value / va.variance_asymptotic(spec).value
+            )
+        gaps = [1.0 - r for r in ratios]
+        halving = gaps[-2] / gaps[-1]
+        step = 2.0 * ratios[-1] - ratios[-2]  # Richardson step in 1/ell
+        ok = ok and all(g1 > g2 > 0 for g1, g2 in zip(gaps, gaps[1:]))
+        ok = ok and 1.9 <= halving <= 2.1 and abs(step - 1.0) <= 5e-4
+        # the constant I_q^d by two independent routes
+        direct = walk.idq(d, q, IdqRoute.DIRECT_INTEGRAL, 1e-10).value
+        rec = walk.idq(d, q, IdqRoute.RECURSION_ENDPOINT).value
+        rel = abs(direct - rec) / abs(direct)
+        ok = ok and rel <= 1e-7
+        details.append(
+            f"S^{d} q={q}: r={ratios[0]:.5f}->{ratios[-1]:.5f}, gap halving "
+            f"{halving:.3f}, Richardson-1 {step - 1.0:.1e}, direct/recursion {rel:.1e}"
+        )
+    # I_5^3 = (pi/2) rho^3_4(1) = 5 pi / 32 (Rayleigh-Treloar)
+    i53 = walk.idq(3, 5, IdqRoute.DIRECT_INTEGRAL, 1e-10).value
+    ok = ok and abs(i53 - 5.0 * math.pi / 32.0) <= 1e-15
+    details.append(f"I_5^3 - 5pi/32 = {i53 - 5.0 * math.pi / 32.0:.1e}")
+    report("criterion 12 (odd q on hyperspherical harmonics)", ok, "; ".join(details))

@@ -7,8 +7,6 @@ import jsonschema
 import numpy as np
 import pytest
 
-from polyspec import cli
-
 
 def run_cli(args, check=True):
     proc = subprocess.run(
@@ -153,6 +151,10 @@ class TestInfrastructure:
     def test_usage_error_exit_code(self):
         proc = run_cli(["density", "--d", "3"], check=False)
         assert proc.returncode == 2
+        # there is no worker pool to size
+        proc = run_cli(["variance", "--geometry", "euclidean", "--d", "2", "--q", "3",
+                        "--R", "1.0", "--freq", "8", "--threads", "2"], check=False)
+        assert proc.returncode == 2
 
     def test_unknown_route_exit_code(self):
         proc = run_cli(
@@ -194,13 +196,6 @@ class TestInfrastructure:
         jsonschema.validate(payload, load_schema())
         assert payload["meta"]["seed"] == 42
         assert "wall_time_s" in payload["meta"]
-
-    def test_threads_env_and_flag(self, monkeypatch):
-        monkeypatch.setenv("POLYSPEC_THREADS", "3")
-        assert cli.worker_count(None) == 3
-        assert cli.worker_count(2) == 2
-        monkeypatch.setenv("POLYSPEC_THREADS", "junk")
-        assert cli.worker_count(None) == 1
 
     def test_csv_17_digit_precision(self):
         proc = run_cli(

@@ -133,29 +133,17 @@ class TestWeightFunctionObjects:
         assert w.support_end == 2.0
         assert w(2.5) == 0.0
 
-    def test_derivative_nonpositive(self):
-        w = geo.make_weight(BallSpec(Geometry.EUCLIDEAN, 3, 1.0))
-        r = np.linspace(0.05, 1.95, 40)
-        assert np.all(geo.weight_derivative(w, r) <= 1e-10)
-
-    def test_derivative_integrates_to_w0(self):
-        w = geo.make_weight(BallSpec(Geometry.EUCLIDEAN, 2, 1.0))
-        res = integrate_adaptive(
-            lambda r: -geo.weight_derivative(w, r), 1e-9, 2.0 - 1e-9, 1e-8
-        )
-        assert res.value == pytest.approx(w.at_zero, rel=1e-6)
-
-    def test_full_sphere_derivative_zero(self):
-        w = geo.make_weight(BallSpec(Geometry.SPHERICAL, 3, math.pi))
-        r = np.linspace(0.2, math.pi - 0.2, 10)
-        assert np.allclose(geo.weight_derivative(w, r), 0.0, atol=1e-9)
-
-    def test_derivative_rejects_endpoints(self):
-        w = geo.make_weight(BallSpec(Geometry.EUCLIDEAN, 2, 1.0))
-        with pytest.raises(ValueError):
-            geo.weight_derivative(w, 0.0)
-        with pytest.raises(ValueError):
-            geo.weight_derivative(w, 2.0)
+    def test_weight_non_increasing(self):
+        # measured on this grid: the largest increase is <= 0, except 3.1e-12
+        # on the (d, R) = (2, 2.5) cap table
+        for geometry, d, R in [
+            (Geometry.EUCLIDEAN, 2, 1.0), (Geometry.EUCLIDEAN, 3, 1.0),
+            (Geometry.SPHERICAL, 2, 1.0), (Geometry.SPHERICAL, 3, 0.7),
+            (Geometry.SPHERICAL, 3, math.pi), (Geometry.SPHERICAL, 2, 2.5),
+        ]:
+            w = geo.make_weight(BallSpec(geometry, d, R))
+            vals = w(np.linspace(0.0, w.support_end, 20_001))
+            assert np.max(np.diff(vals)) <= 1e-10, (geometry, d, R)
 
 
 class TestBallSpecValidation:

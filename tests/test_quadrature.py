@@ -148,23 +148,17 @@ class TestOscillatoryTail:
         assert res.converged
         assert res.value == pytest.approx(math.pi / 4, abs=1e-9)
 
-    def test_divergent_log_case(self):
-        g = quad.OscillatoryIntegrand(
-            lambda t: sf.jd(2, t) ** 4 * t,
-            decay_exponent=1.0,
-            phase_offset=math.pi / 4,
-        )
-        res = quad.integrate_oscillatory_tail(g, 0.0, 1e-9, max_panels=4000)
-        assert res.status == "divergent"
-
-    def test_divergent_constant_envelope(self):
-        g = quad.OscillatoryIntegrand(
-            lambda t: sf.jd(2, t) ** 2 * t,
-            decay_exponent=0.0,
-            phase_offset=math.pi / 4,
-        )
-        res = quad.integrate_oscillatory_tail(g, 0.0, 1e-9, max_panels=2000)
-        assert res.status == "divergent"
+    def test_divergent_integrals_come_back_unconverged(self):
+        # divergence is decided analytically (walk.classify_idq); the engine
+        # itself must only never claim a limit that does not exist
+        for power, alpha in ((4, 1.0), (2, 0.0)):  # log growth, constant envelope
+            g = quad.OscillatoryIntegrand(
+                lambda t: sf.jd(2, t) ** power * t,
+                decay_exponent=alpha,
+                phase_offset=math.pi / 4,
+            )
+            res = quad.integrate_oscillatory_tail(g, 0.0, 1e-9)
+            assert not res.converged and res.status == "non_converged", power
 
     def test_damped_against_adaptive(self):
         f = lambda t: sf.jd(2, t) ** 2 * t * np.exp(-t)

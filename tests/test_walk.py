@@ -219,7 +219,7 @@ def _kluyver(points):
 
 
 def _cold_kernel_table(monkeypatch):
-    monkeypatch.setattr(walk, "_kernel_table", ((), np.empty(0)))
+    monkeypatch.setattr(walk, "_kernel_table", ((), {}))
 
 
 def _race(fn, *args):
@@ -235,27 +235,40 @@ def _race(fn, *args):
         return [f.result() for f in futures]
 
 
-@pytest.fixture(scope="module")
-def sweep_reference():
-    """The sweep radii in ascending order from a cold kernel table, and the
-    number of jd points they took."""
-    jd, points = specfun.jd, [0]
+def _counted_kluyver(points):
+    """_kluyver(points) from a cold kernel table, and the jd points it took."""
+    jd, count = specfun.jd, [0]
 
     def counting(d, r):
-        points[0] += np.size(r)
+        count[0] += np.size(r)
         return jd(d, r)
 
     with pytest.MonkeyPatch.context() as mp:
         _cold_kernel_table(mp)
         mp.setattr(specfun, "jd", counting)
-        results = _kluyver(SWEEP_POINTS)
-    return results, points[0]
+        results = _kluyver(points)
+    return results, count[0]
+
+
+@pytest.fixture(scope="module")
+def sweep_reference():
+    """The sweep radii in ascending order from a cold kernel table, and the
+    number of jd points they took."""
+    return _counted_kluyver(SWEEP_POINTS)
 
 
 class TestKernelTable:
     def test_sweep_jd_work_count(self, sweep_reference):
-        # 9.67 M when every radius evaluated jd(t)^n itself
+        # 9.67 M when every radius evaluated jd(t)^n itself.  The radii of
+        # each (d, n) grid in a shuffled order took 8.46 M while the table
+        # kept a single panel width
         assert sweep_reference[1] < 6_500_000
+        rng = random.Random(6)
+        shuffled = [p for key in ((2, 4), (3, 5))
+                    for p in rng.sample([p for p in SWEEP_POINTS if p[:2] == key], 40)]
+        results, count = _counted_kluyver(shuffled)
+        assert results == sweep_reference[0]
+        assert count < 6_500_000
 
     @pytest.mark.parametrize("order", ["descending", "shuffled"])
     def test_results_independent_of_call_order(self, sweep_reference, order, monkeypatch):
@@ -274,16 +287,32 @@ class TestKernelTable:
     def test_table_is_fresh_power_bit_for_bit(self, monkeypatch):
         _cold_kernel_table(monkeypatch)
         sizes = []
+        width = math.pi / 4
         for r in (0.3, 1.9, 1.1):  # one panel width; 1.9 starts later, near a beat
             walk.density_kluyver(WalkSpec(2, 4), r)
-            sizes.append(len(walk._kernel_table[1]))
+            sizes.append(len(walk._kernel_table[1][width]))
         assert sizes[0] < sizes[1] == sizes[2]
-        (d, n, width), vals = walk._kernel_table
-        assert (d, n, width) == (2, 4, math.pi / 4)
+        (d, n), tables = walk._kernel_table
+        assert (d, n) == (2, 4) and list(tables) == [width]
+        vals = tables[width]
         nodes = quadrature.canonical_panel_nodes(width, 0, len(vals) // 16)[0].ravel()
         assert np.array_equal(vals, specfun.jd(d, nodes) ** n)
         part = quadrature.canonical_panel_nodes(width, 37, 101)[0].ravel()
         assert np.array_equal(walk._kernel_power(2, 4, width, part), specfun.jd(2, part) ** 4)
+
+    def test_widths_of_one_key_stay_resident(self, monkeypatch):
+        # r = 0.5 and 3.5 take 4 and 5 panels per period: both tables stay,
+        # so revisiting either extends nothing; a new (d, n) replaces them
+        _cold_kernel_table(monkeypatch)
+        for r in (0.5, 3.5):
+            walk.density_kluyver(WalkSpec(2, 4), r)
+        key, tables = walk._kernel_table
+        assert key == (2, 4) and sorted(tables) == [math.pi / 5, math.pi / 4]
+        for r in (0.5, 3.5):
+            walk.density_kluyver(WalkSpec(2, 4), r)
+            assert walk._kernel_table[1] is tables
+        walk.density_kluyver(WalkSpec(3, 5), 1.5)
+        assert walk._kernel_table[0] == (3, 5) and len(walk._kernel_table[1]) == 1
 
     def test_other_nodes_computed_directly(self, monkeypatch):
         _cold_kernel_table(monkeypatch)
@@ -433,6 +462,26 @@ class TestIdq:
         res = walk.idq(2, 4)
         assert res.classification is Classification.DIVERGENT
         assert res.value is None and res.error is None
+
+    def test_unconverged_direct_integral_raises(self, monkeypatch):
+        def unconverged(g, a, tol, **kwargs):
+            return quadrature.QuadResult(0.49, 1e3 * tol, 640_048, False)
+
+        monkeypatch.setattr(walk, "integrate_oscillatory_tail", unconverged)
+        with pytest.raises(quadrature.NonConvergedError):
+            walk.idq(3, 5, IdqRoute.DIRECT_INTEGRAL)
+
+    def test_direct_error_bars_cover_exact_values(self):
+        # before the rounding floor, (2, 3) was 1.9e-15 off with an error
+        # estimate of 1.0e-16, and (4, 5) reported an error of 0.0
+        exact = {(d, 3): walk.idq_closed_form(d, 3) for d in range(2, 7)}
+        exact[(2, 5)] = walk.idq_closed_form(2, 5)
+        for q in range(4, 9):  # I_q^3 = (pi/2) rho^3_{q-1}(1)
+            exact[(3, q)] = math.pi / 2 * rayleigh_treloar(q - 1, 1.0)
+        for (d, q), ref in exact.items():
+            res = walk.idq(d, q, IdqRoute.DIRECT_INTEGRAL, 1e-10)
+            assert abs(res.value - ref) <= res.error, (d, q)
+        assert walk.idq(4, 5, IdqRoute.DIRECT_INTEGRAL, 1e-10).error > 0.0
 
     def test_closed_route_rejected_outside_coverage(self):
         with pytest.raises(ValueError):
