@@ -1,9 +1,10 @@
 """Monte Carlo oracles: Gaussian wave samples, domain quadratures, and
 variance estimates of Hermite wave functionals.
 
-Two samplers: a superposition of randomly oriented plane waves (Euclidean
-only, cheap per point, exact covariance in expectation) and a dense
-covariance factorization (exact in law for any finite point set, both
+Every draw is F z with z standard normal and F F^T the covariance at the
+points.  Two factors: a Fourier-Bessel expansion (planar waves only, exact
+by Graf's addition theorem, linear in the number of points) and a dense
+Cholesky factorization (exact in law for any finite point set, both
 geometries).  Trials are drawn in fixed-size chunks with chunk-indexed
 substreams, so results are reproducible for a given seed regardless of
 scheduling.
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import chdtrc
+from numpy.polynomial.legendre import leggauss
+from scipy.special import chdtrc, jv
 
 from . import specfun, walk
 from .geometry import Geometry
@@ -30,7 +32,7 @@ from .quadrature import (  # noqa: F401
 from .variance import FieldSpec, PolyspectrumSpec
 
 __all__ = [
-    "PlaneWaves",
+    "FourierBessel",
     "CovarianceFactor",
     "FieldSampler",
     "QuadratureDomain",
@@ -52,12 +54,8 @@ class CovarianceFactorizationError(np.linalg.LinAlgError):
 
 
 @dataclass(frozen=True)
-class PlaneWaves:
-    n_waves: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.n_waves < 64:
-            raise ValueError("need at least 64 plane waves")
+class FourierBessel:
+    """Fourier-Bessel factor of the planar (d = 2, Euclidean) wave."""
 
 
 @dataclass(frozen=True)
@@ -72,16 +70,17 @@ class CovarianceFactor:
 @dataclass
 class FieldSampler:
     spec: FieldSpec
-    method: Union[PlaneWaves, CovarianceFactor]
+    method: Union[FourierBessel, CovarianceFactor]
     seed: int
     _draws: int = field(default=0, repr=False)
     _cache_key: tuple | None = field(default=None, repr=False)
-    _chol: np.ndarray | None = field(default=None, repr=False)
+    _factor_cache: np.ndarray | None = field(default=None, repr=False)
     nugget_used: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.method, PlaneWaves) and self.spec.geometry != Geometry.EUCLIDEAN:
-            raise ValueError("plane-wave superposition is Euclidean-only")
+        planar = self.spec.geometry == Geometry.EUCLIDEAN and self.spec.d == 2
+        if isinstance(self.method, FourierBessel) and not planar:
+            raise ValueError("the Fourier-Bessel factor is for Euclidean d = 2 only")
 
 
 def _covariance_matrix(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
@@ -95,9 +94,6 @@ def _covariance_matrix(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_factor(sampler: FieldSampler, points: np.ndarray) -> np.ndarray:
-    key = (points.shape, hash(points.tobytes()))
-    if sampler._cache_key == key and sampler._chol is not None:
-        return sampler._chol
     if len(points) > COVARIANCE_POINT_BUDGET:
         raise ValueError(
             f"covariance sampling limited to {COVARIANCE_POINT_BUDGET} points"
@@ -111,8 +107,6 @@ def _cholesky_factor(sampler: FieldSampler, points: np.ndarray) -> np.ndarray:
             chol = np.linalg.cholesky(cov + nug * np.eye(len(cov)))
         except np.linalg.LinAlgError:
             continue
-        sampler._cache_key = key
-        sampler._chol = chol
         sampler.nugget_used = nug
         return chol
     eigmin = float(np.linalg.eigvalsh(cov).min())
@@ -122,26 +116,48 @@ def _cholesky_factor(sampler: FieldSampler, points: np.ndarray) -> np.ndarray:
     )
 
 
+def _fourier_bessel_factor(lam: float, points: np.ndarray) -> np.ndarray:
+    """Columns J_0(lam r), then sqrt2 J_m(lam r) (cos m theta, sin m theta)
+    for m = 1..M, ordered by m so that draws share low-order coefficients.
+
+    By Graf's addition theorem F F^T = J_0(lam |x - y|) on any point set.
+    J_m(x) decays faster than geometrically for m > x + O(x^(1/3)), so with
+    x = lam max r the neglected variance 2 sum_{m > M} J_m^2 is below rounding.
+    """
+    r = np.hypot(points[:, 0], points[:, 1])
+    theta = np.arctan2(points[:, 1], points[:, 0])
+    x = lam * float(r.max(initial=0.0))
+    M = math.ceil(x + 10.0 * max(x, 1.0) ** (1.0 / 3.0)) + 10
+    # the largest Cholesky factor the point budget allows bounds the memory
+    if len(points) * (2 * M + 1) > COVARIANCE_POINT_BUDGET**2:
+        raise ValueError(f"Fourier-Bessel factor {len(points)} x {2 * M + 1}"
+                         f" exceeds {COVARIANCE_POINT_BUDGET}^2 entries")
+    bessel = jv(np.arange(M + 1), lam * r[:, None])
+    m_theta = np.arange(1, M + 1) * theta[:, None]
+    out = np.empty((len(points), 2 * M + 1))
+    out[:, 0] = bessel[:, 0]
+    out[:, 1::2] = math.sqrt(2.0) * bessel[:, 1:] * np.cos(m_theta)
+    out[:, 2::2] = math.sqrt(2.0) * bessel[:, 1:] * np.sin(m_theta)
+    return out
+
+
+def _factor(sampler: FieldSampler, points: np.ndarray) -> np.ndarray:
+    """F with F F^T the covariance at the points, cached per point set."""
+    key = (points.shape, hash(points.tobytes()))
+    if sampler._cache_key != key:
+        if isinstance(sampler.method, CovarianceFactor):
+            sampler._factor_cache = _cholesky_factor(sampler, points)
+        else:
+            sampler._factor_cache = _fourier_bessel_factor(sampler.spec.freq, points)
+        sampler._cache_key = key
+    return sampler._factor_cache
+
+
 def _draw_fields(sampler: FieldSampler, points: np.ndarray, rng: np.random.Generator,
                  n_draws: int) -> np.ndarray:
     """Joint field values at the given points, shape (len(points), n_draws)."""
-    spec = sampler.spec
-    if isinstance(sampler.method, CovarianceFactor):
-        chol = _cholesky_factor(sampler, points)
-        z = rng.standard_normal((len(points), n_draws))
-        return chol @ z
-    n = sampler.method.n_waves
-    lam = spec.freq
-    out = np.empty((len(points), n_draws))
-    for t in range(n_draws):
-        dirs = rng.standard_normal((n, spec.d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        phases = rng.uniform(0.0, 2.0 * math.pi, n)
-        # sqrt(2/N) normalization makes the pointwise variance exactly 1
-        out[:, t] = math.sqrt(2.0 / n) * np.cos(
-            lam * points @ dirs.T + phases
-        ).sum(axis=1)
-    return out
+    factor = _factor(sampler, points)
+    return factor @ rng.standard_normal((factor.shape[1], n_draws))
 
 
 def sample_field_values(sampler: FieldSampler, points) -> np.ndarray:
@@ -206,8 +222,6 @@ def build_domain(geometry: Geometry, d: int, R: float, resolution: int) -> Quadr
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     n_azimuth = 4 * resolution
-    from numpy.polynomial.legendre import leggauss
-
     x, wx = leggauss(resolution)
     if geometry == Geometry.EUCLIDEAN:
         r = 0.5 * R * (x + 1.0)

@@ -59,8 +59,6 @@ __all__ = [
 
 MAX_RECURSION_STEPS = 8
 SINGULAR_WARNING_RADIUS = 1e-3
-# Gauss-Jacobi nodes of a recursion step whose path stays in one analytic piece
-RECURSION_JACOBI_NODES = 64
 # walks drawn by the Monte Carlo density route
 MC_DENSITY_SAMPLES = 1_000_000
 
@@ -298,11 +296,10 @@ def _psi_level(d: int, n: int):
 def density_recursion(spec: WalkSpec, r: float) -> float:
     """rho^d_n(r) through the n -> n-1 recursion, n between 3 and the cap.
 
-    The direction average uses the symmetric Gauss-Jacobi rule when the
-    argument path stays inside a single analytic piece of the previous level;
-    otherwise the integral is split at the kink crossings and refined
-    adaptively.  The planar three-step density is the closed form
-    _psi3_planar, not a step.  Registered infinite-density points return inf.
+    The direction average is split at the kink crossings of the previous
+    level and refined adaptively.  The planar three-step density is the
+    closed form _psi3_planar, not a step.  Registered infinite-density
+    points return inf.
     """
     d, n = spec.d, spec.n
     if not 3 <= n <= MAX_RECURSION_STEPS:
@@ -322,27 +319,13 @@ def density_recursion(spec: WalkSpec, r: float) -> float:
             )
         return r * float(_psi3_planar(r))
     prev, prev_kinks = _psi_level(d, n - 1)
-    lo, hi = abs(1.0 - r), 1.0 + r
-    clear = all(not (lo - 0.05 < k < hi + 0.05) for k in prev_kinks) and lo > 0.05
-    if clear and n > 3:
-        near = min(abs(r - r0) for r0 in SINGULAR_INTERIOR_POINTS.get((d, n - 1), (math.inf,)))
-        clear = near > 0.05
-    if clear:
-        nu = 0.5 * d - 1.0
-        # looked up on the module, so a wrapper installed there (perfbench's
-        # tracer) also sees this call
-        s, w = quadrature.gauss_jacobi_symmetric(nu, RECURSION_JACOBI_NODES)
-        u = np.sqrt((1.0 - r) ** 2 + 2.0 * r * (1.0 + s))
-        psi = _step_pref(d) * float(np.dot(w, prev(u)))
-    else:
-        f, splits = _psi_step(d, n, prev, prev_kinks, [float(r)])
-        res = integrate_adaptive(
-            lambda phi: f(phi, 0), 0.0, math.pi, 1e-10,
-            split_points=splits[0][np.isfinite(splits[0])], max_evals=400_000,
-        )
-        quadrature.check_converged(res, 1e-10, "density recursion step")
-        psi = _step_pref(d) * res.value
-    return psi * r ** (d - 1)
+    f, splits = _psi_step(d, n, prev, prev_kinks, [float(r)])
+    res = integrate_adaptive(
+        lambda phi: f(phi, 0), 0.0, math.pi, 1e-10,
+        split_points=splits[0][np.isfinite(splits[0])], max_evals=400_000,
+    )
+    quadrature.check_converged(res, 1e-10, "density recursion step")
+    return _step_pref(d) * res.value * r ** (d - 1)
 
 
 def _resonant_frequency(n: int, r: float) -> bool:

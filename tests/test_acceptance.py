@@ -216,12 +216,12 @@ def test_criterion_09_monte_carlo_consistency():
     ok = mc.ci95[0] <= exact <= mc.ci95[1]
     detail = f"euclidean CI ({mc.ci95[0]:.5f}, {mc.ci95[1]:.5f}) covers {exact:.5f}"
 
-    # resolution doubling with common plane-wave draws: quadrature bias
-    # must stay inside the CI half-width
+    # resolution doubling with common Fourier-Bessel coefficients: quadrature
+    # bias must stay inside the CI half-width
     ests = []
     for res in (24, 48):
         d2 = fs.build_domain(E, 2, 1.0, res)
-        s2 = fs.FieldSampler(spec.field, fs.PlaneWaves(1024), 777)
+        s2 = fs.FieldSampler(spec.field, fs.FourierBessel(), 777)
         ests.append(fs.mc_polyspectrum_variance(spec, s2, d2, 400))
     half = 0.5 * (ests[0].ci95[1] - ests[0].ci95[0])
     ok = ok and abs(ests[0].estimate - ests[1].estimate) <= half

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polyspec import fieldsim as fs
+from polyspec import specfun
 from polyspec import variance as va
 from polyspec import walk
 from polyspec.geometry import Geometry, ball_volume, cap_volume
@@ -38,7 +39,7 @@ class TestBuildDomain:
 class TestSamplers:
     def test_unit_variance_single_point(self):
         spec = va.FieldSpec(E, 2, 10.0)
-        sampler = fs.FieldSampler(spec, fs.PlaneWaves(512), 5)
+        sampler = fs.FieldSampler(spec, fs.FourierBessel(), 5)
         pts = np.zeros((1, 2))
         draws = np.array(
             [fs.sample_field_values(sampler, pts)[0] for _ in range(30_000)]
@@ -47,8 +48,6 @@ class TestSamplers:
         assert draws.var() == pytest.approx(1.0, abs=3 * math.sqrt(2 / 30_000) + 0.01)
 
     def test_euclidean_two_point_correlation(self):
-        from polyspec import specfun
-
         spec = va.FieldSpec(E, 2, 10.0)
         pts = np.array([[0.0, 0.0], [0.25, 0.0]])
         sampler = fs.FieldSampler(spec, fs.CovarianceFactor(), 6)
@@ -69,9 +68,12 @@ class TestSamplers:
         expect = gegenbauer(GegenbauerSpec(2, 15), math.cos(r0))
         assert corr == pytest.approx(expect, abs=4.0 / math.sqrt(60_000))
 
-    def test_plane_waves_euclidean_only(self):
+    @pytest.mark.parametrize(
+        "spec", [va.FieldSpec(S, 2, 5), va.FieldSpec(E, 3, 5.0)], ids=["spherical", "d3"]
+    )
+    def test_fourier_bessel_planar_only(self, spec):
         with pytest.raises(ValueError):
-            fs.FieldSampler(va.FieldSpec(S, 2, 5), fs.PlaneWaves(256), 1)
+            fs.FieldSampler(spec, fs.FourierBessel(), 1)
 
     def test_sampler_reproducible(self):
         spec = va.FieldSpec(E, 2, 5.0)
@@ -89,27 +91,57 @@ class TestSamplers:
         with pytest.raises(ValueError):
             fs.sample_field_values(sampler, pts)
 
-    def test_plane_waves_vs_covariance_factor(self):
+    def test_fourier_bessel_budget(self):
+        # within the Cholesky point budget, but lam max r = 2828 asks for
+        # 5959 columns: more entries than the largest Cholesky factor
+        spec = va.FieldSpec(E, 2, 5.0)
+        sampler = fs.FieldSampler(spec, fs.FourierBessel(), 3)
+        pts = np.full((fs.COVARIANCE_POINT_BUDGET, 2), 400.0)
+        with pytest.raises(ValueError):
+            fs.sample_field_values(sampler, pts)
+
+    @pytest.mark.parametrize(
+        "lam,shift", [(10.0, None), (6.0, (5.0, -3.0))], ids=["64-points", "shifted-domain"]
+    )
+    def test_fourier_bessel_factor_exact(self, lam, shift):
+        # Graf's addition theorem: F F^T is the planar covariance J_0
+        if shift is None:
+            pts = np.random.default_rng(1).uniform(-0.5, 0.5, (64, 2))
+        else:
+            pts = fs.build_domain(E, 2, 1.0, 10).points + np.array(shift)
+        sampler = fs.FieldSampler(va.FieldSpec(E, 2, lam), fs.FourierBessel(), 1)
+        f = fs._factor(sampler, pts)
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        assert np.abs(f @ f.T - specfun.jd(2, lam * dist)).max() <= 1e-13
+
+    def test_fourier_bessel_unit_variance(self):
+        # the truncation in m drops less than rounding on criterion 9's domain
+        dom = fs.build_domain(E, 2, 1.0, 48)
+        sampler = fs.FieldSampler(va.FieldSpec(E, 2, 20.0), fs.FourierBessel(), 1)
+        f = fs._factor(sampler, dom.points)
+        assert np.abs(1.0 - np.sum(f * f, axis=1)).max() <= 1e-14
+
+    def test_fourier_bessel_vs_covariance_factor(self):
         # empirical covariance matrices agree entrywise within 5 std errors
         spec = va.FieldSpec(E, 2, 10.0)
         rng = np.random.default_rng(1)
         pts = rng.uniform(-0.5, 0.5, (64, 2))
         trials = 15_000
-        spw = fs.FieldSampler(spec, fs.PlaneWaves(4096), 21)
+        sfb = fs.FieldSampler(spec, fs.FourierBessel(), 21)
         scf = fs.FieldSampler(spec, fs.CovarianceFactor(), 22)
-        fpw = np.concatenate(
+        ffb = np.concatenate(
             [
-                fs._draw_fields(spw, pts, np.random.default_rng([21, i]), 500)
+                fs._draw_fields(sfb, pts, np.random.default_rng([21, i]), 500)
                 for i in range(trials // 500)
             ],
             axis=1,
         )
         fcf = fs._draw_fields(scf, pts, np.random.default_rng([22, 0]), trials)
-        cpw = fpw @ fpw.T / trials
+        cfb = ffb @ ffb.T / trials
         ccf = fcf @ fcf.T / trials
         # se of a covariance entry of unit-variance fields is ~ sqrt(2/T)
         se = math.sqrt(2.0 / trials)
-        assert np.abs(cpw - ccf).max() <= 5.0 * math.sqrt(2) * se
+        assert np.abs(cfb - ccf).max() <= 5.0 * math.sqrt(2) * se
 
 
 class TestMCPolyspectrumVariance:
@@ -155,12 +187,12 @@ class TestMCPolyspectrumVariance:
         assert abs(a.estimate - b.estimate) <= width
 
     def test_resolution_doubling_within_ci(self):
-        # common plane-wave draws isolate the quadrature effect
+        # common Fourier-Bessel coefficients isolate the quadrature effect
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 6.0), 3, 1.0)
         doms = [fs.build_domain(E, 2, 1.0, res) for res in (10, 20)]
         ests = []
         for dom in doms:
-            sampler = fs.FieldSampler(spec.field, fs.PlaneWaves(1024), 88)
+            sampler = fs.FieldSampler(spec.field, fs.FourierBessel(), 88)
             mc = fs.mc_polyspectrum_variance(spec, sampler, dom, 600)
             ests.append(mc)
         half = 0.5 * (ests[0].ci95[1] - ests[0].ci95[0])

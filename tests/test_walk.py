@@ -38,7 +38,7 @@ class TestRho2Closed:
 class TestDensityRecursion:
     def test_d3_n3_closed_region(self):
         # psi is identically 1/2 on (0,1): rho = r^2/2
-        for r in (0.5, 1.0 - 1e-6, 1.0 - 1e-9):
+        for r in (0.5, 0.925, 0.94, 0.949, 1.0 - 1e-6, 1.0 - 1e-9):
             assert walk.density_recursion(WalkSpec(3, 3), r) == pytest.approx(
                 r * r / 2.0, abs=1e-10
             ), r
