@@ -278,6 +278,8 @@ def main(argv: list[str] | None = None) -> int:
     except (fieldsim.CovarianceFactorizationError, np.linalg.LinAlgError) as exc:
         print(f"linear algebra failure: {exc}", file=sys.stderr)
         return EXIT_LINALG
+    except ValueError as exc:  # after LinAlgError, which subclasses it
+        parser.error(str(exc))
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

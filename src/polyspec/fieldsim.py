@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 COVARIANCE_POINT_BUDGET = 4096
-_NUGGET_LADDER = (1e-12, 1e-10, 1e-8)
+_NUGGET_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 _TRIAL_CHUNK = 256
 
 
@@ -60,11 +60,7 @@ class FourierBessel:
 
 @dataclass(frozen=True)
 class CovarianceFactor:
-    nugget: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.nugget <= 1e-8:
-            raise ValueError("nugget must lie in [0, 1e-8]")
+    """Cholesky factor of the dense covariance, with the nugget ladder."""
 
 
 @dataclass
@@ -99,10 +95,7 @@ def _cholesky_factor(sampler: FieldSampler, points: np.ndarray) -> np.ndarray:
             f"covariance sampling limited to {COVARIANCE_POINT_BUDGET} points"
         )
     cov = _covariance_matrix(sampler.spec, points)
-    ladder = (sampler.method.nugget,) + tuple(
-        n for n in _NUGGET_LADDER if n > sampler.method.nugget
-    )
-    for nug in ladder:
+    for nug in _NUGGET_LADDER:
         try:
             chol = np.linalg.cholesky(cov + nug * np.eye(len(cov)))
         except np.linalg.LinAlgError:
@@ -111,7 +104,7 @@ def _cholesky_factor(sampler: FieldSampler, points: np.ndarray) -> np.ndarray:
         return chol
     eigmin = float(np.linalg.eigvalsh(cov).min())
     raise CovarianceFactorizationError(
-        f"covariance not factorizable at nugget {ladder[-1]:g};"
+        f"covariance not factorizable at nugget {_NUGGET_LADDER[-1]:g};"
         f" smallest eigenvalue ~ {eigmin:.3e}"
     )
 

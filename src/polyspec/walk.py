@@ -27,7 +27,8 @@ from scipy.special import ellipkm1, gammaln
 
 from . import quadrature, specfun
 from ._memo import build_once
-from .quadrature import (
+# integrate_adaptive is not called here; perfbench's tracer wraps the name
+from .quadrature import (  # noqa: F401
     OscillatoryIntegrand,
     QuadResult,
     integrate_adaptive,
@@ -182,22 +183,22 @@ def _step_pref(d: int) -> float:
     return _norm_factor(d) / (math.pi * math.exp(gammaln(d - 1.0)))
 
 
-def _psi_step(d: int, n: int, prev, prev_kinks, rs):
-    """Integrand and split points of the step to level n at each radius in rs.
+def _psi_step(d: int, n: int, prev, prev_kinks, rs: np.ndarray, tol: float) -> np.ndarray:
+    """psi^d_n at each radius in rs, by one batched step from level n - 1.
 
     In the angle variable the step reads
 
         psi_n(r) = pref int_0^pi psi_{n-1}(sqrt(1 + 2 r cos(phi) + r^2))
                    sin(phi)^(2 nu) dphi,
 
-    pref = _step_pref(d).  Returns (f, splits) for integrate_adaptive_batch:
-    f(phi, k) is the integrand at radius rs[k], and row k of splits holds
-    the angles where the argument crosses a kink radius of the previous
-    level (NaN where it does not).  For radii within 0.1 of 1, a geometric
-    ladder of splits into phi = pi is added when d = 2 or when the previous
-    level is psi_2 (n = 3), which is ~1/u at u = 0 in every dimension.
+    pref = _step_pref(d).  All radii go into one integrate_adaptive_batch
+    call; row k of its splits holds the angles where the argument at rs[k]
+    crosses a kink radius of the previous level (NaN where it does not).
+    For radii within 0.1 of 1, a geometric ladder of splits into phi = pi is
+    added when d = 2 or when the previous level is psi_2 (n = 3), which is
+    ~1/u at u = 0 in every dimension.  An integral left unconverged with an
+    error above 100 tol raises NonConvergedError.
     """
-    rs = np.asarray(rs, dtype=float)
     power = float(d - 2)  # 2 nu
     root = 2.0 * np.sqrt(rs)
 
@@ -223,7 +224,12 @@ def _psi_step(d: int, n: int, prev, prev_kinks, rs):
             np.maximum(u_min[near], 1e-11) * 0.5, 1.0, 30, axis=-1
         )
         splits = np.concatenate([splits, ladder], axis=1)
-    return integrand, splits
+    # looked up on the module, so a wrapper installed there sees the call
+    res = quadrature.integrate_adaptive_batch(
+        integrand, 0.0, math.pi, tol, split_points=splits, max_evals=400_000
+    )
+    quadrature.check_converged(res, tol, f"psi recursion step (d={d}, n={n})")
+    return _step_pref(d) * res.value
 
 
 class _PsiTable:
@@ -252,13 +258,8 @@ class _PsiTable:
                  hi - width * np.geomspace(1e-9, 0.25, 30)]
             )
             grids.append(np.unique(np.concatenate([base, edges])))
-        f, splits = _psi_step(d, n, prev, prev_kinks, np.concatenate(grids))
-        # looked up on the module, so a wrapper installed there sees the call
-        res = quadrature.integrate_adaptive_batch(
-            f, 0.0, math.pi, tol, split_points=splits, max_evals=400_000
-        )
-        quadrature.check_converged(res, tol, f"psi recursion level (d={d}, n={n})")
-        vals = np.split(_step_pref(d) * res.value, np.cumsum([len(g) for g in grids])[:-1])
+        vals = np.split(_psi_step(d, n, prev, prev_kinks, np.concatenate(grids), tol),
+                        np.cumsum([len(g) for g in grids])[:-1])
         self.segments = [
             (float(k), float(k + 1), CubicSpline(pts, v, extrapolate=True))
             for k, (pts, v) in enumerate(zip(grids, vals))
@@ -293,47 +294,46 @@ def _psi_level(d: int, n: int):
     return _PsiTable(d, n, prev, prev_kinks), kinks
 
 
-def density_recursion(spec: WalkSpec, r: float) -> float:
+def _at_singular_point(d: int, n: int, r) -> np.ndarray:
+    """True where r lies within 1e-12 of a registered infinite-density radius."""
+    r = np.asarray(r, dtype=float)
+    hit = np.zeros(r.shape, dtype=bool)
+    for r0 in SINGULAR_INTERIOR_POINTS.get((d, n), ()):
+        hit |= np.abs(r - r0) < 1e-12
+    return hit
+
+
+def density_recursion(spec: WalkSpec, r):
     """rho^d_n(r) through the n -> n-1 recursion, n between 3 and the cap.
 
-    The direction average is split at the kink crossings of the previous
-    level and refined adaptively.  The planar three-step density is the
-    closed form _psi3_planar, not a step.  Registered infinite-density
-    points return inf.
+    r is a radius or an array of radii; every radius strictly inside the
+    support goes into one batched step, split at the kink crossings of the
+    previous level.  The planar three-step density is the closed form
+    _psi3_planar, not a step.  Registered infinite-density points return inf.
     """
     d, n = spec.d, spec.n
     if not 3 <= n <= MAX_RECURSION_STEPS:
         raise ValueError(f"recursion supports 3 <= n <= {MAX_RECURSION_STEPS}")
-    if not 0 < r < n:
-        return 0.0
-    for r0 in SINGULAR_INTERIOR_POINTS.get((d, n), ()):
-        if abs(r - r0) < 1e-12:
-            return math.inf
+    arr = np.asarray(r, dtype=float)
+    out = np.zeros(arr.shape)
+    singular = _at_singular_point(d, n, arr)
+    out[singular] = math.inf
+    todo = (arr > 0) & (arr < n) & ~singular
+    rs = arr[todo]
     if (d, n) == (2, 3):
-        if abs(r - 1.0) < SINGULAR_WARNING_RADIUS:
+        near = rs[np.abs(rs - 1.0) < SINGULAR_WARNING_RADIUS]
+        if near.size:
             warnings.warn(
                 f"planar three-step density evaluated within {SINGULAR_WARNING_RADIUS:g}"
-                f" of its singular radius (d={d}, r={r})",
+                f" of its singular radius (d={d}, r={near[0]})",
                 SingularProximityWarning,
                 stacklevel=2,
             )
-        return r * float(_psi3_planar(r))
-    prev, prev_kinks = _psi_level(d, n - 1)
-    f, splits = _psi_step(d, n, prev, prev_kinks, [float(r)])
-    res = integrate_adaptive(
-        lambda phi: f(phi, 0), 0.0, math.pi, 1e-10,
-        split_points=splits[0][np.isfinite(splits[0])], max_evals=400_000,
-    )
-    quadrature.check_converged(res, 1e-10, "density recursion step")
-    return _step_pref(d) * res.value * r ** (d - 1)
-
-
-def _resonant_frequency(n: int, r: float) -> bool:
-    """True when some product harmonic of the moment integrand is constant."""
-    for k in range(n + 1):
-        if abs(abs(n - 2 * k) - r) < 1e-12:
-            return True
-    return False
+        out[todo] = rs * _psi3_planar(rs)
+    elif rs.size:
+        prev, prev_kinks = _psi_level(d, n - 1)
+        out[todo] = _psi_step(d, n, prev, prev_kinks, rs, 1e-10) * rs ** (d - 1)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _min_beat_frequency(n: int, r: float) -> float:
@@ -404,12 +404,11 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
         raise ValueError("radius must be > 0")
     if r >= n:
         return QuadResult(0.0, 0.0, 0, True)
+    if _at_singular_point(d, n, r):
+        return QuadResult(math.inf, math.inf, 0, False, status="divergent")
     nu = 0.5 * d - 1.0
     fac = _norm_factor(d)
     alpha = (d - 1) * (n - 1) / 2.0
-
-    if _resonant_frequency(n, r) and alpha <= 1.0 + 1e-12:
-        return QuadResult(math.inf, math.inf, 0, False, status="divergent")
 
     # the integrand mixes the incommensurate frequencies |n - 2k +- r|, so
     # sharp-truncation acceleration is unreliable; mollified truncation with
@@ -554,14 +553,13 @@ def density_on_grid(spec: WalkSpec, grid: np.ndarray, route: DensityRoute,
                     seed: int = 42, tol: float = 1e-8):
     """Density values and per-point error estimates on a grid of radii."""
     grid = np.asarray(grid, dtype=float)
-    vals = np.empty_like(grid)
-    errs = np.zeros_like(grid)
     if route is DensityRoute.CLOSED_FORM2:
         if spec.n != 2:
             raise ValueError("closed form applies to n = 2 only")
         vals = rho2_closed(spec.d, grid)
         errs = np.full_like(grid, 1e-15) * np.abs(vals)
     elif route is DensityRoute.KLUYVER:
+        vals, errs = np.empty_like(grid), np.empty_like(grid)
         for i, r in enumerate(grid):
             res = density_kluyver(spec, float(r), tol)
             if res.status != "divergent":  # divergent: an infinite-density point
@@ -569,23 +567,18 @@ def density_on_grid(spec: WalkSpec, grid: np.ndarray, route: DensityRoute,
             vals[i] = res.value
             errs[i] = res.abs_error_estimate
     elif route is DensityRoute.RECURSION:
-        for i, r in enumerate(grid):
-            vals[i] = density_recursion(spec, float(r))
-            errs[i] = 1e-6 * abs(vals[i]) + 1e-9 if math.isfinite(vals[i]) else math.inf
+        vals = density_recursion(spec, grid)
+        errs = np.where(np.isfinite(vals), 1e-6 * np.abs(vals) + 1e-9, math.inf)
     elif route is DensityRoute.MONTE_CARLO:
-        radii = sample_walk(spec, MC_DENSITY_SAMPLES, seed)
-        if len(grid) > 1:
-            widths = np.empty_like(grid)
-            widths[1:-1] = 0.5 * (grid[2:] - grid[:-2])
-            widths[0] = grid[1] - grid[0]
-            widths[-1] = grid[-1] - grid[-2]
-        else:
-            widths = np.array([min(0.05, spec.n / 10)])
-        for i, (r, w) in enumerate(zip(grid, widths)):
-            lo, hi = max(0.0, r - w / 2), min(float(spec.n), r + w / 2)
-            count = int(np.count_nonzero((radii >= lo) & (radii < hi)))
-            vals[i] = count / (MC_DENSITY_SAMPLES * (hi - lo))
-            errs[i] = math.sqrt(max(count, 1)) / (MC_DENSITY_SAMPLES * (hi - lo))
+        radii = np.sort(sample_walk(spec, MC_DENSITY_SAMPLES, seed))
+        # bins between grid midpoints; a lone point gets a fixed width
+        widths = np.gradient(grid) if len(grid) > 1 else np.array([min(0.05, spec.n / 10)])
+        lo = np.maximum(0.0, grid - widths / 2)
+        hi = np.minimum(float(spec.n), grid + widths / 2)
+        # radii in the half-open bin [lo, hi); none when lo >= hi
+        count = np.maximum(np.searchsorted(radii, hi) - np.searchsorted(radii, lo), 0)
+        vals = count / (MC_DENSITY_SAMPLES * (hi - lo))
+        errs = np.sqrt(np.maximum(count, 1)) / (MC_DENSITY_SAMPLES * (hi - lo))
     else:
         raise ValueError(f"unknown route {route}")
     return vals, errs

@@ -156,6 +156,23 @@ class TestInfrastructure:
                         "--R", "1.0", "--freq", "8", "--threads", "2"], check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["density", "--d", "1", "--n", "3", "--route", "recursion"],
+        ["density", "--d", "2", "--n", "9", "--route", "recursion"],
+        ["density", "--d", "2", "--n", "3", "--route", "closed"],
+        ["constant", "--d", "2", "--q", "1"],
+        ["variance", "--geometry", "spherical", "--d", "2", "--q", "3", "--R", "4",
+         "--freq", "10"],
+        ["variance", "--geometry", "euclidean", "--d", "2", "--q", "3", "--R", "1",
+         "--freq", "10", "--method", "mc", "--trials", "50"],
+        ["variance", "--geometry", "euclidean", "--d", "2", "--q", "3", "--R", "1",
+         "--freq", "10", "--method", "mc", "--resolution", "4"],
+    ], ids=["d1", "n9", "closed-n3", "q1", "spherical-R4", "trials50", "resolution4"])
+    def test_bad_flag_value_exit_code(self, argv):
+        proc = run_cli(argv, check=False)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_route_exit_code(self):
         proc = run_cli(
             ["density", "--d", "3", "--n", "2", "--route", "bogus"], check=False

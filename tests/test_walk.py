@@ -84,6 +84,38 @@ class TestDensityRecursion:
             assert walk.density_recursion(spec, r) == pytest.approx(ref.value, abs=1e-9), r
 
 
+def _recursion_grid(n: int) -> np.ndarray:
+    """Interior radii plus 0, the integers 1 and 2, the edge n and n + 0.5."""
+    return np.concatenate([[0.0, 1.0, 2.0, n, n + 0.5], (np.arange(7) + 0.5) * n / 7])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+class TestRecursionArrays:
+    def test_array_is_scalar_bit_for_bit(self, d, n):
+        spec, grid = WalkSpec(d, n), _recursion_grid(n)
+        vals = walk.density_recursion(spec, grid)
+        ref = np.array([walk.density_recursion(spec, float(r)) for r in grid])
+        assert np.array_equal(vals, ref)
+        assert np.array_equal(np.isinf(vals), ((d, n) == (2, 3)) & (grid == 1.0))
+        assert np.array_equal(vals == 0.0, (grid <= 0.0) | (grid >= n))
+
+    def test_one_engine_call_per_array(self, d, n, monkeypatch):
+        spec, grid = WalkSpec(d, n), _recursion_grid(n)
+        walk.density_recursion(spec, 0.5)  # warm the level below
+        engine, calls = quadrature.integrate_adaptive_batch, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_adaptive_batch", counting)
+        walk.density_recursion(spec, grid)
+        walk.density_on_grid(spec, grid, DensityRoute.RECURSION)
+        # the planar three-step density is a closed form, not a step
+        assert len(calls) == (0 if (d, n) == (2, 3) else 2)
+
+
 def p3_mpmath(x: float) -> float:
     """The planar three-step density p_3(x) by 60-digit mpmath 2F1 (Borwein,
     Straub, Wan & Zudilin).  1 - z ~ (1 - x)^3 / 4 near x = 1: at
@@ -537,6 +569,18 @@ class TestDensityCurve:
         curve = walk.density_curve(WalkSpec(3, 2), 0.2, 1.8, 9, DensityRoute.MONTE_CARLO)
         expect = curve.grid / 2.0
         assert np.all(np.abs(curve.values - expect) <= 6.0 * curve.error + 1e-3)
+
+    def test_mc_bins_match_per_point_counts(self):
+        spec = WalkSpec(3, 4)
+        grid = np.linspace(0.0, 5.0, 26)[1:]  # bins past r = 4 are empty
+        vals, errs = walk.density_on_grid(spec, grid, DensityRoute.MONTE_CARLO, seed=7)
+        radii = walk.sample_walk(spec, walk.MC_DENSITY_SAMPLES, 7)
+        for i, (r, w) in enumerate(zip(grid, np.gradient(grid))):
+            lo, hi = max(0.0, r - w / 2), min(4.0, r + w / 2)
+            count = int(np.count_nonzero((radii >= lo) & (radii < hi)))
+            scale = walk.MC_DENSITY_SAMPLES * (hi - lo)
+            assert vals[i] == count / scale, r
+            assert errs[i] == math.sqrt(max(count, 1)) / scale, r
 
     def test_recursion_emits_inf_at_singularity(self):
         curve = walk.density_curve(WalkSpec(2, 3), 0.5, 1.5, 3, DensityRoute.RECURSION)
