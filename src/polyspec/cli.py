@@ -113,27 +113,23 @@ def _variance_row(args, freq: float):
     geo = geometry.Geometry(args.geometry)
     fs_spec = variance.FieldSpec(geo, args.d, freq)
     spec = variance.PolyspectrumSpec(fs_spec, args.q, args.R)
-    if args.method == "exact":
+    pred = variance.variance_asymptotic(spec)
+    if args.method == "asym":
+        value, err_lo, err_hi = pred.value, 0.0, 0.0
+    elif args.method == "exact":
         est = (variance.variance_exact_euclidean(spec, args.tol)
                if geo == geometry.Geometry.EUCLIDEAN
                else variance.variance_exact_spherical(spec, args.tol))
-        err_lo = err_hi = est.error if isinstance(est.error, float) else 0.0
-    elif args.method == "asym":
-        est = variance.variance_asymptotic(spec)
-        err_lo = err_hi = 0.0
+        value, err_lo, err_hi = est.value, est.error, est.error
     else:
         dom = fieldsim.build_domain(geo, args.d, args.R, args.resolution)
         sampler = fieldsim.FieldSampler(fs_spec, fieldsim.CovarianceFactor(),
                                         args.seed)
         mc = fieldsim.mc_polyspectrum_variance(spec, sampler, dom, args.trials)
-        est = variance.VarianceEstimate(spec, mc.estimate,
-                                        variance.Method.MONTE_CARLO,
-                                        mc.ci95, variance.regime_of(spec))
-        err_lo = mc.estimate - mc.ci95[0]
-        err_hi = mc.ci95[1] - mc.estimate
-    pred = variance.variance_asymptotic(spec)
-    ratio = est.value / pred.value if pred.value else None
-    return [freq, est.value, args.method, err_lo, err_hi, est.regime.value, ratio]
+        value = mc.estimate
+        err_lo, err_hi = mc.estimate - mc.ci95[0], mc.ci95[1] - mc.estimate
+    ratio = value / pred.value if pred.value else None
+    return [freq, value, args.method, err_lo, err_hi, pred.regime.value, ratio]
 
 
 def _cmd_variance(args, started: float) -> int:
@@ -188,11 +184,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="flat key=value file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=True):
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--output-path", type=str, default=None)
-        p.add_argument("--tol", type=float, default=1e-8)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("density", help="random-flight radius density on a grid")
     p.add_argument("--d", type=int, required=True)
@@ -227,8 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_variance, default_format="csv")
 
+    # table rows run at fixed tolerances: 1e-10 for constants, 1e-9 for
+    # classifications
     p = sub.add_parser("table", help="constants and classification reproduction table")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(fn=_cmd_table, default_format="csv")
     return parser
 

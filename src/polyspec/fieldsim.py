@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import chdtrc, jv
 
 from . import specfun, walk
-from .geometry import Geometry
+from .geometry import BallSpec, Geometry
 # integrate_adaptive is not called here; perfbench's tracer wraps the name
 from .quadrature import (  # noqa: F401
     check_converged,
@@ -71,7 +71,6 @@ class FieldSampler:
     _draws: int = field(default=0, repr=False)
     _cache_key: tuple | None = field(default=None, repr=False)
     _factor_cache: np.ndarray | None = field(default=None, repr=False)
-    nugget_used: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         planar = self.spec.geometry == Geometry.EUCLIDEAN and self.spec.d == 2
@@ -89,19 +88,17 @@ def _covariance_matrix(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
     return specfun.gegenbauer(gspec, gram)
 
 
-def _cholesky_factor(sampler: FieldSampler, points: np.ndarray) -> np.ndarray:
+def _cholesky_factor(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
     if len(points) > COVARIANCE_POINT_BUDGET:
         raise ValueError(
             f"covariance sampling limited to {COVARIANCE_POINT_BUDGET} points"
         )
-    cov = _covariance_matrix(sampler.spec, points)
+    cov = _covariance_matrix(spec, points)
     for nug in _NUGGET_LADDER:
         try:
-            chol = np.linalg.cholesky(cov + nug * np.eye(len(cov)))
+            return np.linalg.cholesky(cov + nug * np.eye(len(cov)))
         except np.linalg.LinAlgError:
             continue
-        sampler.nugget_used = nug
-        return chol
     eigmin = float(np.linalg.eigvalsh(cov).min())
     raise CovarianceFactorizationError(
         f"covariance not factorizable at nugget {_NUGGET_LADDER[-1]:g};"
@@ -139,7 +136,7 @@ def _factor(sampler: FieldSampler, points: np.ndarray) -> np.ndarray:
     key = (points.shape, hash(points.tobytes()))
     if sampler._cache_key != key:
         if isinstance(sampler.method, CovarianceFactor):
-            sampler._factor_cache = _cholesky_factor(sampler, points)
+            sampler._factor_cache = _cholesky_factor(sampler.spec, points)
         else:
             sampler._factor_cache = _fourier_bessel_factor(sampler.spec.freq, points)
         sampler._cache_key = key
@@ -212,6 +209,7 @@ def build_domain(geometry: Geometry, d: int, R: float, resolution: int) -> Quadr
     sum to the domain volume.
     """
     geometry = Geometry(geometry)
+    BallSpec(geometry, d, R)  # validates d and R
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     n_azimuth = 4 * resolution
@@ -223,8 +221,6 @@ def build_domain(geometry: Geometry, d: int, R: float, resolution: int) -> Quadr
         pts = (r[:, None, None] * sph[None, :, :]).reshape(-1, d)
         w = (wr[:, None] * sw[None, :]).ravel()
     else:
-        if not (0 < R <= math.pi):
-            raise ValueError("cap radius must lie in (0, pi]")
         theta = 0.5 * R * (x + 1.0)
         wt = 0.5 * R * wx * np.sin(theta) ** (d - 1)
         sph, sw = _sphere_rule(d - 1, resolution, n_azimuth)
@@ -282,14 +278,10 @@ def mc_polyspectrum_variance(spec: PolyspectrumSpec, sampler: FieldSampler,
 def _bin_masses(spec: walk.WalkSpec, edges: np.ndarray) -> np.ndarray:
     """Analytic probability mass of the walk radius in each bin."""
     d, n = spec.d, spec.n
-    if n == 2:
-        def rho(r: np.ndarray) -> np.ndarray:
-            return walk.rho2_closed(d, r)
-    else:
-        tab, _ = walk._psi_level(d, n)
+    tab, _ = walk._psi_level(d, n)
 
-        def rho(r: np.ndarray) -> np.ndarray:
-            return tab(r) * r ** (d - 1)
+    def rho(r: np.ndarray) -> np.ndarray:
+        return tab(r) * r ** (d - 1)
 
     res = integrate_adaptive_batch(
         lambda r, k: rho(r), edges[:-1], edges[1:], 1e-9,

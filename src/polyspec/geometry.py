@@ -74,8 +74,7 @@ def omega(d: int) -> float:
 
 def ball_volume(d: int, R: float) -> float:
     """Volume of the radius-R ball in R^d: omega_{d-1} R^d / d."""
-    if R <= 0:
-        raise ValueError("radius must be > 0")
+    BallSpec(Geometry.EUCLIDEAN, d, R)  # validates d and R
     return omega(d - 1) * R**d / d
 
 
@@ -99,8 +98,7 @@ def weight_euclidean(d: int, R: float, r):
 
     The lens is twice the cap of height R - r/2; identically 0 for r >= 2R.
     """
-    if R <= 0:
-        raise ValueError("radius must be > 0")
+    BallSpec(Geometry.EUCLIDEAN, d, R)  # validates d and R
     arr = np.asarray(r, dtype=float)
     h = np.clip(R - 0.5 * np.abs(arr), 0.0, R)
     out = omega(d - 1) * 2.0 * _cap_volume_euclidean(d, R, h)
@@ -120,12 +118,11 @@ def _sin_power_integral(m: int, phi) -> np.ndarray:
 
 def cap_volume(d: int, R: float) -> float:
     """Volume of a geodesic cap of radius R on S^d: omega_{d-1} int_0^R sin^(d-1)."""
-    if not (0 < R <= math.pi):
-        raise ValueError("cap radius must lie in (0, pi]")
+    BallSpec(Geometry.SPHERICAL, d, R)  # validates d and R
     return omega(d - 1) * float(_sin_power_integral(d - 1, R))
 
 
-def weight_spherical(d: int, R: float, r, tol: float = 1e-10):
+def weight_spherical(d: int, R: float, r):
     """omega_{d-1} times the volume of the intersection of two geodesic caps.
 
     Caps of radius R on S^d at geodesic center distance r.  Latitude
@@ -133,10 +130,10 @@ def weight_spherical(d: int, R: float, r, tol: float = 1e-10):
     second cap in a sub-cap of S^(d-1) whose half-angle is an arccos
     expression in cos R, cos r, cos theta (argument clamped to [-1, 1] to
     absorb the all-in / all-out configurations).  Exactly
-    omega_{d-1} omega_d when R = pi.
+    omega_{d-1} omega_d when R = pi.  Each latitude quadrature runs at
+    tolerance 1e-10.
     """
-    if not (0 < R <= math.pi):
-        raise ValueError("cap radius must lie in (0, pi]")
+    BallSpec(Geometry.SPHERICAL, d, R)  # validates d and R
     scalar = np.asarray(r).ndim == 0
     rs = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any((rs < 0) | (rs > math.pi)):
@@ -161,27 +158,29 @@ def weight_spherical(d: int, R: float, r, tol: float = 1e-10):
     # pole (theta = 2 pi - r - R, relevant once R > pi/2)
     r = rs[apart, None]
     kinks = np.hstack([np.abs(r - R), r + R, 2.0 * math.pi - r - R])
-    res = integrate_adaptive_batch(zone, 0.0, R, tol, split_points=kinks)
-    check_converged(res, tol, "cap weight quadrature")
+    res = integrate_adaptive_batch(zone, 0.0, R, 1e-10, split_points=kinks)
+    check_converged(res, 1e-10, "cap weight quadrature")
     out[apart] = omega(d - 1) * res.value
     return float(out[0]) if scalar else out
 
 
 @dataclass
 class WeightFunction:
-    """Pair-distance weight of a ball or cap, vectorized over distances."""
+    """Pair-distance weight of a ball or cap, vectorized over distances,
+    with its exact integral int_0^support_end W(r) dr."""
 
     spec: BallSpec
-    support_end: float
     _eval: Callable[[np.ndarray], np.ndarray]
-    # int_0^support_end W(r) dr where the weight is a table with an exact
-    # integral; None where callers must integrate W themselves
-    integral: float | None = None
+    integral: float
 
     def __call__(self, r):
         arr = np.asarray(r, dtype=float)
         out = self._eval(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+    @property
+    def support_end(self) -> float:
+        return self.spec.support_end
 
     @property
     def at_zero(self) -> float:
@@ -191,43 +190,46 @@ class WeightFunction:
 def make_weight(spec: BallSpec) -> WeightFunction:
     """Build the weight function for a ball spec.
 
-    Euclidean weights are closed-form; spherical weights are tabulated once
+    Euclidean weights are closed-form, with the closed-form integral
+    4 omega_{d-1} omega_{d-2} R^(d+1) / ((d-1)(d+1)); the whole sphere's is
+    the constant omega_{d-1} omega_d.  Partial-cap weights are tabulated once
     on a dense grid (each table value a latitude quadrature) and interpolated
     monotonically in between, which also gives their exact integral.  The
     grid spans the kink at r = 2R, so the interpolant stays PCHIP: a C^2
     spline rings there (down to -1.9e-5 past 2R at d = 2, R = 1, where W = 0).
     """
+    d, R = spec.d, spec.R
     if spec.geometry == Geometry.EUCLIDEAN:
 
         def ev(r: np.ndarray) -> np.ndarray:
-            return np.asarray(weight_euclidean(spec.d, spec.R, r))
+            return np.asarray(weight_euclidean(d, R, r))
 
-        return WeightFunction(spec, 2.0 * spec.R, ev)
+        integral = 4.0 * omega(d - 1) * omega(d - 2) * R ** (d + 1) / ((d - 1) * (d + 1))
+        return WeightFunction(spec, ev, integral)
 
-    if spec.R >= math.pi:
-        const = omega(spec.d - 1) * omega(spec.d)
+    if R >= math.pi:
+        const = omega(d - 1) * omega(d)
 
         def ev_const(r: np.ndarray) -> np.ndarray:
             return np.full_like(np.asarray(r, dtype=float), const)
 
-        return WeightFunction(spec, math.pi, ev_const)
+        return WeightFunction(spec, ev_const, math.pi * const)
 
     # grid refined near the kinks at r = 0 and r = 2R (caps become disjoint)
     base = np.unique(
         np.concatenate(
             [
                 np.linspace(0.0, math.pi, WEIGHT_TABLE_POINTS),
-                np.linspace(0.0, min(2.0 * spec.R, math.pi), WEIGHT_TABLE_POINTS // 2),
+                np.linspace(0.0, min(2.0 * R, math.pi), WEIGHT_TABLE_POINTS // 2),
                 np.geomspace(1e-6, math.pi, WEIGHT_TABLE_POINTS // 4),
             ]
         )
     )
-    vals = weight_spherical(spec.d, spec.R, base)
+    vals = weight_spherical(d, R, base)
     interp = PchipInterpolator(base, vals, extrapolate=False)
 
     def ev_tab(r: np.ndarray) -> np.ndarray:
         out = interp(np.clip(r, 0.0, math.pi))
         return np.nan_to_num(out, nan=0.0)
 
-    return WeightFunction(spec, math.pi, ev_tab, float(interp.integrate(0.0, math.pi)))
-
+    return WeightFunction(spec, ev_tab, float(interp.integrate(0.0, math.pi)))

@@ -48,11 +48,9 @@ _X15, _W15 = leggauss(15)
 _X16, _W16 = leggauss(16)
 _X22 = np.concatenate([_X15, _X7])  # both rules of the adaptive pair, one call
 
-# working-set bounds of the batched adaptive engine: each integrand call sees
-# at most _CHUNK_PANELS panels and at most _BLOCK integrals refine together;
-# neither changes any result
+# working-set bound of the batched adaptive engine: each integrand call sees
+# at most _CHUNK_PANELS panels; it changes no result
 _CHUNK_PANELS = 1024
-_BLOCK = 64
 
 _GAUSS_JACOBI_NODE_BUDGET = 4096
 _EPS = float(np.finfo(float).eps)
@@ -90,19 +88,14 @@ class OscillatoryIntegrand:
     """An eventually-oscillatory integrand on [0, oo).
 
     decay_exponent is the envelope exponent alpha with |f(t)| ~ t^(-alpha);
-    for integrands jd(t)^q t^(d-1) it equals (d-1)(q/2 - 1).  phase_period is
-    the asymptotic spacing of sign changes (pi for powers of jd), and
+    for integrands jd(t)^q t^(d-1) it equals (d-1)(q/2 - 1).  The asymptotic
+    spacing of sign changes is pi, as for every power of jd, and
     phase_offset shifts the partition onto the asymptotic zeros.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     decay_exponent: float
-    phase_period: float = math.pi
     phase_offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.phase_period <= 0:
-            raise ValueError("phase_period must be > 0")
 
 
 def _panel_nodes(lefts: np.ndarray, rights: np.ndarray, xg):
@@ -237,19 +230,21 @@ def _initial_panels(a, b, splits, min_panels: int):
     return lefts, rights, piece_owner[which]
 
 
-def _refine_block(f, first: int, a, b, tol, splits, max_evals: int, min_panels: int, out):
-    """Refine integrals first .. first + len(a) - 1 of a family together.
+def _refine(f, a, b, tol, splits, max_evals: int, min_panels: int):
+    """Refine a family of integrals together; returns (value, error,
+    n_evals, converged), one entry per integral.
 
     Every step, each integral still open bisects the panels that carry 90%
     of its own error (largest first, within its own budget); the panel
     arrays stay grouped by integral, in the order a single integral would
     keep them, so each result is independent of its neighbours.
     """
-    value, error, n_evals, converged = out
     m = len(a)
+    value, error = np.empty(m), np.empty(m)
+    n_evals, converged = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool)
     narrow = 1e-13 * (np.abs(a) + np.abs(b) + 1.0)  # frozen panel width
     lefts, rights, owner = _initial_panels(a, b, splits, min_panels)
-    vals, errs = _panel_pair(f, lefts, rights, owner + first, narrow[owner])
+    vals, errs = _panel_pair(f, lefts, rights, owner, narrow[owner])
     spent = 22 * np.bincount(owner, minlength=m)
     while True:
         counts = np.bincount(owner, minlength=m)
@@ -263,12 +258,12 @@ def _refine_block(f, first: int, a, b, tol, splits, max_evals: int, min_panels: 
         ok = total_err <= tol[act]
         done = ok | (spent[act] >= max_evals) | (n_cand == 0)
         fin = act[done]
-        value[first + fin] = total[done]
-        error[first + fin] = total_err[done]
-        n_evals[first + fin] = spent[fin]
-        converged[first + fin] = ok[done]
+        value[fin] = total[done]
+        error[fin] = total_err[done]
+        n_evals[fin] = spent[fin]
+        converged[fin] = ok[done]
         if done.all():
-            return
+            return value, error, n_evals, converged
         if done.any():
             live = ~np.isin(owner, fin)
             lefts, rights, owner = lefts[live], rights[live], owner[live]
@@ -300,7 +295,7 @@ def _refine_block(f, first: int, a, b, tol, splits, max_evals: int, min_panels: 
         new_l = np.concatenate([lefts[idx], mids])
         new_r = np.concatenate([mids, rights[idx]])
         new_o = np.concatenate([owner[idx], owner[idx]])
-        sub_v, sub_e = _panel_pair(f, new_l, new_r, new_o + first, narrow[new_o])
+        sub_v, sub_e = _panel_pair(f, new_l, new_r, new_o, narrow[new_o])
         regroup = np.argsort(np.concatenate([owner[keep], new_o]), kind="stable")
         lefts = np.concatenate([lefts[keep], new_l])[regroup]
         rights = np.concatenate([rights[keep], new_r])[regroup]
@@ -335,18 +330,13 @@ def integrate_adaptive_batch(
     shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(tol), splits.shape[:1])
     if len(shape) != 1:
         raise ValueError("a, b and tol must be scalars or 1-D")
-    n = shape[0]
     a = np.broadcast_to(np.asarray(a, dtype=float), shape)
     b = np.broadcast_to(np.asarray(b, dtype=float), shape)
     tol = np.broadcast_to(np.asarray(tol, dtype=float), shape)
-    splits = np.broadcast_to(splits, (n, splits.shape[1]))
+    splits = np.broadcast_to(splits, (shape[0], splits.shape[1]))
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
         raise ValueError("need finite a < b")
-    out = (np.empty(n), np.empty(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
-    for first in range(0, n, _BLOCK):
-        sl = slice(first, first + _BLOCK)
-        _refine_block(f, first, a[sl], b[sl], tol[sl], splits[sl], max_evals, min_panels, out)
-    return QuadBatch(*out)
+    return QuadBatch(*_refine(f, a, b, tol, splits, max_evals, min_panels))
 
 
 def integrate_adaptive(
@@ -406,19 +396,19 @@ def _neville_to_zero(xs: np.ndarray, ys) -> np.ndarray:
     return np.array(out)
 
 
-def _richardson_inverse_t(sums: np.ndarray, t0: float, p: float):
+def _richardson_inverse_t(sums: np.ndarray, t0: float):
     """Neville extrapolation of partial sums to T = oo in powers of 1/T.
 
-    Uses boundaries at doubled panel counts snapped to the 2p phase grid, so
+    Uses boundaries at doubled panel counts snapped to the 2 pi phase grid, so
     every retained oscillatory harmonic has the same phase at all nodes and
     the residual is an honest power series in 1/T.
     """
     n = len(sums)
-    m = n // 2  # sums index 2m-1 sits at T = t0 + 2 m p
+    m = n // 2  # sums index 2m-1 sits at T = t0 + 2 m pi
     xs = []
     ys = []
     while m >= 4 and len(xs) < 12:
-        xs.append(1.0 / (t0 + 2.0 * m * p))
+        xs.append(1.0 / (t0 + 2.0 * m * math.pi))
         ys.append(sums[2 * m - 1])
         m //= 2
     if len(xs) < 3:
@@ -432,7 +422,7 @@ def _richardson_inverse_t(sums: np.ndarray, t0: float, p: float):
     return best
 
 
-def _accelerate_sums(sums: np.ndarray, t0: float = 0.0, p: float = math.pi):
+def _accelerate_sums(sums: np.ndarray, t0: float):
     """Best available limit estimate for a partial-sum sequence.
 
     Candidates: Richardson extrapolation in 1/T over period-doubled
@@ -442,7 +432,7 @@ def _accelerate_sums(sums: np.ndarray, t0: float = 0.0, p: float = math.pi):
     false plateaus.
     """
     n = len(sums)
-    cands = [_richardson_inverse_t(sums, t0, p)] if n >= 64 else []
+    cands = [_richardson_inverse_t(sums, t0)] if n >= 64 else []
     seq = sums[-min(n, 48):]
     est, err = _iterated_aitken(seq)
     if len(seq) >= 24 and math.isfinite(err):
@@ -479,7 +469,7 @@ def integrate_oscillatory_mollified(
     extrapolation over doubled T removes.
 
     Every panel is one of the canonical grid width * k (canonical_panel_nodes,
-    width = phase_period / chunks_per_period), with the start cutoff rounded
+    width = pi / chunks_per_period), with the start cutoff rounded
     up to a whole number of panels, so integrals with the same width share
     their nodes.  T doubles from level to level, so the tail panels on
     [T, 2T] are exactly the next level's plain panels: their integrand values
@@ -487,10 +477,9 @@ def integrate_oscillatory_mollified(
     once.  The error estimate is floored at the rounding level of the
     extrapolated sums.
     """
-    p = g.phase_period
-    t0 = min(max(12.0 * p, 55.0 / max(min_frequency, 1e-6)),
+    t0 = min(max(12.0 * math.pi, 55.0 / max(min_frequency, 1e-6)),
              _MOLLIFIED_MAX_T / 2.0**_MOLLIFIED_LEVELS)
-    width = p / max(1, chunks_per_period)
+    width = math.pi / max(1, chunks_per_period)
     m0 = max(8, int(math.ceil(t0 / width)))  # t0 rounded up to whole panels
     nodes, half = canonical_panel_nodes(width, 0, m0)
     part = half * (_eval_nodes(g.evaluator, nodes) @ _W16)
@@ -540,7 +529,7 @@ def oscillatory_partial_integrals(
     out = np.empty(len(t_values))
     total = 0.0
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        n = max(1, int(math.ceil((hi - lo) / g.phase_period * chunks_per_period)))
+        n = max(1, int(math.ceil((hi - lo) / math.pi * chunks_per_period)))
         cuts = np.linspace(lo, hi, n + 1)
         total += float(_panel_values(g.evaluator, cuts[:-1], cuts[1:], _X16, _W16).sum())
         out[i] = total
@@ -556,7 +545,7 @@ def integrate_oscillatory_tail(
 ) -> QuadResult:
     """Improper integral int_a^oo g as a limit of inter-zero partial sums.
 
-    Panels of one phase_period each (aligned to phase_offset), integrated by
+    Panels of one period pi each (aligned to phase_offset), integrated by
     a fixed rule and summed; the partial-sum sequence is accelerated by
     Richardson extrapolation in 1/T or iterated Aitken, whichever estimates
     the smaller error.  Absolutely convergent tails (decay_exponent > 1) may
@@ -572,7 +561,7 @@ def integrate_oscillatory_tail(
     floor moves neither the value nor the converged flag.
     """
     alpha = g.decay_exponent
-    p = g.phase_period
+    p = math.pi
     # first boundary lands on the asymptotic zero grid offset + (k + 1/2) p
     k0 = math.ceil((a - g.phase_offset) / p - 0.5)
     t0 = g.phase_offset + (k0 + 0.5) * p
@@ -619,7 +608,7 @@ def integrate_oscillatory_tail(
             tail = 2.0 * c_env * t ** (1.0 - alpha) / (alpha - 1.0)
             if tail < tol:
                 return result(total, tail, True)
-        est, err = _accelerate_sums(np.asarray(sums), t0, p)
+        est, err = _accelerate_sums(np.asarray(sums), t0)
         if math.isfinite(err) and (best is None or err < best[1]):
             best = (est, err)
         if err < tol:

@@ -81,7 +81,6 @@ class PolyspectrumSpec:
 class Method(str, Enum):
     EXACT_QUADRATURE = "ExactQuadrature"
     ASYMPTOTIC = "Asymptotic"
-    MONTE_CARLO = "MonteCarlo"
 
 
 class Regime(str, Enum):
@@ -96,7 +95,7 @@ class VarianceEstimate:
     spec: PolyspectrumSpec
     value: float
     method: Method
-    error: float | tuple[float, float] | None
+    error: float | None
     regime: Regime
 
 
@@ -122,26 +121,38 @@ def _cached_weight(ball: BallSpec) -> WeightFunction:
     return make_weight(ball)
 
 
-def variance_exact_euclidean(spec: PolyspectrumSpec, tol: float = 1e-9) -> VarianceEstimate:
-    """q! int_0^2R jd(lambda r)^q W(r) r^(d-1) dr by oscillation-resolving
-    adaptive quadrature (at least 8 panels per kernel period)."""
-    if spec.field.geometry != Geometry.EUCLIDEAN:
-        raise ValueError("Euclidean spec required")
-    d, q, lam, R = spec.field.d, spec.q, spec.field.freq, spec.R
-    w = _cached_weight(spec.ball)
-    qfac = math.factorial(q)
-
-    def f(r: np.ndarray) -> np.ndarray:
-        return specfun.jd(d, lam * r) ** q * w(r) * r ** (d - 1)
-
-    min_panels = max(8, int(math.ceil(2.0 * R / (math.pi / (4.0 * lam)))))
-    res = integrate_adaptive(f, 0.0, 2.0 * R, tol / qfac, min_panels=min_panels,
+def _exact_quadrature(spec: PolyspectrumSpec, f, freq: float,
+                      tol: float) -> VarianceEstimate:
+    """q! int_0^end f(r) dr over the ball's pair distances by
+    oscillation-resolving adaptive quadrature: at least 8 panels per period
+    of a kernel at frequency freq."""
+    qfac = math.factorial(spec.q)
+    end = spec.ball.support_end
+    min_panels = max(8, int(math.ceil(end / (math.pi / (4.0 * freq)))))
+    if spec.field.geometry == Geometry.SPHERICAL:
+        # an even panel count keeps the partition symmetric about pi/2, so
+        # the parity cancellation is realized numerically as well
+        min_panels += min_panels % 2
+    res = integrate_adaptive(f, 0.0, end, tol / qfac, min_panels=min_panels,
                              max_evals=6_000_000)
     check_converged(res, tol / qfac, "variance quadrature")
     return VarianceEstimate(
         spec, qfac * res.value, Method.EXACT_QUADRATURE,
         qfac * res.abs_error_estimate, regime_of(spec),
     )
+
+
+def variance_exact_euclidean(spec: PolyspectrumSpec, tol: float = 1e-9) -> VarianceEstimate:
+    """q! int_0^2R jd(lambda r)^q W(r) r^(d-1) dr."""
+    if spec.field.geometry != Geometry.EUCLIDEAN:
+        raise ValueError("Euclidean spec required")
+    d, q, lam = spec.field.d, spec.q, spec.field.freq
+    w = _cached_weight(spec.ball)
+
+    def f(r: np.ndarray) -> np.ndarray:
+        return specfun.jd(d, lam * r) ** q * w(r) * r ** (d - 1)
+
+    return _exact_quadrature(spec, f, lam, tol)
 
 
 def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9,
@@ -157,10 +168,9 @@ def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9,
     regime = regime_of(spec)
     if regime is Regime.PARITY_ZERO and shortcut_parity:
         return VarianceEstimate(spec, 0.0, Method.EXACT_QUADRATURE, 0.0, regime)
-    d, q, R = spec.field.d, spec.q, spec.R
+    d, q = spec.field.d, spec.q
     gspec = specfun.GegenbauerSpec(d, spec.field.ell)
     w = _cached_weight(spec.ball)
-    qfac = math.factorial(q)
 
     def f(r: np.ndarray) -> np.ndarray:
         return (
@@ -169,29 +179,7 @@ def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9,
             * w(r)
         )
 
-    # even panel count keeps the partition symmetric about pi/2, so the
-    # parity cancellation is realized numerically as well
-    min_panels = max(8, int(math.ceil(math.pi / (math.pi / (4.0 * gspec.L)))))
-    min_panels += min_panels % 2
-    res = integrate_adaptive(f, 0.0, math.pi, tol / qfac, min_panels=min_panels,
-                             max_evals=6_000_000)
-    check_converged(res, tol / qfac, "variance quadrature")
-    return VarianceEstimate(
-        spec, qfac * res.value, Method.EXACT_QUADRATURE,
-        qfac * res.abs_error_estimate, regime,
-    )
-
-
-def _weight_mean_integral(w: WeightFunction) -> float:
-    """int_0^end W(r) dr, the Q2 envelope constant's domain factor.
-
-    Exact for a tabulated weight; integrated adaptively otherwise.
-    """
-    if w.integral is not None:
-        return w.integral
-    res = integrate_adaptive(lambda r: np.asarray(w(r)), 0.0, w.support_end, 1e-10)
-    check_converged(res, 1e-10, "weight integral")
-    return res.value
+    return _exact_quadrature(spec, f, gspec.L, tol)
 
 
 def variance_asymptotic(spec: PolyspectrumSpec) -> VarianceEstimate:
@@ -219,13 +207,12 @@ def variance_asymptotic(spec: PolyspectrumSpec) -> VarianceEstimate:
     regime = regime_of(spec)
     w = _cached_weight(spec.ball)
     qfac = math.factorial(q)
-    nu = 0.5 * d - 1.0
     if regime is Regime.PARITY_ZERO:
         return VarianceEstimate(spec, 0.0, Method.ASYMPTOTIC, None, regime)
     if regime is Regime.Q2:
         f = spec.field.big_l if spherical else spec.field.freq
         envelope = walk._norm_factor(d) / math.pi
-        value = qfac * envelope * _weight_mean_integral(w) * f ** (1 - d)
+        value = qfac * envelope * w.integral * f ** (1 - d)
         return VarianceEstimate(spec, value, Method.ASYMPTOTIC, None, regime)
     if regime is Regime.D2Q4:
         f = spec.field.freq

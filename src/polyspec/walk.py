@@ -422,7 +422,6 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     g = OscillatoryIntegrand(
         integrand,
         decay_exponent=alpha,
-        phase_period=math.pi,
         phase_offset=(d - 1) * math.pi / 4.0,
     )
     res = integrate_oscillatory_mollified(
@@ -507,7 +506,6 @@ def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
     g = OscillatoryIntegrand(
         _idq_integrand(d, q),
         decay_exponent=alpha,
-        phase_period=math.pi,
         phase_offset=(d - 1) * math.pi / 4.0,
     )
     res = integrate_oscillatory_tail(g, 0.0, tol, chunks_per_period=max(2, (q + 2) // 2))
@@ -520,7 +518,6 @@ def idq_partial_integrals(d: int, q: int, t_values) -> np.ndarray:
     g = OscillatoryIntegrand(
         _idq_integrand(d, q),
         decay_exponent=(d - 1) * (q / 2.0 - 1.0),
-        phase_period=math.pi,
     )
     return oscillatory_partial_integrals(g, 0.0, t_values, chunks_per_period=max(2, q))
 
@@ -575,10 +572,13 @@ def density_on_grid(spec: WalkSpec, grid: np.ndarray, route: DensityRoute,
         widths = np.gradient(grid) if len(grid) > 1 else np.array([min(0.05, spec.n / 10)])
         lo = np.maximum(0.0, grid - widths / 2)
         hi = np.minimum(float(spec.n), grid + widths / 2)
-        # radii in the half-open bin [lo, hi); none when lo >= hi
-        count = np.maximum(np.searchsorted(radii, hi) - np.searchsorted(radii, lo), 0)
-        vals = count / (MC_DENSITY_SAMPLES * (hi - lo))
-        errs = np.sqrt(np.maximum(count, 1)) / (MC_DENSITY_SAMPLES * (hi - lo))
+        # radii in the half-open bin [lo, hi); past the support (r > n) the
+        # density is 0 with error 0
+        inside = grid <= spec.n
+        count = np.where(inside, np.searchsorted(radii, hi) - np.searchsorted(radii, lo), 0)
+        scale = MC_DENSITY_SAMPLES * np.where(inside, hi - lo, math.inf)
+        vals = count / scale
+        errs = np.sqrt(np.maximum(count, 1)) / scale
     else:
         raise ValueError(f"unknown route {route}")
     return vals, errs

@@ -55,6 +55,18 @@ class TestDensityCommand:
         out2 = run_cli(args).stdout
         assert out1 == out2
 
+    def test_mc_route_zero_past_support(self):
+        # every point past the support (0, n = 4] reads 0 +- 0
+        proc = run_cli(["density", "--d", "2", "--n", "4", "--route", "mc",
+                        "--r-max", "5", "--points", "23"])
+        rows = [line.split(",") for line in proc.stdout.strip().splitlines()[1:]]
+        assert len(rows) == 22
+        for r, rho, err, _ in rows:
+            if float(r) > 4.0:
+                assert (rho, err) == ("0", "0"), r
+            else:
+                assert float(rho) >= 0.0 and float(err) > 0.0, r
+
 
 class TestConstantCommand:
     def test_closed_pi_over_four(self):
@@ -154,6 +166,9 @@ class TestInfrastructure:
         # there is no worker pool to size
         proc = run_cli(["variance", "--geometry", "euclidean", "--d", "2", "--q", "3",
                         "--R", "1.0", "--freq", "8", "--threads", "2"], check=False)
+        assert proc.returncode == 2
+        # table runs at fixed tolerances and takes none
+        proc = run_cli(["table", "--tol", "1e-3"], check=False)
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("argv", [

@@ -89,7 +89,6 @@ class TestAdaptiveBatch:
         f = lambda x, k: np.cos(omega[k] * x) / (1.0 + x)
         splits = np.where(omega[:, None] > 20.0, np.array([[0.5, 1.5]]), np.nan)
         ref = quad.integrate_adaptive_batch(f, 0.0, 2.0, 1e-11, split_points=splits)
-        monkeypatch.setattr(quad, "_BLOCK", 7)
         monkeypatch.setattr(quad, "_CHUNK_PANELS", 5)
         small = quad.integrate_adaptive_batch(f, 0.0, 2.0, 1e-11, split_points=splits)
         rev = omega[::-1].copy()
