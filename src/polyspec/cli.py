@@ -123,8 +123,7 @@ def _variance_row(args, freq: float):
         value, err_lo, err_hi = est.value, est.error, est.error
     else:
         dom = fieldsim.build_domain(geo, args.d, args.R, args.resolution)
-        sampler = fieldsim.FieldSampler(fs_spec, fieldsim.CovarianceFactor(),
-                                        args.seed)
+        sampler = fieldsim.FieldSampler(fs_spec, args.seed)
         mc = fieldsim.mc_polyspectrum_variance(spec, sampler, dom, args.trials)
         value = mc.estimate
         err_lo, err_hi = mc.estimate - mc.ci95[0], mc.ci95[1] - mc.estimate
@@ -232,19 +231,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SUBCOMMANDS = ("density", "constant", "variance", "table")
-
-
 def _apply_config(argv: list[str]) -> list[str]:
     """Inject --config key=value pairs as flags after the subcommand.
 
     Injected flags precede the user's own, so explicit flags win (argparse
-    keeps the last occurrence of a repeated option).
+    keeps the last occurrence of a repeated option).  The subcommand is the
+    first token argparse leaves after the top-level options, so a config
+    file named like a subcommand is not taken for one.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", type=str, default=None)
+    probe.add_argument("rest", nargs=argparse.REMAINDER)
     known, _ = probe.parse_known_args(argv)
-    if not known.config:
+    if not known.config or not known.rest:
         return argv
     injected: list[str] = []
     with open(known.config, encoding="utf-8") as fh:
@@ -254,9 +253,7 @@ def _apply_config(argv: list[str]) -> list[str]:
                 continue
             key, _, value = line.partition("=")
             injected += ["--" + key.strip().replace("_", "-"), value.strip()]
-    pos = next((i for i, tok in enumerate(argv) if tok in _SUBCOMMANDS), None)
-    if pos is None:
-        return argv
+    pos = len(argv) - len(known.rest)
     return argv[: pos + 1] + injected + argv[pos + 1 :]
 
 

@@ -2,19 +2,18 @@
 variance estimates of Hermite wave functionals.
 
 Every draw is F z with z standard normal and F F^T the covariance at the
-points.  Two factors: a Fourier-Bessel expansion (planar waves only, exact
-by Graf's addition theorem, linear in the number of points) and a dense
-Cholesky factorization (exact in law for any finite point set, both
-geometries).  Trials are drawn in fixed-size chunks with chunk-indexed
-substreams, so results are reproducible for a given seed regardless of
-scheduling.
+points.  The field picks F: the planar (d = 2, Euclidean) wave takes a
+Fourier-Bessel expansion (exact by Graf's addition theorem, linear in the
+number of points), every other field a dense Cholesky factorization (exact
+in law for any finite point set).  Trials are drawn in fixed-size chunks
+with chunk-indexed substreams, so results are reproducible for a given seed
+regardless of scheduling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -32,13 +31,10 @@ from .quadrature import (  # noqa: F401
 from .variance import FieldSpec, PolyspectrumSpec
 
 __all__ = [
-    "FourierBessel",
-    "CovarianceFactor",
     "FieldSampler",
     "QuadratureDomain",
     "MCVariance",
     "CovarianceFactorizationError",
-    "sample_field_values",
     "build_domain",
     "mc_polyspectrum_variance",
     "mc_walk_density_check",
@@ -54,28 +50,11 @@ class CovarianceFactorizationError(np.linalg.LinAlgError):
 
 
 @dataclass(frozen=True)
-class FourierBessel:
-    """Fourier-Bessel factor of the planar (d = 2, Euclidean) wave."""
-
-
-@dataclass(frozen=True)
-class CovarianceFactor:
-    """Cholesky factor of the dense covariance, with the nugget ladder."""
-
-
-@dataclass
 class FieldSampler:
-    spec: FieldSpec
-    method: Union[FourierBessel, CovarianceFactor]
-    seed: int
-    _draws: int = field(default=0, repr=False)
-    _cache_key: tuple | None = field(default=None, repr=False)
-    _factor_cache: np.ndarray | None = field(default=None, repr=False)
+    """A Gaussian wave field and the seed of its random substreams."""
 
-    def __post_init__(self) -> None:
-        planar = self.spec.geometry == Geometry.EUCLIDEAN and self.spec.d == 2
-        if isinstance(self.method, FourierBessel) and not planar:
-            raise ValueError("the Fourier-Bessel factor is for Euclidean d = 2 only")
+    spec: FieldSpec
+    seed: int
 
 
 def _covariance_matrix(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
@@ -131,35 +110,11 @@ def _fourier_bessel_factor(lam: float, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor(sampler: FieldSampler, points: np.ndarray) -> np.ndarray:
-    """F with F F^T the covariance at the points, cached per point set."""
-    key = (points.shape, hash(points.tobytes()))
-    if sampler._cache_key != key:
-        if isinstance(sampler.method, CovarianceFactor):
-            sampler._factor_cache = _cholesky_factor(sampler.spec, points)
-        else:
-            sampler._factor_cache = _fourier_bessel_factor(sampler.spec.freq, points)
-        sampler._cache_key = key
-    return sampler._factor_cache
-
-
-def _draw_fields(sampler: FieldSampler, points: np.ndarray, rng: np.random.Generator,
-                 n_draws: int) -> np.ndarray:
-    """Joint field values at the given points, shape (len(points), n_draws)."""
-    factor = _factor(sampler, points)
-    return factor @ rng.standard_normal((factor.shape[1], n_draws))
-
-
-def sample_field_values(sampler: FieldSampler, points) -> np.ndarray:
-    """One joint sample of the wave at the given points.
-
-    Successive calls advance the sampler's substream counter; results are
-    reproducible for a fixed seed and call order.
-    """
-    points = np.ascontiguousarray(points, dtype=float)
-    rng = np.random.default_rng([sampler.seed, sampler._draws])
-    sampler._draws += 1
-    return _draw_fields(sampler, points, rng, 1)[:, 0]
+def _factor(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
+    """F with F F^T the covariance of the field at the points."""
+    if spec.geometry == Geometry.EUCLIDEAN and spec.d == 2:
+        return _fourier_bessel_factor(spec.freq, points)
+    return _cholesky_factor(spec, points)
 
 
 @dataclass
@@ -260,13 +215,13 @@ def mc_polyspectrum_variance(spec: PolyspectrumSpec, sampler: FieldSampler,
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    q = spec.q
+    factor = _factor(sampler.spec, domain.points)
     vals = np.empty(trials)
     for idx, start in enumerate(range(0, trials, _TRIAL_CHUNK)):
         m = min(_TRIAL_CHUNK, trials - start)
         rng = np.random.default_rng([sampler.seed, 1_000_000 + idx])
-        fields = _draw_fields(sampler, domain.points, rng, m)
-        vals[start:start + m] = domain.weights @ specfun.hermite(q, fields)
+        fields = factor @ rng.standard_normal((factor.shape[1], m))
+        vals[start:start + m] = domain.weights @ specfun.hermite(spec.q, fields)
     est = float(np.var(vals, ddof=1))
     centered = vals - vals.mean()
     m4 = float(np.mean(centered**4))

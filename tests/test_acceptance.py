@@ -210,7 +210,7 @@ def test_criterion_08_cross_geometry_constant():
 def test_criterion_09_monte_carlo_consistency():
     spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 20.0), 3, 1.0)
     dom = fs.build_domain(E, 2, 1.0, 24)
-    sampler = fs.FieldSampler(spec.field, fs.CovarianceFactor(), 4242)
+    sampler = fs.FieldSampler(spec.field, 4242)
     mc = fs.mc_polyspectrum_variance(spec, sampler, dom, 2000)
     exact = va.variance_exact_euclidean(spec).value
     ok = mc.ci95[0] <= exact <= mc.ci95[1]
@@ -221,7 +221,7 @@ def test_criterion_09_monte_carlo_consistency():
     ests = []
     for res in (24, 48):
         d2 = fs.build_domain(E, 2, 1.0, res)
-        s2 = fs.FieldSampler(spec.field, fs.FourierBessel(), 777)
+        s2 = fs.FieldSampler(spec.field, 777)
         ests.append(fs.mc_polyspectrum_variance(spec, s2, d2, 400))
     half = 0.5 * (ests[0].ci95[1] - ests[0].ci95[0])
     ok = ok and abs(ests[0].estimate - ests[1].estimate) <= half
@@ -229,7 +229,7 @@ def test_criterion_09_monte_carlo_consistency():
 
     spec_s = va.PolyspectrumSpec(va.FieldSpec(S, 2, 15), 2, 1.0)
     dom_s = fs.build_domain(S, 2, 1.0, 20)
-    sampler_s = fs.FieldSampler(spec_s.field, fs.CovarianceFactor(), 77)
+    sampler_s = fs.FieldSampler(spec_s.field, 77)
     mc_s = fs.mc_polyspectrum_variance(spec_s, sampler_s, dom_s, 2000)
     exact_s = va.variance_exact_spherical(spec_s).value
     ok = ok and mc_s.ci95[0] <= exact_s <= mc_s.ci95[1]

@@ -7,6 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+from polyspec import cli
+
 
 def run_cli(args, check=True):
     proc = subprocess.run(
@@ -131,6 +133,25 @@ class TestVarianceCommand:
         value, lo, hi = float(row[1]), float(row[3]), float(row[4])
         assert value - lo <= exact <= value + hi
 
+    @pytest.mark.parametrize("geometry", ["euclidean", "spherical"],
+                             ids=["planar", "spherical"])
+    def test_mc_factor_follows_field(self, geometry, monkeypatch, tmp_path):
+        # the planar wave draws through Fourier-Bessel, S^2 through Cholesky
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(a.shape) or cholesky(a))
+        argv = ["variance", "--geometry", geometry, "--d", "2", "--q", "3",
+                "--R", "1.0", "--freq", "10", "--method", "mc",
+                "--trials", "200", "--resolution", "10"]
+        outs = []
+        for k in range(2):
+            out = tmp_path / f"run{k}.csv"
+            assert cli.main(argv + ["--output-path", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert (len(calls) == 0) == (geometry == "euclidean")
+        assert outs[0] == outs[1]
+
 
 class TestTableCommand:
     def test_reproduction_table(self):
@@ -201,6 +222,16 @@ class TestInfrastructure:
             ["--config", str(cfg), "density", "--d", "3", "--n", "2"]
         )
         assert len(proc.stdout.strip().splitlines()) == 5  # header + 4 rows
+
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_config_file_named_like_subcommand(self, form, tmp_path, monkeypatch,
+                                               capsys):
+        # the value of --config is never taken for the subcommand
+        (tmp_path / "table").write_text("points=5\nroute=closed\n")
+        monkeypatch.chdir(tmp_path)
+        head = ["--config", "table"] if form == "separate" else ["--config=table"]
+        assert cli.main(head + ["density", "--d", "3", "--n", "2"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 5
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -36,24 +36,25 @@ class TestBuildDomain:
             fs.build_domain(E, 2, 1.0, 4)
 
 
+def _draws(spec, pts, rng, n_draws):
+    factor = fs._factor(spec, pts)
+    return factor @ rng.standard_normal((factor.shape[1], n_draws))
+
+
 class TestSamplers:
     def test_unit_variance_single_point(self):
         spec = va.FieldSpec(E, 2, 10.0)
-        sampler = fs.FieldSampler(spec, fs.FourierBessel(), 5)
-        pts = np.zeros((1, 2))
-        draws = np.array(
-            [fs.sample_field_values(sampler, pts)[0] for _ in range(30_000)]
-        )
+        draws = _draws(spec, np.zeros((1, 2)), np.random.default_rng(5), 30_000)[0]
         assert draws.mean() == pytest.approx(0.0, abs=0.02)
         assert draws.var() == pytest.approx(1.0, abs=3 * math.sqrt(2 / 30_000) + 0.01)
 
     def test_euclidean_two_point_correlation(self):
-        spec = va.FieldSpec(E, 2, 10.0)
-        pts = np.array([[0.0, 0.0], [0.25, 0.0]])
-        sampler = fs.FieldSampler(spec, fs.CovarianceFactor(), 6)
-        f = fs._draw_fields(sampler, pts, np.random.default_rng([6, 0]), 60_000)
+        # d = 3, so the draws go through the Cholesky factor
+        spec = va.FieldSpec(E, 3, 10.0)
+        pts = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
+        f = _draws(spec, pts, np.random.default_rng([6, 0]), 60_000)
         corr = np.corrcoef(f)[0, 1]
-        expect = specfun.jd(2, 10.0 * 0.25)
+        expect = specfun.jd(3, 10.0 * 0.25)
         assert corr == pytest.approx(expect, abs=4.0 / math.sqrt(60_000))
 
     def test_spherical_two_point_correlation(self):
@@ -62,43 +63,59 @@ class TestSamplers:
         spec = va.FieldSpec(S, 2, 15)
         r0 = 0.3
         pts = np.array([[0.0, 0.0, 1.0], [math.sin(r0), 0.0, math.cos(r0)]])
-        sampler = fs.FieldSampler(spec, fs.CovarianceFactor(), 7)
-        f = fs._draw_fields(sampler, pts, np.random.default_rng([7, 0]), 60_000)
+        f = _draws(spec, pts, np.random.default_rng([7, 0]), 60_000)
         corr = np.corrcoef(f)[0, 1]
         expect = gegenbauer(GegenbauerSpec(2, 15), math.cos(r0))
         assert corr == pytest.approx(expect, abs=4.0 / math.sqrt(60_000))
 
     @pytest.mark.parametrize(
-        "spec", [va.FieldSpec(S, 2, 5), va.FieldSpec(E, 3, 5.0)], ids=["spherical", "d3"]
+        "spec,planar",
+        [(va.FieldSpec(E, 2, 5.0), True), (va.FieldSpec(S, 2, 5), False),
+         (va.FieldSpec(E, 3, 5.0), False)],
+        ids=["planar", "spherical", "d3"],
     )
-    def test_fourier_bessel_planar_only(self, spec):
-        with pytest.raises(ValueError):
-            fs.FieldSampler(spec, fs.FourierBessel(), 1)
+    def test_fourier_bessel_planar_only(self, spec, planar):
+        # the field picks the factor: Fourier-Bessel columns for the planar
+        # wave, a square lower-triangular Cholesky factor for the others
+        rng = np.random.default_rng(2)
+        if spec.geometry == S:
+            pts = rng.normal(size=(12, 3))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        else:
+            pts = rng.uniform(-0.5, 0.5, (12, spec.d))
+        f = fs._factor(spec, pts)
+        if planar:
+            r_max = float(np.hypot(pts[:, 0], pts[:, 1]).max())
+            assert f.shape[0] == 12 and f.shape[1] % 2 == 1
+            assert f.shape[1] > 2 * spec.freq * r_max
+        else:
+            assert f.shape == (12, 12)
+            assert np.array_equal(f, np.tril(f))
 
     def test_sampler_reproducible(self):
-        spec = va.FieldSpec(E, 2, 5.0)
-        pts = np.random.default_rng(0).uniform(-1, 1, (10, 2))
-        a = fs.FieldSampler(spec, fs.CovarianceFactor(), 3)
-        b = fs.FieldSampler(spec, fs.CovarianceFactor(), 3)
-        va1 = fs.sample_field_values(a, pts)
-        vb1 = fs.sample_field_values(b, pts)
-        assert np.array_equal(va1, vb1)
+        # a spherical field, drawn through the Cholesky factor
+        spec = va.PolyspectrumSpec(va.FieldSpec(S, 2, 5), 3, 1.0)
+        dom = fs.build_domain(S, 2, 1.0, 8)
+        a = fs.FieldSampler(spec.field, 3)
+        b = fs.FieldSampler(spec.field, 3)
+        assert a == b
+        ma = fs.mc_polyspectrum_variance(spec, a, dom, 100)
+        mb = fs.mc_polyspectrum_variance(spec, b, dom, 100)
+        assert ma.estimate == mb.estimate and ma.ci95 == mb.ci95
 
     def test_point_budget(self):
-        spec = va.FieldSpec(E, 2, 5.0)
-        sampler = fs.FieldSampler(spec, fs.CovarianceFactor(), 3)
-        pts = np.zeros((fs.COVARIANCE_POINT_BUDGET + 1, 2))
+        spec = va.FieldSpec(E, 3, 5.0)
+        pts = np.zeros((fs.COVARIANCE_POINT_BUDGET + 1, 3))
         with pytest.raises(ValueError):
-            fs.sample_field_values(sampler, pts)
+            fs._factor(spec, pts)
 
     def test_fourier_bessel_budget(self):
         # within the Cholesky point budget, but lam max r = 2828 asks for
         # 5959 columns: more entries than the largest Cholesky factor
         spec = va.FieldSpec(E, 2, 5.0)
-        sampler = fs.FieldSampler(spec, fs.FourierBessel(), 3)
         pts = np.full((fs.COVARIANCE_POINT_BUDGET, 2), 400.0)
         with pytest.raises(ValueError):
-            fs.sample_field_values(sampler, pts)
+            fs._factor(spec, pts)
 
     @pytest.mark.parametrize(
         "lam,shift", [(10.0, None), (6.0, (5.0, -3.0))], ids=["64-points", "shifted-domain"]
@@ -109,16 +126,14 @@ class TestSamplers:
             pts = np.random.default_rng(1).uniform(-0.5, 0.5, (64, 2))
         else:
             pts = fs.build_domain(E, 2, 1.0, 10).points + np.array(shift)
-        sampler = fs.FieldSampler(va.FieldSpec(E, 2, lam), fs.FourierBessel(), 1)
-        f = fs._factor(sampler, pts)
+        f = fs._factor(va.FieldSpec(E, 2, lam), pts)
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
         assert np.abs(f @ f.T - specfun.jd(2, lam * dist)).max() <= 1e-13
 
     def test_fourier_bessel_unit_variance(self):
         # the truncation in m drops less than rounding on criterion 9's domain
         dom = fs.build_domain(E, 2, 1.0, 48)
-        sampler = fs.FieldSampler(va.FieldSpec(E, 2, 20.0), fs.FourierBessel(), 1)
-        f = fs._factor(sampler, dom.points)
+        f = fs._factor(va.FieldSpec(E, 2, 20.0), dom.points)
         assert np.abs(1.0 - np.sum(f * f, axis=1)).max() <= 1e-14
 
     def test_fourier_bessel_vs_covariance_factor(self):
@@ -127,16 +142,14 @@ class TestSamplers:
         rng = np.random.default_rng(1)
         pts = rng.uniform(-0.5, 0.5, (64, 2))
         trials = 15_000
-        sfb = fs.FieldSampler(spec, fs.FourierBessel(), 21)
-        scf = fs.FieldSampler(spec, fs.CovarianceFactor(), 22)
         ffb = np.concatenate(
-            [
-                fs._draw_fields(sfb, pts, np.random.default_rng([21, i]), 500)
-                for i in range(trials // 500)
-            ],
+            [_draws(spec, pts, np.random.default_rng([21, i]), 500)
+             for i in range(trials // 500)],
             axis=1,
         )
-        fcf = fs._draw_fields(scf, pts, np.random.default_rng([22, 0]), trials)
+        chol = fs._cholesky_factor(spec, pts)
+        assert fs._factor(spec, pts).shape != chol.shape  # two different factors
+        fcf = chol @ np.random.default_rng([22, 0]).standard_normal((len(pts), trials))
         cfb = ffb @ ffb.T / trials
         ccf = fcf @ fcf.T / trials
         # se of a covariance entry of unit-variance fields is ~ sqrt(2/T)
@@ -148,7 +161,7 @@ class TestMCPolyspectrumVariance:
     def test_ci_brackets_exact_euclidean(self):
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 8.0), 3, 1.0)
         dom = fs.build_domain(E, 2, 1.0, 12)
-        sampler = fs.FieldSampler(spec.field, fs.CovarianceFactor(), 99)
+        sampler = fs.FieldSampler(spec.field, 99)
         mc = fs.mc_polyspectrum_variance(spec, sampler, dom, 1500)
         exact = va.variance_exact_euclidean(spec)
         assert mc.ci95[0] <= exact.value <= mc.ci95[1]
@@ -157,7 +170,7 @@ class TestMCPolyspectrumVariance:
     def test_even_order_positive(self):
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 5.0), 2, 1.0)
         dom = fs.build_domain(E, 2, 1.0, 10)
-        sampler = fs.FieldSampler(spec.field, fs.CovarianceFactor(), 3)
+        sampler = fs.FieldSampler(spec.field, 3)
         mc = fs.mc_polyspectrum_variance(spec, sampler, dom, 400)
         assert mc.estimate > 0
 
@@ -165,10 +178,10 @@ class TestMCPolyspectrumVariance:
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 5.0), 3, 1.0)
         dom = fs.build_domain(E, 2, 1.0, 10)
         a = fs.mc_polyspectrum_variance(
-            spec, fs.FieldSampler(spec.field, fs.CovarianceFactor(), 5), dom, 300
+            spec, fs.FieldSampler(spec.field, 5), dom, 300
         )
         b = fs.mc_polyspectrum_variance(
-            spec, fs.FieldSampler(spec.field, fs.CovarianceFactor(), 5), dom, 300
+            spec, fs.FieldSampler(spec.field, 5), dom, 300
         )
         assert a.estimate == b.estimate and a.ci95 == b.ci95
 
@@ -179,8 +192,8 @@ class TestMCPolyspectrumVariance:
         shifted = fs.QuadratureDomain(
             dom.geometry, dom.d, dom.R, dom.points + np.array([5.0, -3.0]), dom.weights
         )
-        s1 = fs.FieldSampler(spec.field, fs.CovarianceFactor(), 31)
-        s2 = fs.FieldSampler(spec.field, fs.CovarianceFactor(), 32)
+        s1 = fs.FieldSampler(spec.field, 31)
+        s2 = fs.FieldSampler(spec.field, 32)
         a = fs.mc_polyspectrum_variance(spec, s1, dom, 1200)
         b = fs.mc_polyspectrum_variance(spec, s2, shifted, 1200)
         width = (a.ci95[1] - a.ci95[0]) + (b.ci95[1] - b.ci95[0])
@@ -192,7 +205,7 @@ class TestMCPolyspectrumVariance:
         doms = [fs.build_domain(E, 2, 1.0, res) for res in (10, 20)]
         ests = []
         for dom in doms:
-            sampler = fs.FieldSampler(spec.field, fs.FourierBessel(), 88)
+            sampler = fs.FieldSampler(spec.field, 88)
             mc = fs.mc_polyspectrum_variance(spec, sampler, dom, 600)
             ests.append(mc)
         half = 0.5 * (ests[0].ci95[1] - ests[0].ci95[0])
@@ -201,7 +214,7 @@ class TestMCPolyspectrumVariance:
     def test_rejects_few_trials(self):
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 5.0), 3, 1.0)
         dom = fs.build_domain(E, 2, 1.0, 10)
-        sampler = fs.FieldSampler(spec.field, fs.CovarianceFactor(), 5)
+        sampler = fs.FieldSampler(spec.field, 5)
         with pytest.raises(ValueError):
             fs.mc_polyspectrum_variance(spec, sampler, dom, 50)
 
