@@ -4,10 +4,10 @@ variance estimates of Hermite wave functionals.
 Every draw is F z with z standard normal and F F^T the covariance at the
 points.  The field picks F: the planar (d = 2, Euclidean) wave takes a
 Fourier-Bessel expansion (exact by Graf's addition theorem, linear in the
-number of points), every other field a dense Cholesky factorization (exact
-in law for any finite point set).  Trials are drawn in fixed-size chunks
-with chunk-indexed substreams, so results are reproducible for a given seed
-regardless of scheduling.
+number of points), every other field a pivoted Cholesky factor with one
+column per unit of numerical rank (exact in law for any finite point set).
+Trials are drawn in fixed-size chunks with chunk-indexed substreams, so
+results are reproducible for a given seed regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg.lapack import dpstrf
 from scipy.special import chdtrc, jv
 
 from . import specfun, walk
@@ -41,12 +42,11 @@ __all__ = [
 ]
 
 COVARIANCE_POINT_BUDGET = 4096
-_NUGGET_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 _TRIAL_CHUNK = 256
 
 
 class CovarianceFactorizationError(np.linalg.LinAlgError):
-    """Covariance factorization failed even at the maximum nugget."""
+    """The covariance is indefinite, so no factor reproduces it."""
 
 
 @dataclass(frozen=True)
@@ -68,21 +68,25 @@ def _covariance_matrix(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_factor(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
+    """n x r pivoted Cholesky factor, r the covariance's numerical rank.
+
+    LAPACK's stop at n eps max diag (Higham 1990) keeps 2 ell + 1 columns on
+    S^2 and (ell + 1)^2 on S^3.  An indefinite covariance stops it as well,
+    and then F F^T misses a diagonal entry of the covariance.
+    """
     if len(points) > COVARIANCE_POINT_BUDGET:
         raise ValueError(
             f"covariance sampling limited to {COVARIANCE_POINT_BUDGET} points"
         )
     cov = _covariance_matrix(spec, points)
-    for nug in _NUGGET_LADDER:
-        try:
-            return np.linalg.cholesky(cov + nug * np.eye(len(cov)))
-        except np.linalg.LinAlgError:
-            continue
-    eigmin = float(np.linalg.eigvalsh(cov).min())
-    raise CovarianceFactorizationError(
-        f"covariance not factorizable at nugget {_NUGGET_LADDER[-1]:g};"
-        f" smallest eigenvalue ~ {eigmin:.3e}"
-    )
+    c, piv, rank, _ = dpstrf(cov, lower=1, tol=-1.0)
+    out = np.empty((len(cov), rank))
+    out[piv - 1] = np.tril(c[:, :rank])
+    miss = np.abs(np.sum(out * out, axis=1) - np.diag(cov)).max(initial=0.0)
+    if miss > 1e-8:
+        raise CovarianceFactorizationError(
+            f"indefinite covariance: the rank-{rank} factor misses a variance by {miss:.2e}")
+    return out
 
 
 def _fourier_bessel_factor(lam: float, points: np.ndarray) -> np.ndarray:
@@ -101,7 +105,8 @@ def _fourier_bessel_factor(lam: float, points: np.ndarray) -> np.ndarray:
     if len(points) * (2 * M + 1) > COVARIANCE_POINT_BUDGET**2:
         raise ValueError(f"Fourier-Bessel factor {len(points)} x {2 * M + 1}"
                          f" exceeds {COVARIANCE_POINT_BUDGET}^2 entries")
-    bessel = jv(np.arange(M + 1), lam * r[:, None])
+    r_u, inv = np.unique(r, return_inverse=True)
+    bessel = jv(np.arange(M + 1), lam * r_u[:, None])[inv]
     m_theta = np.arange(1, M + 1) * theta[:, None]
     out = np.empty((len(points), 2 * M + 1))
     out[:, 0] = bessel[:, 0]
@@ -169,16 +174,15 @@ def build_domain(geometry: Geometry, d: int, R: float, resolution: int) -> Quadr
         raise ValueError("resolution must be >= 8")
     n_azimuth = 4 * resolution
     x, wx = leggauss(resolution)
+    sph, sw = _sphere_rule(d - 1, resolution, n_azimuth)
     if geometry == Geometry.EUCLIDEAN:
         r = 0.5 * R * (x + 1.0)
         wr = 0.5 * R * wx * r ** (d - 1)
-        sph, sw = _sphere_rule(d - 1, resolution, n_azimuth)
         pts = (r[:, None, None] * sph[None, :, :]).reshape(-1, d)
         w = (wr[:, None] * sw[None, :]).ravel()
     else:
         theta = 0.5 * R * (x + 1.0)
         wt = 0.5 * R * wx * np.sin(theta) ** (d - 1)
-        sph, sw = _sphere_rule(d - 1, resolution, n_azimuth)
         pts = np.concatenate(
             [
                 np.column_stack(
@@ -234,12 +238,8 @@ def _bin_masses(spec: walk.WalkSpec, edges: np.ndarray) -> np.ndarray:
     """Analytic probability mass of the walk radius in each bin."""
     d, n = spec.d, spec.n
     tab, _ = walk._psi_level(d, n)
-
-    def rho(r: np.ndarray) -> np.ndarray:
-        return tab(r) * r ** (d - 1)
-
     res = integrate_adaptive_batch(
-        lambda r, k: rho(r), edges[:-1], edges[1:], 1e-9,
+        lambda r, k: tab(r) * r ** (d - 1), edges[:-1], edges[1:], 1e-9,
         split_points=np.arange(1.0, n + 1.0)[None, :], max_evals=200_000,
     )
     check_converged(res, 1e-9, "bin mass quadrature")

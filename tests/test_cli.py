@@ -136,11 +136,12 @@ class TestVarianceCommand:
     @pytest.mark.parametrize("geometry", ["euclidean", "spherical"],
                              ids=["planar", "spherical"])
     def test_mc_factor_follows_field(self, geometry, monkeypatch, tmp_path):
-        # the planar wave draws through Fourier-Bessel, S^2 through Cholesky
+        # the planar wave draws through Fourier-Bessel, S^2 through the
+        # pivoted Cholesky factor
         calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: calls.append(a.shape) or cholesky(a))
+        dpstrf = cli.fieldsim.dpstrf
+        monkeypatch.setattr(cli.fieldsim, "dpstrf",
+                            lambda a, **kw: calls.append(a.shape) or dpstrf(a, **kw))
         argv = ["variance", "--geometry", geometry, "--d", "2", "--q", "3",
                 "--R", "1.0", "--freq", "10", "--method", "mc",
                 "--trials", "200", "--resolution", "10"]
@@ -151,6 +152,20 @@ class TestVarianceCommand:
             outs.append(out.read_bytes())
         assert (len(calls) == 0) == (geometry == "euclidean")
         assert outs[0] == outs[1]
+
+    def test_indefinite_covariance_exit_code(self, monkeypatch, capsys):
+        # [[1, 2], [2, 1]] has eigenvalue -1: no factor reproduces it
+        def indefinite(spec, points):
+            cov = np.eye(len(points))
+            cov[0, 1] = cov[1, 0] = 2.0
+            return cov
+
+        monkeypatch.setattr(cli.fieldsim, "_covariance_matrix", indefinite)
+        argv = ["variance", "--geometry", "spherical", "--d", "2", "--q", "3",
+                "--R", "1.0", "--freq", "10", "--method", "mc",
+                "--trials", "200", "--resolution", "10"]
+        assert cli.main(argv) == cli.EXIT_LINALG == 4
+        assert "linear algebra failure" in capsys.readouterr().err
 
 
 class TestTableCommand:

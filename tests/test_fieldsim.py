@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from polyspec import fieldsim as fs
 from polyspec import specfun
@@ -76,7 +77,7 @@ class TestSamplers:
     )
     def test_fourier_bessel_planar_only(self, spec, planar):
         # the field picks the factor: Fourier-Bessel columns for the planar
-        # wave, a square lower-triangular Cholesky factor for the others
+        # wave, a pivoted Cholesky factor of at most n columns for the others
         rng = np.random.default_rng(2)
         if spec.geometry == S:
             pts = rng.normal(size=(12, 3))
@@ -89,8 +90,14 @@ class TestSamplers:
             assert f.shape[0] == 12 and f.shape[1] % 2 == 1
             assert f.shape[1] > 2 * spec.freq * r_max
         else:
-            assert f.shape == (12, 12)
-            assert np.array_equal(f, np.tril(f))
+            assert f.shape[0] == 12 and f.shape[1] <= 12
+            # the dropped Schur complement (n eps) plus Cholesky's backward
+            # error ((n + 1) eps on a unit diagonal)
+            cov = fs._covariance_matrix(spec, pts)
+            assert np.abs(f @ f.T - cov).max() <= (2 * 12 + 1) * np.finfo(float).eps
+        if spec.geometry == S:
+            # a degree-5 harmonic on S^2 spans 2 ell + 1 = 11 functions
+            assert f.shape[1] == 11
 
     def test_sampler_reproducible(self):
         # a spherical field, drawn through the Cholesky factor
@@ -102,6 +109,22 @@ class TestSamplers:
         ma = fs.mc_polyspectrum_variance(spec, a, dom, 100)
         mb = fs.mc_polyspectrum_variance(spec, b, dom, 100)
         assert ma.estimate == mb.estimate and ma.ci95 == mb.ci95
+
+    @pytest.mark.parametrize(
+        "spec,R,resolution,rank",
+        [(va.FieldSpec(S, 2, 15), 1.0, 16, 31), (va.FieldSpec(S, 3, 10), 0.7, 8, 120),
+         (va.FieldSpec(E, 3, 10.0), 1.0, 8, None)],
+        ids=["S2", "S3", "R3"],
+    )
+    def test_cholesky_factor_exact(self, spec, R, resolution, rank):
+        # F F^T is the covariance within n eps, with one column per unit of
+        # rank: 2 ell + 1 harmonics of degree ell on S^2, (ell + 1)^2 on S^3
+        pts = fs.build_domain(spec.geometry, spec.d, R, resolution).points
+        f = fs._cholesky_factor(spec, pts)
+        cov = fs._covariance_matrix(spec, pts)
+        assert np.abs(f @ f.T - cov).max() <= len(pts) * np.finfo(float).eps
+        if rank is not None:
+            assert f.shape == (len(pts), rank)
 
     def test_point_budget(self):
         spec = va.FieldSpec(E, 3, 5.0)
@@ -130,6 +153,20 @@ class TestSamplers:
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
         assert np.abs(f @ f.T - specfun.jd(2, lam * dist)).max() <= 1e-13
 
+    @pytest.mark.parametrize("resolution", [16, 24, 48])
+    def test_fourier_bessel_columns_per_point(self, resolution):
+        # Bessel values taken per distinct radius equal a jv call per point
+        lam = 20.0
+        pts = fs.build_domain(E, 2, 1.0, resolution).points
+        f = fs._fourier_bessel_factor(lam, pts)
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        m = np.arange(1, f.shape[1] // 2 + 1)
+        assert np.array_equal(f[:, 0], jv(0, lam * r))
+        assert np.array_equal(
+            f[:, 1::2], math.sqrt(2.0) * jv(m, lam * r[:, None]) * np.cos(m * theta[:, None])
+        )
+
     def test_fourier_bessel_unit_variance(self):
         # the truncation in m drops less than rounding on criterion 9's domain
         dom = fs.build_domain(E, 2, 1.0, 48)
@@ -149,7 +186,7 @@ class TestSamplers:
         )
         chol = fs._cholesky_factor(spec, pts)
         assert fs._factor(spec, pts).shape != chol.shape  # two different factors
-        fcf = chol @ np.random.default_rng([22, 0]).standard_normal((len(pts), trials))
+        fcf = chol @ np.random.default_rng([22, 0]).standard_normal((chol.shape[1], trials))
         cfb = ffb @ ffb.T / trials
         ccf = fcf @ fcf.T / trials
         # se of a covariance entry of unit-variance fields is ~ sqrt(2/T)
