@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg.lapack import dpstrf
 from scipy.special import chdtrc, jv
 
 from . import specfun, walk
@@ -57,35 +56,62 @@ class FieldSampler:
     seed: int
 
 
-def _covariance_matrix(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
+def _kernel(spec: FieldSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Covariance of the field between points x and y, broadcast over rows."""
     if spec.geometry == Geometry.EUCLIDEAN:
-        diff = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt(np.maximum(np.einsum("ijk,ijk->ij", diff, diff), 0.0))
+        diff = x - y
+        dist = np.sqrt(np.maximum(np.einsum("...k,...k->...", diff, diff), 0.0))
         return specfun.jd(spec.d, spec.freq * dist)
-    gram = np.clip(points @ points.T, -1.0, 1.0)
-    gspec = specfun.GegenbauerSpec(spec.d, spec.ell)
-    return specfun.gegenbauer(gspec, gram)
+    gram = np.clip(np.einsum("...k,...k->...", x, y), -1.0, 1.0)
+    return specfun.gegenbauer(specfun.GegenbauerSpec(spec.d, spec.ell), gram)
+
+
+def _covariance(spec: FieldSpec, points: np.ndarray, cols) -> np.ndarray:
+    """The covariance columns cols: an n x len(cols) array."""
+    return _kernel(spec, points[:, None, :], points[None, cols, :])
 
 
 def _cholesky_factor(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
     """n x r pivoted Cholesky factor, r the covariance's numerical rank.
 
-    LAPACK's stop at n eps max diag (Higham 1990) keeps 2 ell + 1 columns on
-    S^2 and (ell + 1)^2 on S^3.  An indefinite covariance stops it as well,
-    and then F F^T misses a diagonal entry of the covariance.
+    Matrix-free (Harbrecht, Peters & Schneider, Appl. Numer. Math. 2012):
+    each step evaluates only the covariance column of the largest residual
+    variance, so the work is n (r + 1) kernel values with the diagonal.  It
+    stops before column k + 1 once that residual plus the (k + 1) eps
+    rounding of a (k + 1)-term F F^T is within n eps max diag, which keeps
+    2 ell + 1 columns on S^2 and (ell + 1)^2 on S^3.  An indefinite
+    covariance stops it as well, and then F F^T misses a diagonal entry of
+    the covariance.
     """
-    if len(points) > COVARIANCE_POINT_BUDGET:
+    n = len(points)
+    if n > COVARIANCE_POINT_BUDGET:
         raise ValueError(
             f"covariance sampling limited to {COVARIANCE_POINT_BUDGET} points"
         )
-    cov = _covariance_matrix(spec, points)
-    c, piv, rank, _ = dpstrf(cov, lower=1, tol=-1.0)
-    out = np.empty((len(cov), rank))
-    out[piv - 1] = np.tril(c[:, :rank])
-    miss = np.abs(np.sum(out * out, axis=1) - np.diag(cov)).max(initial=0.0)
+    diag = _kernel(spec, points, points)
+    scale = np.finfo(float).eps * float(diag.max(initial=0.0))
+    res = diag.copy()
+    # the factor's columns, one contiguous row each, so each update is a gemv
+    rows = np.empty((min(n, 32), n))
+    k = 0
+    while k < n:
+        i = int(np.argmax(res))
+        if res[i] <= (n - k - 1) * scale:
+            break
+        if k == len(rows):
+            rows = np.concatenate([rows, np.empty((min(k, n - k), n))])
+        col = _covariance(spec, points, [i])[:, 0]
+        col -= rows[:k, i] @ rows[:k]
+        col /= math.sqrt(res[i])
+        res -= col * col
+        res[i] = 0.0  # never pivot twice
+        rows[k] = col
+        k += 1
+    out = rows[:k].T
+    miss = np.abs(np.sum(out * out, axis=1) - diag).max(initial=0.0)
     if miss > 1e-8:
         raise CovarianceFactorizationError(
-            f"indefinite covariance: the rank-{rank} factor misses a variance by {miss:.2e}")
+            f"indefinite covariance: the rank-{k} factor misses a variance by {miss:.2e}")
     return out
 
 

@@ -525,24 +525,35 @@ def idq_partial_integrals(d: int, q: int, t_values) -> np.ndarray:
 def sample_walk(spec: WalkSpec, n_samples: int, seed: int) -> np.ndarray:
     """Radii of n-step uniform flights, one per sample.
 
-    Steps are Gaussian vectors normalized to the unit sphere (rejection-free
-    in every dimension).  Samples are generated in fixed-size chunks with
-    chunk-indexed substreams, so the output is reproducible for a given seed
-    independently of how chunks are scheduled.
+    Only the radius is drawn.  Step k has cosine t_k with the running sum,
+    so r_k^2 = r_(k-1)^2 + 1 + 2 r_(k-1) t_k from r_1 = 1.  By rotational
+    invariance t_k is i.i.d. and independent of r_(k-1), with the law of one
+    coordinate of a uniform point on S^(d-1): t = 2B - 1, B ~ Beta((d-1)/2,
+    (d-1)/2).  Where numpy's beta takes its slow rejection path (a <= 1), the
+    law is drawn directly: t = cos(pi U) at d = 2 (the arcsine law) and t
+    uniform on [-1, 1] at d = 3 (Archimedes' hat-box theorem).  Samples are
+    generated in fixed-size chunks with chunk-indexed substreams, so the
+    output is reproducible for a given seed independently of how chunks are
+    scheduled.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
+    a = 0.5 * (spec.d - 1)
     out = np.empty(n_samples)
     chunk = 1 << 16
     for idx, start in enumerate(range(0, n_samples, chunk)):
         m = min(chunk, n_samples - start)
         rng = np.random.default_rng([seed, idx])
-        acc = np.zeros((m, spec.d))
-        for _ in range(spec.n):
-            g = rng.standard_normal((m, spec.d))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            acc += g
-        out[start:start + m] = np.linalg.norm(acc, axis=1)
+        r = np.ones(m)
+        for _ in range(spec.n - 1):
+            if spec.d == 2:
+                t = np.cos(rng.uniform(0.0, math.pi, m))
+            elif spec.d == 3:
+                t = rng.uniform(-1.0, 1.0, m)
+            else:
+                t = 2.0 * rng.beta(a, a, m) - 1.0
+            r = np.sqrt(np.maximum(r * r + 1.0 + 2.0 * r * t, 0.0))
+        out[start:start + m] = r
     return out
 
 

@@ -137,11 +137,11 @@ class TestVarianceCommand:
                              ids=["planar", "spherical"])
     def test_mc_factor_follows_field(self, geometry, monkeypatch, tmp_path):
         # the planar wave draws through Fourier-Bessel, S^2 through the
-        # pivoted Cholesky factor
+        # pivoted Cholesky factor, which reads covariance columns
         calls = []
-        dpstrf = cli.fieldsim.dpstrf
-        monkeypatch.setattr(cli.fieldsim, "dpstrf",
-                            lambda a, **kw: calls.append(a.shape) or dpstrf(a, **kw))
+        covariance = cli.fieldsim._covariance
+        monkeypatch.setattr(cli.fieldsim, "_covariance",
+                            lambda *a: calls.append(a[2]) or covariance(*a))
         argv = ["variance", "--geometry", geometry, "--d", "2", "--q", "3",
                 "--R", "1.0", "--freq", "10", "--method", "mc",
                 "--trials", "200", "--resolution", "10"]
@@ -155,12 +155,12 @@ class TestVarianceCommand:
 
     def test_indefinite_covariance_exit_code(self, monkeypatch, capsys):
         # [[1, 2], [2, 1]] has eigenvalue -1: no factor reproduces it
-        def indefinite(spec, points):
+        def indefinite(spec, points, cols):
             cov = np.eye(len(points))
             cov[0, 1] = cov[1, 0] = 2.0
-            return cov
+            return cov[:, cols]
 
-        monkeypatch.setattr(cli.fieldsim, "_covariance_matrix", indefinite)
+        monkeypatch.setattr(cli.fieldsim, "_covariance", indefinite)
         argv = ["variance", "--geometry", "spherical", "--d", "2", "--q", "3",
                 "--R", "1.0", "--freq", "10", "--method", "mc",
                 "--trials", "200", "--resolution", "10"]

@@ -93,7 +93,7 @@ class TestSamplers:
             assert f.shape[0] == 12 and f.shape[1] <= 12
             # the dropped Schur complement (n eps) plus Cholesky's backward
             # error ((n + 1) eps on a unit diagonal)
-            cov = fs._covariance_matrix(spec, pts)
+            cov = fs._covariance(spec, pts, np.arange(len(pts)))
             assert np.abs(f @ f.T - cov).max() <= (2 * 12 + 1) * np.finfo(float).eps
         if spec.geometry == S:
             # a degree-5 harmonic on S^2 spans 2 ell + 1 = 11 functions
@@ -121,10 +121,24 @@ class TestSamplers:
         # rank: 2 ell + 1 harmonics of degree ell on S^2, (ell + 1)^2 on S^3
         pts = fs.build_domain(spec.geometry, spec.d, R, resolution).points
         f = fs._cholesky_factor(spec, pts)
-        cov = fs._covariance_matrix(spec, pts)
+        cov = fs._covariance(spec, pts, np.arange(len(pts)))
         assert np.abs(f @ f.T - cov).max() <= len(pts) * np.finfo(float).eps
         if rank is not None:
             assert f.shape == (len(pts), rank)
+
+    def test_cholesky_factor_work(self, monkeypatch):
+        # matrix-free: the diagonal and one column per unit of rank, so
+        # (2 ell + 2) n kernel values on S^2 where the dense covariance has n^2
+        ell = 15
+        spec = va.FieldSpec(S, 2, ell)
+        pts = fs.build_domain(S, 2, 1.0, 16).points
+        sizes = []
+        gegenbauer = specfun.gegenbauer
+        monkeypatch.setattr(specfun, "gegenbauer",
+                            lambda s, t: sizes.append(np.size(t)) or gegenbauer(s, t))
+        f = fs._cholesky_factor(spec, pts)
+        assert f.shape[1] == 2 * ell + 1
+        assert sum(sizes) <= (2 * ell + 2) * len(pts)
 
     def test_point_budget(self):
         spec = va.FieldSpec(E, 3, 5.0)
@@ -221,6 +235,21 @@ class TestMCPolyspectrumVariance:
             spec, fs.FieldSampler(spec.field, 5), dom, 300
         )
         assert a.estimate == b.estimate and a.ci95 == b.ci95
+
+    @pytest.mark.parametrize("ell", [5, 8])
+    def test_odd_q_spherical(self, ell):
+        # the paper's headline branch, q = 5 on S^2, against the exact
+        # variance at ten fixed seeds: the mean within 3 standard errors and
+        # at least 7 of the 10 intervals covering it (criterion 9's rule)
+        spec = va.PolyspectrumSpec(va.FieldSpec(S, 2, ell), 5, 1.0)
+        dom = fs.build_domain(S, 2, 1.0, 16)
+        exact = va.variance_exact_spherical(spec).value
+        runs = [fs.mc_polyspectrum_variance(spec, fs.FieldSampler(spec.field, seed), dom, 2000)
+                for seed in range(77, 87)]
+        ests = np.array([m.estimate for m in runs])
+        se = float(ests.std(ddof=1)) / math.sqrt(len(runs))
+        assert abs(float(ests.mean()) - exact) <= 3.0 * se
+        assert sum(m.ci95[0] <= exact <= m.ci95[1] for m in runs) >= 7
 
     def test_recentring_invariance(self):
         # stationarity: shifting the domain moves the estimate within the CI

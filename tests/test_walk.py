@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from polyspec import quadrature, specfun, walk
 from polyspec.walk import Classification, DensityRoute, IdqRoute, WalkSpec
@@ -563,6 +563,26 @@ class TestSampleWalk:
         cdf = np.minimum(r**2 / 4.0, 1.0)
         ks = np.abs(np.arange(1, n + 1) / n - cdf).max()
         assert ks <= 1.63 / math.sqrt(n)
+
+    @pytest.mark.parametrize("d", [2, 4, 5])
+    def test_kolmogorov_smirnov_two_step_any_dim(self, d):
+        # at n = 2, r^2 / 4 = (1 + t) / 2 is Beta((d-1)/2, (d-1)/2)
+        n = 1_000_000
+        r = np.sort(walk.sample_walk(WalkSpec(d, 2), n, 123))
+        a = 0.5 * (d - 1)
+        cdf = betainc(a, a, np.minimum(r**2 / 4.0, 1.0))
+        ks = np.abs(np.arange(1, n + 1) / n - cdf).max()
+        assert ks <= 1.63 / math.sqrt(n)
+
+    @pytest.mark.parametrize("d,steps", [(2, 5), (4, 3), (5, 4)])
+    def test_second_moment_and_support_any_dim(self, d, steps):
+        # uncorrelated unit steps: E r^2 = n, and 0 <= r <= n
+        n_samples = 400_000
+        r = walk.sample_walk(WalkSpec(d, steps), n_samples, 9)
+        sq = r**2
+        se = sq.std() / math.sqrt(n_samples)
+        assert abs(sq.mean() - steps) <= 4.0 * se
+        assert r.min() >= 0.0 and r.max() <= steps
 
     def test_deterministic(self):
         a = walk.sample_walk(WalkSpec(2, 3), 70_000, 11)
