@@ -91,23 +91,29 @@ def _cholesky_factor(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
     diag = _kernel(spec, points, points)
     scale = np.finfo(float).eps * float(diag.max(initial=0.0))
     res = diag.copy()
-    # the factor's columns, one contiguous row each, so each update is a gemv
+    # as in LAPACK's pivoted Cholesky, pivot k swaps into place k, so the factor is
+    # lower triangular in pivot order and step k reads only the n - k open
+    # rows; its columns are contiguous rows of a k x n array
+    perm = np.arange(n)
     rows = np.empty((min(n, 32), n))
     k = 0
     while k < n:
-        i = int(np.argmax(res))
+        i = k + int(np.argmax(res[k:]))
         if res[i] <= (n - k - 1) * scale:
             break
         if k == len(rows):
             rows = np.concatenate([rows, np.empty((min(k, n - k), n))])
-        col = _covariance(spec, points, [i])[:, 0]
-        col -= rows[:k, i] @ rows[:k]
-        col /= math.sqrt(res[i])
-        res -= col * col
-        res[i] = 0.0  # never pivot twice
-        rows[k] = col
+        for a in (perm, res, rows[:k].T):
+            a[[k, i]] = a[[i, k]]
+        col = _covariance(spec, points, [perm[k]])[perm[k:], 0]
+        col -= rows[:k, k] @ rows[:k, k:]
+        col /= math.sqrt(res[k])
+        res[k:] -= col * col
+        rows[k, :k] = 0.0
+        rows[k, k:] = col
         k += 1
-    out = rows[:k].T
+    out = np.empty((n, k))
+    out[perm] = rows[:k].T
     miss = np.abs(np.sum(out * out, axis=1) - diag).max(initial=0.0)
     if miss > 1e-8:
         raise CovarianceFactorizationError(

@@ -529,12 +529,11 @@ def sample_walk(spec: WalkSpec, n_samples: int, seed: int) -> np.ndarray:
     so r_k^2 = r_(k-1)^2 + 1 + 2 r_(k-1) t_k from r_1 = 1.  By rotational
     invariance t_k is i.i.d. and independent of r_(k-1), with the law of one
     coordinate of a uniform point on S^(d-1): t = 2B - 1, B ~ Beta((d-1)/2,
-    (d-1)/2).  Where numpy's beta takes its slow rejection path (a <= 1), the
-    law is drawn directly: t = cos(pi U) at d = 2 (the arcsine law) and t
-    uniform on [-1, 1] at d = 3 (Archimedes' hat-box theorem).  Samples are
-    generated in fixed-size chunks with chunk-indexed substreams, so the
-    output is reproducible for a given seed independently of how chunks are
-    scheduled.
+    (d-1)/2).  At d = 3 that law is uniform on [-1, 1] (Archimedes' hat-box
+    theorem), drawn directly because numpy's beta(1, 1) takes a slow
+    rejection path.  Samples are generated in fixed-size chunks with
+    chunk-indexed substreams, so the output is reproducible for a given seed
+    independently of how chunks are scheduled.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
@@ -546,9 +545,7 @@ def sample_walk(spec: WalkSpec, n_samples: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng([seed, idx])
         r = np.ones(m)
         for _ in range(spec.n - 1):
-            if spec.d == 2:
-                t = np.cos(rng.uniform(0.0, math.pi, m))
-            elif spec.d == 3:
+            if spec.d == 3:
                 t = rng.uniform(-1.0, 1.0, m)
             else:
                 t = 2.0 * rng.beta(a, a, m) - 1.0
