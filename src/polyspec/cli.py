@@ -174,6 +174,12 @@ def _cmd_table(args, started: float) -> int:
     return 0
 
 
+def _positive_finite(text: str) -> float:
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return float(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyspec",
@@ -188,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--output-path", type=str, default=None)
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--tol", type=_positive_finite, default=1e-8)
 
     p = sub.add_parser("density", help="random-flight radius density on a grid")
     p.add_argument("--d", type=int, required=True)
@@ -260,17 +266,15 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    argv = _apply_config(argv)
-    args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
-    if getattr(args, "r_max", None) is None and hasattr(args, "n"):
-        args.r_max = float(args.n)
-    started = time.monotonic()
     try:
-        return args.fn(args, started)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
+        args = parser.parse_args(_apply_config(argv))
+        if args.format is None:
+            args.format = args.default_format
+        if getattr(args, "r_max", None) is None and hasattr(args, "n"):
+            args.r_max = float(args.n)
+        return args.fn(args, time.monotonic())
+    except (argparse.ArgumentTypeError, OSError) as exc:
+        parser.error(str(exc))  # OSError: unreadable --config or --output-path
     except np.linalg.LinAlgError as exc:  # and fieldsim.CovarianceFactorizationError
         print(f"linear algebra failure: {exc}", file=sys.stderr)
         return EXIT_LINALG

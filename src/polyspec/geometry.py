@@ -54,8 +54,8 @@ class BallSpec:
     def __post_init__(self) -> None:
         _validate_dim(self.d)
         if self.geometry == Geometry.EUCLIDEAN:
-            if not (self.R > 0):
-                raise ValueError("Euclidean radius must be > 0")
+            if not (0 < self.R < math.inf):
+                raise ValueError("Euclidean radius must be finite and > 0")
         else:
             if not (0 < self.R <= math.pi):
                 raise ValueError("spherical radius must lie in (0, pi]")

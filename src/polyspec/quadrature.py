@@ -4,7 +4,8 @@ Three pieces: an adaptive finite-interval integrator built on an embedded
 open Gauss pair (no endpoint evaluations, so integrable inverse-square-root
 endpoints need no special handling), an improper oscillatory integrator that
 partitions [a, oo) into asymptotic half-periods and accelerates the partial
-sums, and Gauss-Jacobi rules for the symmetric weight (1-s^2)^(nu-1/2).
+sums (iterated Aitken if the panel sums alternate in sign, Richardson in 1/T
+otherwise), and Gauss-Jacobi rules for the symmetric weight (1-s^2)^(nu-1/2).
 
 The adaptive integrator is batched: integrate_adaptive_batch takes a family
 of K integrals (an integrand f(x, k), per-integral limits, tolerances and
@@ -375,10 +376,7 @@ def _iterated_aitken(s: np.ndarray):
         mask = np.abs(d2) > 1e-300
         if not mask.any():
             break
-        nxt = v[:-2] - d1[:-1] ** 2 / np.where(mask, d2, 1.0)
-        nxt = nxt[mask]
-        if len(nxt) == 0:
-            break
+        nxt = (v[:-2] - d1[:-1] ** 2 / np.where(mask, d2, 1.0))[mask]
         err = abs(nxt[-1] - prev)
         prev = nxt[-1]
         v = nxt
@@ -411,8 +409,6 @@ def _richardson_inverse_t(sums: np.ndarray, t0: float):
         xs.append(1.0 / (t0 + 2.0 * m * math.pi))
         ys.append(sums[2 * m - 1])
         m //= 2
-    if len(xs) < 3:
-        return sums[-1], np.inf
     ext = _neville_to_zero(np.array(xs), ys)
     change = np.abs(np.diff(ext))
     best = (float(ext[0]), np.inf)
@@ -423,23 +419,18 @@ def _richardson_inverse_t(sums: np.ndarray, t0: float):
 
 
 def _accelerate_sums(sums: np.ndarray, t0: float):
-    """Best available limit estimate for a partial-sum sequence.
+    """Limit estimate of a partial-sum sequence by the one accelerator its
+    tail calls for (Sidi, Practical Extrapolation Methods, 2003).
 
-    Candidates: Richardson extrapolation in 1/T over period-doubled
-    boundaries (sharp for monotone algebraic tails) and iterated Aitken on
-    the newest window.  Aitken runs a second time on a truncated window and
-    its error estimate is widened by the disagreement, a guard against
-    false plateaus.
+    If every neighbouring pair of the last 16 panel sums differs in sign,
+    the tail alternates with no non-oscillating part, and iterated Aitken
+    runs on the newest 48 sums.  Otherwise a monotone mean part remains, and
+    Richardson extrapolation in 1/T runs over period-doubled boundaries.
     """
-    n = len(sums)
-    cands = [_richardson_inverse_t(sums, t0)] if n >= 64 else []
-    seq = sums[-min(n, 48):]
-    est, err = _iterated_aitken(seq)
-    if len(seq) >= 24 and math.isfinite(err):
-        est2, _ = _iterated_aitken(seq[: max(12, int(0.85 * len(seq)))])
-        err = max(err, 0.7 * abs(est - est2))
-    cands.append((est, err))
-    return min(cands, key=lambda c: c[1] if math.isfinite(c[1]) else np.inf)
+    signs = np.sign(np.diff(sums[-17:]))
+    if np.all(signs[1:] * signs[:-1] < 0):
+        return _iterated_aitken(sums[-48:])
+    return _richardson_inverse_t(sums, t0)
 
 
 def _smooth_cutoff(u: np.ndarray) -> np.ndarray:
@@ -546,14 +537,16 @@ def integrate_oscillatory_tail(
     """Improper integral int_a^oo g as a limit of inter-zero partial sums.
 
     Panels of one period pi each (aligned to phase_offset), integrated by
-    a fixed rule and summed; the partial-sum sequence is accelerated by
-    Richardson extrapolation in 1/T or iterated Aitken, whichever estimates
-    the smaller error.  Absolutely convergent tails (decay_exponent > 1) may
-    instead stop by plain truncation once the analytic envelope bound
-    C T^(1-alpha)/(alpha-1) meets the tolerance.  Conditionally convergent
-    inputs always take the acceleration path.  Whether the integral
-    converges at all is the caller's question: a divergent one exhausts the
-    panel budget and comes back unconverged.
+    a fixed rule and summed.  At each check the partial-sum sequence is
+    accelerated by one extrapolator, chosen from the signs of the last 16
+    panel sums: iterated Aitken if every neighbouring pair differs in sign
+    (a purely alternating tail), else Richardson extrapolation in 1/T (a
+    monotone mean part remains).  Absolutely convergent tails
+    (decay_exponent > 1) may instead stop by plain truncation once the
+    analytic envelope bound C T^(1-alpha)/(alpha-1) meets the tolerance.
+    Conditionally convergent inputs always take the acceleration path.
+    Whether the integral converges at all is the caller's question: a
+    divergent one exhausts the panel budget and comes back unconverged.
 
     The error estimate never drops below the rounding level of the running
     sum, eps (sum_k |S_k| + |head|) over the partial sums S_k and the head

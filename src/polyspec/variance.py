@@ -47,11 +47,11 @@ class FieldSpec:
     def __post_init__(self) -> None:
         specfun._validate_dim(self.d)
         if self.geometry == Geometry.EUCLIDEAN:
-            if not (self.freq > 0):
-                raise ValueError("wavenumber must be > 0")
+            if not (0 < self.freq < math.inf):
+                raise ValueError("wavenumber must be finite and > 0")
         else:
-            if int(self.freq) != self.freq or self.freq < 1:
-                raise ValueError("degree must be an integer >= 1")
+            if not (1 <= self.freq < math.inf) or int(self.freq) != self.freq:
+                raise ValueError("degree must be a finite integer >= 1")
 
     @property
     def ell(self) -> int:

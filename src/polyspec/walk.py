@@ -1,10 +1,10 @@
 """Radial densities of uniform random flights and the constants they govern.
 
 A flight of n unit steps, each uniform on S^(d-1), has radius density
-rho^d_n supported on (0, n).  Three evaluation routes are provided: the
-closed form at n = 2, the oscillatory Bessel-moment integral (valid for all
-n >= 2), and a fixed-point recursion that lowers n by averaging the previous
-density over a sphere of directions.  The wave-moment constants
+rho^d_n supported on (0, n).  Four evaluation routes are provided: the
+closed form at n = 2, the Bessel-moment integral (all n >= 2), a recursion
+that lowers n by averaging the previous density over a sphere of directions,
+and a Monte Carlo histogram of sampled radii.  The wave-moment constants
 
     I_q^d = int_0^infty jd(t)^q t^(d-1) dt
 
@@ -599,8 +599,8 @@ def density_curve(spec: WalkSpec, r_min: float, r_max: float, points: int,
     route = DensityRoute(route)
     if spec.n < 2:
         raise ValueError("density routes need n >= 2 (a single step has unit radius)")
-    if not (0 <= r_min < r_max):
-        raise ValueError("need 0 <= r_min < r_max")
+    if not (0 <= r_min < r_max < math.inf):
+        raise ValueError("need 0 <= r_min < r_max < inf")
     grid = np.linspace(r_min, r_max, points)
     grid = grid[grid > 0] if r_min == 0 else grid
     vals, errs = density_on_grid(spec, grid, route, seed=seed, tol=tol)

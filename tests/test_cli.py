@@ -224,6 +224,44 @@ class TestInfrastructure:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["constant", "--d", "3", "--q", "5", "--tol", "0"],
+        ["constant", "--d", "3", "--q", "5", "--tol", "-1"],
+        ["constant", "--d", "3", "--q", "5", "--tol", "nan"],
+        ["variance", "--geometry", "euclidean", "--d", "2", "--q", "3", "--R", "1",
+         "--freq", "10", "--tol", "nan"],
+        ["density", "--d", "3", "--n", "4", "--route", "kluyver", "--tol", "nan"],
+        ["variance", "--geometry", "euclidean", "--d", "2", "--q", "3", "--R", "1",
+         "--freq", "inf"],
+        ["variance", "--geometry", "spherical", "--d", "2", "--q", "3", "--R", "1",
+         "--freq", "inf"],
+        ["variance", "--geometry", "euclidean", "--d", "2", "--q", "3", "--R", "inf",
+         "--freq", "10"],
+        ["density", "--d", "3", "--n", "2", "--route", "closed", "--r-max", "inf"],
+    ], ids=["tol0", "tol-1", "tol-nan", "variance-tol-nan", "kluyver-tol-nan",
+            "euclidean-freq-inf", "spherical-freq-inf", "R-inf", "r-max-inf"])
+    def test_non_finite_or_non_positive_value_exit_code(self, argv, capsys):
+        # each was a budget spent then exit 3, or exit 0 with a value that
+        # never converged (a NaN tol passes every convergence check)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_missing_config_file_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", "/nonexistent.cfg", "table"])
+        assert exc.value.code == 2
+        assert "/nonexistent.cfg" in capsys.readouterr().err
+
+    def test_unwritable_output_path_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["density", "--d", "3", "--n", "2", "--route", "closed",
+                      "--output-path", str(out)])
+        assert exc.value.code == 2
+        assert str(out) in capsys.readouterr().err
+
     def test_unknown_route_exit_code(self):
         proc = run_cli(
             ["density", "--d", "3", "--n", "2", "--route", "bogus"], check=False

@@ -164,6 +164,37 @@ def rayleigh_treloar(n: int, r):
     return r / (2 ** (n - 1) * math.factorial(n - 2)) * s
 
 
+def _idq_references() -> dict:
+    """Reference values of I_q^d: exact where known, else mpmath."""
+    refs = {(d, 3): walk.idq_closed_form(d, 3) for d in range(2, 11)}
+    refs[(2, 5)] = walk.idq_closed_form(2, 5)
+    for q in range(4, 12):  # I_q^3 = (pi/2) rho^3_{q-1}(1)
+        refs[(3, q)] = math.pi / 2 * rayleigh_treloar(q - 1, 1.0)
+    # I_q^d = (nu!)^2 4^nu rho^d_{q-1}(1) with the exact odd-d endpoints
+    # rho^5_3(1) = 12/35, rho^5_4(1) = 14697/71680, rho^7_3(1) = 240/1001
+    refs[(5, 4)] = 9 * math.pi / 2 * 12 / 35
+    refs[(5, 5)] = 9 * math.pi / 2 * 14697 / 71680
+    refs[(7, 4)] = 27000 * math.pi / 1001
+    # mpmath.quadosc(lambda t: jd(d, t)**q * t**(d - 1), [0, inf], omega=1)
+    # at 30 digits
+    refs.update({
+        (2, 6): 0.3368279617664489349224489,
+        (2, 8): 0.2377146534191920500631623,
+        (4, 4): 1.621138938277404343102071,
+        (4, 5): 1.036731939784353150734028,
+        (4, 6): 0.7502534646002740200875636,
+        (6, 4): 18.44495858662291163707246,
+        (6, 5): 10.11889217800612314669908,
+        (6, 6): 6.181359957117357307240736,
+        (8, 4): 455.3269776812055901265887,
+        (10, 4): 19376.82390215291529515332,
+    })
+    return refs
+
+
+IDQ_REFERENCES = _idq_references()
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_d3_levels_against_rayleigh_treloar(n):
     # PCHIP tables were off by up to 6.6e-6; the step from psi_2 near r = 1
@@ -503,33 +534,38 @@ class TestIdq:
         with pytest.raises(quadrature.NonConvergedError):
             walk.idq(3, 5, IdqRoute.DIRECT_INTEGRAL)
 
-    def test_direct_error_bars_cover_exact_values(self):
-        # before the rounding floor, (2, 3) was 1.9e-15 off with an error
-        # estimate of 1.0e-16, and (4, 5) reported an error of 0.0
-        exact = {(d, 3): walk.idq_closed_form(d, 3) for d in range(2, 7)}
-        exact[(2, 5)] = walk.idq_closed_form(2, 5)
-        for q in range(4, 9):  # I_q^3 = (pi/2) rho^3_{q-1}(1)
-            exact[(3, q)] = math.pi / 2 * rayleigh_treloar(q - 1, 1.0)
-        for (d, q), ref in exact.items():
-            res = walk.idq(d, q, IdqRoute.DIRECT_INTEGRAL, 1e-10)
+    @pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+    def test_direct_error_bars_cover_references(self, tol):
+        # the race between Richardson and Aitken let the smaller claimed
+        # error win: (6, 4) was 3.6e-9 off at tol 1e-9 while reporting
+        # 1.3e-10, and (3, 6), (7, 4), (2, 8), (4, 6) were also covered by
+        # no bar at some tol; before the rounding floor, (2, 3) was 1.9e-15
+        # off with an error estimate of 1.0e-16
+        for (d, q), ref in IDQ_REFERENCES.items():
+            res = walk.idq(d, q, IdqRoute.DIRECT_INTEGRAL, tol)
             assert abs(res.value - ref) <= res.error, (d, q)
-        assert walk.idq(4, 5, IdqRoute.DIRECT_INTEGRAL, 1e-10).error > 0.0
+        assert walk.idq(4, 5, IdqRoute.DIRECT_INTEGRAL, tol).error > 0.0
 
-    # I_4^7 = Gamma(7/2)^2 4^(5/2) rho_3^7(1) with rho_3^7(1) = 240/1001
-    @pytest.mark.parametrize("d,q,tol,exact", [
-        (7, 4, 1e-9, 27000 * math.pi / 1001),
-        (7, 4, 1e-11, 27000 * math.pi / 1001),
-        # the iterated-Aitken candidate wins with an error below the truth:
-        # aitken@64 reports 2.8e-10 and is 4.3e-10 off; aitken@128 reports
-        # 2.2e-11 and is 1.44e-10 off
-        pytest.param(3, 6, 1e-9, math.pi / 8, marks=pytest.mark.xfail(
-            strict=True, reason="Aitken error estimate below the truth")),
-        pytest.param(7, 4, 1e-10, 27000 * math.pi / 1001, marks=pytest.mark.xfail(
-            strict=True, reason="Aitken error estimate below the truth")),
-    ], ids=["7-4-1e-9", "7-4-1e-11", "3-6-1e-9", "7-4-1e-10"])
-    def test_direct_error_bar_covers_exact_at_tol(self, d, q, tol, exact):
-        res = walk.idq(d, q, IdqRoute.DIRECT_INTEGRAL, tol)
-        assert abs(res.value - exact) <= res.error
+    @pytest.mark.parametrize("q,used,unused", [
+        (5, "_iterated_aitken", "_richardson_inverse_t"),  # alternating tail
+        (4, "_richardson_inverse_t", "_iterated_aitken"),  # monotone mean part
+    ])
+    def test_one_accelerator_per_tail(self, q, used, unused, monkeypatch):
+        calls = {used: 0, unused: 0}
+
+        def spy(name):
+            inner = getattr(quadrature, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(quadrature, name, spy(name))
+        walk.idq(3, q, IdqRoute.DIRECT_INTEGRAL)
+        assert calls[used] > 0 and calls[unused] == 0
 
     def test_closed_route_rejected_outside_coverage(self):
         with pytest.raises(ValueError):
