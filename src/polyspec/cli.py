@@ -80,13 +80,14 @@ def _cmd_density(args, started: float) -> int:
         "recursion": walk.DensityRoute.RECURSION,
         "mc": walk.DensityRoute.MONTE_CARLO,
     }[args.route]
-    curve = walk.density_curve(spec, args.r_min, args.r_max, args.points,
+    r_max = float(args.n) if args.r_max is None else args.r_max
+    curve = walk.density_curve(spec, args.r_min, r_max, args.points,
                                route, seed=args.seed, tol=args.tol)
     rows = [
         [float(r), float(v), float(e), route.value]
         for r, v, e in zip(curve.grid, curve.values, curve.error)
     ]
-    inputs = {"d": args.d, "n": args.n, "r_min": args.r_min, "r_max": args.r_max,
+    inputs = {"d": args.d, "n": args.n, "r_min": args.r_min, "r_max": r_max,
               "points": args.points, "route": args.route}
     _emit(args, ["r", "rho", "err", "route"], rows, inputs, started)
     return 0
@@ -99,9 +100,7 @@ def _cmd_constant(args, started: float) -> int:
         "closed": walk.IdqRoute.CLOSED_FORM,
     }[args.route]
     res = walk.idq(args.d, args.q, route, tol=args.tol)
-    row = [res.d, res.q, res.classification.value,
-           res.value if res.value is not None else None,
-           res.error if res.error is not None else None,
+    row = [res.d, res.q, res.classification.value, res.value, res.error,
            res.route.value]
     inputs = {"d": args.d, "q": args.q, "route": args.route}
     _emit(args, ["d", "q", "classification", "value", "error", "route"],
@@ -123,8 +122,7 @@ def _variance_row(args, freq: float):
         value, err_lo, err_hi = est.value, est.error, est.error
     else:
         dom = fieldsim.build_domain(geo, args.d, args.R, args.resolution)
-        sampler = fieldsim.FieldSampler(fs_spec, args.seed)
-        mc = fieldsim.mc_polyspectrum_variance(spec, sampler, dom, args.trials)
+        mc = fieldsim.mc_polyspectrum_variance(spec, args.seed, dom, args.trials)
         value = mc.estimate
         err_lo, err_hi = mc.estimate - mc.ci95[0], mc.ci95[1] - mc.estimate
     ratio = value / pred.value if pred.value else None
@@ -270,8 +268,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_apply_config(argv))
         if args.format is None:
             args.format = args.default_format
-        if getattr(args, "r_max", None) is None and hasattr(args, "n"):
-            args.r_max = float(args.n)
         return args.fn(args, time.monotonic())
     except (argparse.ArgumentTypeError, OSError) as exc:
         parser.error(str(exc))  # OSError: unreadable --config or --output-path

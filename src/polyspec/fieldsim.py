@@ -31,7 +31,6 @@ from .quadrature import (  # noqa: F401
 from .variance import FieldSpec, PolyspectrumSpec
 
 __all__ = [
-    "FieldSampler",
     "QuadratureDomain",
     "MCVariance",
     "CovarianceFactorizationError",
@@ -46,14 +45,6 @@ _TRIAL_CHUNK = 256
 
 class CovarianceFactorizationError(np.linalg.LinAlgError):
     """The covariance is indefinite, so no factor reproduces it."""
-
-
-@dataclass(frozen=True)
-class FieldSampler:
-    """A Gaussian wave field and the seed of its random substreams."""
-
-    spec: FieldSpec
-    seed: int
 
 
 def _kernel(spec: FieldSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -156,9 +147,7 @@ def _factor(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QuadratureDomain:
-    geometry: Geometry
-    d: int
-    R: float
+    ball: BallSpec
     points: np.ndarray
     weights: np.ndarray
 
@@ -200,14 +189,13 @@ def build_domain(geometry: Geometry, d: int, R: float, resolution: int) -> Quadr
     times the same angular rule, with points embedded in R^(d+1).  Weights
     sum to the domain volume.
     """
-    geometry = Geometry(geometry)
-    BallSpec(geometry, d, R)  # validates d and R
+    ball = BallSpec(Geometry(geometry), d, R)  # validates d and R
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     n_azimuth = 4 * resolution
     x, wx = leggauss(resolution)
     sph, sw = _sphere_rule(d - 1, resolution, n_azimuth)
-    if geometry == Geometry.EUCLIDEAN:
+    if ball.geometry == Geometry.EUCLIDEAN:
         r = 0.5 * R * (x + 1.0)
         wr = 0.5 * R * wx * r ** (d - 1)
         pts = (r[:, None, None] * sph[None, :, :]).reshape(-1, d)
@@ -224,7 +212,7 @@ def build_domain(geometry: Geometry, d: int, R: float, resolution: int) -> Quadr
             ]
         )
         w = (wt[:, None] * sw[None, :]).ravel()
-    return QuadratureDomain(geometry, d, R, pts, w)
+    return QuadratureDomain(ball, pts, w)
 
 
 @dataclass
@@ -240,9 +228,10 @@ class MCVariance:
             raise ValueError("confidence interval must bracket the estimate")
 
 
-def mc_polyspectrum_variance(spec: PolyspectrumSpec, sampler: FieldSampler,
+def mc_polyspectrum_variance(spec: PolyspectrumSpec, seed: int,
                              domain: QuadratureDomain, trials: int) -> MCVariance:
-    """Sample variance of int_D H_q(field) over independent field draws.
+    """Sample variance of int_D H_q(field) over independent draws of
+    spec.field, on a domain over spec's ball (else ValueError).
 
     The 95% interval uses the normal approximation for the variance of
     i.i.d. functionals with the fourth-moment correction.  Deterministic
@@ -251,11 +240,13 @@ def mc_polyspectrum_variance(spec: PolyspectrumSpec, sampler: FieldSampler,
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    factor = _factor(sampler.spec, domain.points)
+    if domain.ball != spec.ball:
+        raise ValueError(f"domain ball {domain.ball} is not the spec's ball {spec.ball}")
+    factor = _factor(spec.field, domain.points)
     vals = np.empty(trials)
     for idx, start in enumerate(range(0, trials, _TRIAL_CHUNK)):
         m = min(_TRIAL_CHUNK, trials - start)
-        rng = np.random.default_rng([sampler.seed, 1_000_000 + idx])
+        rng = np.random.default_rng([seed, 1_000_000 + idx])
         fields = factor @ rng.standard_normal((factor.shape[1], m))
         vals[start:start + m] = domain.weights @ specfun.hermite(spec.q, fields)
     est = float(np.var(vals, ddof=1))
@@ -263,16 +254,16 @@ def mc_polyspectrum_variance(spec: PolyspectrumSpec, sampler: FieldSampler,
     m4 = float(np.mean(centered**4))
     var_of_var = max(m4 - est**2 * (trials - 3) / (trials - 1), 0.0) / trials
     half = 1.959963984540054 * math.sqrt(var_of_var)
-    return MCVariance(trials, est, (est - half, est + half), sampler.seed)
+    return MCVariance(trials, est, (est - half, est + half), seed)
 
 
 def _bin_masses(spec: walk.WalkSpec, edges: np.ndarray) -> np.ndarray:
     """Analytic probability mass of the walk radius in each bin."""
     d, n = spec.d, spec.n
-    tab, _ = walk._psi_level(d, n)
+    tab = walk._psi_level(d, n)
     res = integrate_adaptive_batch(
         lambda r, k: tab(r) * r ** (d - 1), edges[:-1], edges[1:], 1e-9,
-        split_points=np.arange(1.0, n + 1.0)[None, :], max_evals=200_000,
+        split_points=[walk._psi_kinks(n)], max_evals=200_000,
     )
     check_converged(res, 1e-9, "bin mass quadrature")
     return res.value

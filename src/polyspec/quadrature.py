@@ -3,9 +3,10 @@
 Three pieces: an adaptive finite-interval integrator built on an embedded
 open Gauss pair (no endpoint evaluations, so integrable inverse-square-root
 endpoints need no special handling), an improper oscillatory integrator that
-partitions [a, oo) into asymptotic half-periods and accelerates the partial
+partitions [0, oo) into asymptotic half-periods and accelerates the partial
 sums (iterated Aitken if the panel sums alternate in sign, Richardson in 1/T
 otherwise), and Gauss-Jacobi rules for the symmetric weight (1-s^2)^(nu-1/2).
+Every integrator rejects a tolerance that is not positive and finite.
 
 The adaptive integrator is batched: integrate_adaptive_batch takes a family
 of K integrals (an integrand f(x, k), per-integral limits, tolerances and
@@ -26,8 +27,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
-
-from .specfun import BesselOrder
 
 __all__ = [
     "QuadResult",
@@ -86,7 +85,8 @@ class QuadResult:
 
 @dataclass
 class OscillatoryIntegrand:
-    """An eventually-oscillatory integrand on [0, oo).
+    """An eventually-oscillatory integrand on [0, oo), as the tail engine
+    reads it.
 
     decay_exponent is the envelope exponent alpha with |f(t)| ~ t^(-alpha);
     for integrands jd(t)^q t^(d-1) it equals (d-1)(q/2 - 1).  The asymptotic
@@ -305,6 +305,13 @@ def _refine(f, a, b, tol, splits, max_evals: int, min_panels: int):
         errs = np.concatenate([errs[keep], sub_e])[regroup]
 
 
+def _check_tol(tol) -> None:
+    """Raise ValueError unless every tolerance is positive and finite."""
+    tol = np.asarray(tol, dtype=float)
+    if not np.all(np.isfinite(tol) & (tol > 0)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def integrate_adaptive_batch(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a,
@@ -337,6 +344,7 @@ def integrate_adaptive_batch(
     splits = np.broadcast_to(splits, (shape[0], splits.shape[1]))
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
         raise ValueError("need finite a < b")
+    _check_tol(tol)
     return QuadBatch(*_refine(f, a, b, tol, splits, max_evals, min_panels))
 
 
@@ -443,13 +451,13 @@ def _smooth_cutoff(u: np.ndarray) -> np.ndarray:
 
 
 def integrate_oscillatory_mollified(
-    g: OscillatoryIntegrand,
+    f: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-9,
     *,
     min_frequency: float = 1.0,
     chunks_per_period: int = 2,
 ) -> QuadResult:
-    """Improper oscillatory integral by mollified truncation.
+    """Improper oscillatory integral int_0^oo f by mollified truncation.
 
     Replaces the sharp upper limit T with a smooth cutoff ramping from 1 to 0
     over [T, 2T]; every oscillatory component of frequency omega then leaves
@@ -468,12 +476,13 @@ def integrate_oscillatory_mollified(
     once.  The error estimate is floored at the rounding level of the
     extrapolated sums.
     """
+    _check_tol(tol)
     t0 = min(max(12.0 * math.pi, 55.0 / max(min_frequency, 1e-6)),
              _MOLLIFIED_MAX_T / 2.0**_MOLLIFIED_LEVELS)
     width = math.pi / max(1, chunks_per_period)
     m0 = max(8, int(math.ceil(t0 / width)))  # t0 rounded up to whole panels
     nodes, half = canonical_panel_nodes(width, 0, m0)
-    part = half * (_eval_nodes(g.evaluator, nodes) @ _W16)
+    part = half * (_eval_nodes(f, nodes) @ _W16)
     plain_total = float(part.sum())
     abs_total = float(np.abs(part).sum())
     n_evals = 16 * m0
@@ -483,7 +492,7 @@ def integrate_oscillatory_mollified(
         k0 = m0 << j
         big_t = width * k0
         nodes, half = canonical_panel_nodes(width, k0, 2 * k0)
-        raw = _eval_nodes(g.evaluator, nodes)
+        raw = _eval_nodes(f, nodes)
         n_evals += 16 * k0
         damped = raw * _smooth_cutoff((nodes - big_t) / big_t)
         vals.append(plain_total + float((half * (damped @ _W16)).sum()))
@@ -512,29 +521,28 @@ def integrate_oscillatory_mollified(
 
 
 def oscillatory_partial_integrals(
-    g: OscillatoryIntegrand, a: float, t_values, *, chunks_per_period: int = 2
+    f: Callable[[np.ndarray], np.ndarray], t_values, *, chunks_per_period: int = 2
 ) -> np.ndarray:
-    """Cumulative integrals int_a^T g for every T in t_values (increasing)."""
+    """Cumulative integrals int_0^T f for every T in t_values (increasing)."""
     t_values = np.asarray(t_values, dtype=float)
-    edges = np.unique(np.concatenate([[a], t_values]))
+    edges = np.unique(np.concatenate([[0.0], t_values]))
     out = np.empty(len(t_values))
     total = 0.0
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         n = max(1, int(math.ceil((hi - lo) / math.pi * chunks_per_period)))
         cuts = np.linspace(lo, hi, n + 1)
-        total += float(_panel_values(g.evaluator, cuts[:-1], cuts[1:], _X16, _W16).sum())
+        total += float(_panel_values(f, cuts[:-1], cuts[1:], _X16, _W16).sum())
         out[i] = total
     return out[np.searchsorted(edges[1:], t_values)]
 
 
 def integrate_oscillatory_tail(
     g: OscillatoryIntegrand,
-    a: float,
     tol: float = 1e-9,
     *,
     chunks_per_period: int = 2,
 ) -> QuadResult:
-    """Improper integral int_a^oo g as a limit of inter-zero partial sums.
+    """Improper integral int_0^oo g as a limit of inter-zero partial sums.
 
     Panels of one period pi each (aligned to phase_offset), integrated by
     a fixed rule and summed.  At each check the partial-sum sequence is
@@ -550,24 +558,22 @@ def integrate_oscillatory_tail(
 
     The error estimate never drops below the rounding level of the running
     sum, eps (sum_k |S_k| + |head|) over the partial sums S_k and the head
-    integral on [a, t0] (the first-order bound of recursive summation); the
+    integral on [0, t0] (the first-order bound of recursive summation); the
     floor moves neither the value nor the converged flag.
     """
+    _check_tol(tol)
     alpha = g.decay_exponent
     p = math.pi
     # first boundary lands on the asymptotic zero grid offset + (k + 1/2) p
-    k0 = math.ceil((a - g.phase_offset) / p - 0.5)
+    k0 = math.ceil(-g.phase_offset / p - 0.5)
     t0 = g.phase_offset + (k0 + 0.5) * p
-    while t0 <= a + 1e-12 * (1.0 + abs(a)):
+    while t0 <= 1e-12:
         t0 += p
 
-    head = 0.0
-    n_evals = 0
-    if t0 > a:
-        n = max(2, int(math.ceil((t0 - a) / p * 2 * max(2, chunks_per_period))))
-        cuts = np.linspace(a, t0, n + 1)
-        head = float(_panel_values(g.evaluator, cuts[:-1], cuts[1:], _X16, _W16).sum())
-        n_evals += 16 * n
+    n = max(2, int(math.ceil(t0 / p * 2 * max(2, chunks_per_period))))
+    cuts = np.linspace(0.0, t0, n + 1)
+    head = float(_panel_values(g.evaluator, cuts[:-1], cuts[1:], _X16, _W16).sum())
+    n_evals = 16 * n
 
     sums: list[float] = []
     panels: list[float] = []
@@ -610,14 +616,13 @@ def integrate_oscillatory_tail(
     return result(*(best or (total, math.inf)), False)
 
 
-def gauss_jacobi_symmetric(order, m: int):
+def gauss_jacobi_symmetric(nu: float, m: int):
     """m-point Gauss rule for the weight (1 - s^2)^(nu - 1/2) on (-1, 1).
 
     Golub-Welsch on the symmetric Jacobi matrix of the Gegenbauer weight;
     nodes come in +/- pairs with equal weights and the weights sum to
     sqrt(pi) Gamma(nu + 1/2) / Gamma(nu + 1).  Returns (nodes, weights).
     """
-    nu = order.nu if isinstance(order, BesselOrder) else float(order)
     if nu < 0:
         raise ValueError("order must be >= 0")
     if int(m) != m or m < 1:

@@ -29,7 +29,6 @@ import numpy as np
 from scipy.special import eval_hermitenorm, gammaln, j0, j1, jv, spherical_jn
 
 __all__ = [
-    "BesselOrder",
     "GegenbauerSpec",
     "bessel_j",
     "jd",
@@ -56,20 +55,6 @@ def _validate_dim(d: int) -> float:
 
 
 @dataclass(frozen=True)
-class BesselOrder:
-    """Bessel order tied to an ambient dimension: nu = d/2 - 1."""
-
-    d: int
-
-    def __post_init__(self) -> None:
-        _validate_dim(self.d)
-
-    @property
-    def nu(self) -> float:
-        return 0.5 * self.d - 1.0
-
-
-@dataclass(frozen=True)
 class GegenbauerSpec:
     """Degree-ell normalized Gegenbauer polynomial on the sphere S^d."""
 
@@ -90,23 +75,17 @@ class GegenbauerSpec:
         return self.ell + 0.5 * (self.d - 1)
 
 
-def _as_nu(order) -> float:
-    """Accept a BesselOrder or a bare (half-)integer order >= 0."""
-    nu = order.nu if isinstance(order, BesselOrder) else float(order)
+def bessel_j(nu: float, x):
+    """Bessel function of the first kind J_nu(x) for x >= 0.
+
+    The order nu must be a non-negative integer or half-integer.  Evaluated
+    by ``scipy.special.jv``.
+    """
+    nu = float(nu)
     if not math.isfinite(nu) or nu < 0:
         raise ValueError(f"order must be finite and >= 0, got {nu}")
     if abs(2 * nu - round(2 * nu)) > 1e-12:
         raise ValueError(f"order must be an integer or half-integer, got {nu}")
-    return nu
-
-
-def bessel_j(order, x):
-    """Bessel function of the first kind J_nu(x) for x >= 0.
-
-    Order must be a non-negative integer or half-integer (a BesselOrder or a
-    bare number).  Evaluated by ``scipy.special.jv``.
-    """
-    nu = _as_nu(order)
     arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(arr)):
         raise ValueError("argument must be finite")

@@ -183,7 +183,23 @@ def _step_pref(d: int) -> float:
     return _norm_factor(d) / (math.pi * math.exp(gammaln(d - 1.0)))
 
 
-def _psi_step(d: int, n: int, prev, prev_kinks, rs: np.ndarray, tol: float) -> np.ndarray:
+def _psi_kinks(n: int) -> tuple[float, ...]:
+    """The radii where psi^d_n fails to be analytic, in any dimension.
+
+    psi_2 is integrably singular at u = 2 for d = 2 and jumps there for
+    d = 3; above it they are the integer lattice of sub-flight supports,
+    which includes the log-infinite point of the planar 3-step.
+    """
+    return (2.0,) if n == 2 else tuple(float(k) for k in range(1, n + 1))
+
+
+def _recursion_error(vals):
+    """The recursion route's error bar, fixed by hand and not measured; inf
+    at an infinite density."""
+    return 1e-6 * np.abs(vals) + 1e-9
+
+
+def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
     """psi^d_n at each radius in rs, by one batched step from level n - 1.
 
     In the angle variable the step reads
@@ -199,6 +215,7 @@ def _psi_step(d: int, n: int, prev, prev_kinks, rs: np.ndarray, tol: float) -> n
     ~1/u at u = 0 in every dimension.  An integral left unconverged with an
     error above 100 tol raises NonConvergedError.
     """
+    prev = _psi_level(d, n - 1)
     power = float(d - 2)  # 2 nu
     root = 2.0 * np.sqrt(rs)
 
@@ -208,7 +225,7 @@ def _psi_step(d: int, n: int, prev, prev_kinks, rs: np.ndarray, tol: float) -> n
         u = np.hypot(1.0 - rs[k], root[k] * np.cos(0.5 * phi))
         return prev(u) * np.sin(phi) ** power if power else prev(u)
 
-    kinks = np.asarray(prev_kinks, dtype=float)
+    kinks = np.asarray(_psi_kinks(n - 1))
     s = (kinks * kinks - 1.0 - (rs * rs)[:, None]) / (2.0 * rs[:, None])
     with np.errstate(invalid="ignore"):
         splits = np.where((s > -1.0) & (s < 1.0), np.arccos(s), np.nan)
@@ -239,16 +256,16 @@ class _PsiTable:
     a node left unconverged with an error above 100 tol raises
     NonConvergedError.  Each segment is a not-a-knot cubic spline: C^2, so
     the next level's integrand has no derivative jumps for the adaptive
-    engine to bisect toward.  The kinks of psi_n sit at integer radii, the
-    segment ends, so no spline spans one and none rings there.
+    engine to bisect toward.  The segment ends are 0 and the kinks of psi_n,
+    so no spline spans a kink and none rings there.
     """
 
-    def __init__(self, d: int, n: int, prev, prev_kinks, tol: float = 1e-9):
+    def __init__(self, d: int, n: int, tol: float = 1e-9):
         self.d = d
         self.n = n
+        ends = (0.0,) + _psi_kinks(n)
         grids = []
-        for k in range(n):
-            lo, hi = float(k), float(k + 1)
+        for lo, hi in zip(ends[:-1], ends[1:]):
             width = hi - lo
             # Chebyshev-type interior nodes plus geometric grading into the
             # segment ends, where the density is merely C^0 across kinks
@@ -258,11 +275,11 @@ class _PsiTable:
                  hi - width * np.geomspace(1e-9, 0.25, 30)]
             )
             grids.append(np.unique(np.concatenate([base, edges])))
-        vals = np.split(_psi_step(d, n, prev, prev_kinks, np.concatenate(grids), tol),
+        vals = np.split(_psi_step(d, n, np.concatenate(grids), tol),
                         np.cumsum([len(g) for g in grids])[:-1])
         self.segments = [
-            (float(k), float(k + 1), CubicSpline(pts, v, extrapolate=True))
-            for k, (pts, v) in enumerate(zip(grids, vals))
+            (lo, hi, CubicSpline(pts, v, extrapolate=True))
+            for lo, hi, pts, v in zip(ends[:-1], ends[1:], grids, vals)
         ]
 
     def __call__(self, u):
@@ -277,21 +294,16 @@ class _PsiTable:
 
 @build_once
 def _psi_level(d: int, n: int):
-    """Callable psi^d_n plus its kink list, built bottom-up and cached.
+    """Callable psi^d_n, cached; a table asks for the level below as it builds.
 
-    The kinks are the radii where psi^d_n fails to be analytic.  psi_2 is
-    integrably singular at u = 2 for d = 2 and jumps there for d = 3; above
-    it they are the integer lattice of sub-flight supports, which includes
-    the log-infinite point of the planar 3-step.  That level is the exact
-    density, so the planar tables start from n = 4.
+    The planar 3-step level is the exact density, so the planar tables
+    start from n = 4.
     """
     if n == 2:
-        return (lambda u: _psi2(d, u)), (2.0,)
-    kinks = tuple(float(k) for k in range(1, n + 1))
+        return lambda u: _psi2(d, u)
     if (d, n) == (2, 3):
-        return _psi3_planar, kinks
-    prev, prev_kinks = _psi_level(d, n - 1)
-    return _PsiTable(d, n, prev, prev_kinks), kinks
+        return _psi3_planar
+    return _PsiTable(d, n)
 
 
 def _at_singular_point(d: int, n: int, r) -> np.ndarray:
@@ -331,8 +343,7 @@ def density_recursion(spec: WalkSpec, r):
             )
         out[todo] = rs * _psi3_planar(rs)
     elif rs.size:
-        prev, prev_kinks = _psi_level(d, n - 1)
-        out[todo] = _psi_step(d, n, prev, prev_kinks, rs, 1e-10) * rs ** (d - 1)
+        out[todo] = _psi_step(d, n, rs, 1e-10) * rs ** (d - 1)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -408,7 +419,6 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
         return QuadResult(math.inf, math.inf, 0, False, status="divergent")
     nu = 0.5 * d - 1.0
     fac = _norm_factor(d)
-    alpha = (d - 1) * (n - 1) / 2.0
 
     # the integrand mixes the incommensurate frequencies |n - 2k +- r|, so
     # sharp-truncation acceleration is unreliable; mollified truncation with
@@ -419,13 +429,8 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     def integrand(t: np.ndarray) -> np.ndarray:
         return (t * r) ** (2 * nu + 1) * specfun.jd(d, t * r) * _kernel_power(d, n, width, t)
 
-    g = OscillatoryIntegrand(
-        integrand,
-        decay_exponent=alpha,
-        phase_offset=(d - 1) * math.pi / 4.0,
-    )
     res = integrate_oscillatory_mollified(
-        g, tol * fac, min_frequency=_min_beat_frequency(n, r), chunks_per_period=chunks
+        integrand, tol * fac, min_frequency=_min_beat_frequency(n, r), chunks_per_period=chunks
     )
     return QuadResult(
         res.value / fac,
@@ -501,25 +506,22 @@ def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
             raise ValueError("recursion endpoint limited to q <= cap + 1")
         rho = density_recursion(WalkSpec(d, q - 1), 1.0)
         val = fac * rho
-        return IdqResult(d, q, cls, val, 1e-6 * abs(val) + 1e-9, route)
+        return IdqResult(d, q, cls, val, float(_recursion_error(val)), route)
     alpha = (d - 1) * (q / 2.0 - 1.0)
     g = OscillatoryIntegrand(
         _idq_integrand(d, q),
         decay_exponent=alpha,
         phase_offset=(d - 1) * math.pi / 4.0,
     )
-    res = integrate_oscillatory_tail(g, 0.0, tol, chunks_per_period=max(2, (q + 2) // 2))
+    res = integrate_oscillatory_tail(g, tol, chunks_per_period=max(2, (q + 2) // 2))
     quadrature.check_converged(res, tol, f"moment integral (d={d}, q={q})")
     return IdqResult(d, q, cls, res.value, res.abs_error_estimate, route)
 
 
 def idq_partial_integrals(d: int, q: int, t_values) -> np.ndarray:
     """Cumulative moment integrals int_0^T jd^q t^(d-1) dt over a grid of T."""
-    g = OscillatoryIntegrand(
-        _idq_integrand(d, q),
-        decay_exponent=(d - 1) * (q / 2.0 - 1.0),
-    )
-    return oscillatory_partial_integrals(g, 0.0, t_values, chunks_per_period=max(2, q))
+    return oscillatory_partial_integrals(_idq_integrand(d, q), t_values,
+                                         chunks_per_period=max(2, q))
 
 
 def sample_walk(spec: WalkSpec, n_samples: int, seed: int) -> np.ndarray:
@@ -573,7 +575,7 @@ def density_on_grid(spec: WalkSpec, grid: np.ndarray, route: DensityRoute,
             errs[i] = res.abs_error_estimate
     elif route is DensityRoute.RECURSION:
         vals = density_recursion(spec, grid)
-        errs = np.where(np.isfinite(vals), 1e-6 * np.abs(vals) + 1e-9, math.inf)
+        errs = _recursion_error(vals)
     elif route is DensityRoute.MONTE_CARLO:
         radii = np.sort(sample_walk(spec, MC_DENSITY_SAMPLES, seed))
         # bins between grid midpoints; a lone point gets a fixed width

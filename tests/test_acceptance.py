@@ -88,7 +88,7 @@ def test_criterion_03_density_cross_validation():
             grid = 2.0 - np.geomspace(1e-14, 2.0 - 1e-9, 120_000)[::-1]
             rho = walk.rho2_closed(d, grid)
         else:
-            tab, _ = walk._psi_level(d, n)
+            tab = walk._psi_level(d, n)
             grid = np.unique(
                 np.concatenate(
                     [np.linspace(1e-9, n - 1e-9, 3001)]
@@ -210,8 +210,7 @@ def test_criterion_08_cross_geometry_constant():
 def test_criterion_09_monte_carlo_consistency():
     spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 20.0), 3, 1.0)
     dom = fs.build_domain(E, 2, 1.0, 24)
-    sampler = fs.FieldSampler(spec.field, 4242)
-    mc = fs.mc_polyspectrum_variance(spec, sampler, dom, 2000)
+    mc = fs.mc_polyspectrum_variance(spec, 4242, dom, 2000)
     exact = va.variance_exact_euclidean(spec).value
     ok = mc.ci95[0] <= exact <= mc.ci95[1]
     detail = f"euclidean CI ({mc.ci95[0]:.5f}, {mc.ci95[1]:.5f}) covers {exact:.5f}"
@@ -221,8 +220,7 @@ def test_criterion_09_monte_carlo_consistency():
     ests = []
     for res in (24, 48):
         d2 = fs.build_domain(E, 2, 1.0, res)
-        s2 = fs.FieldSampler(spec.field, 777)
-        ests.append(fs.mc_polyspectrum_variance(spec, s2, d2, 400))
+        ests.append(fs.mc_polyspectrum_variance(spec, 777, d2, 400))
     half = 0.5 * (ests[0].ci95[1] - ests[0].ci95[0])
     ok = ok and abs(ests[0].estimate - ests[1].estimate) <= half
     detail += f"; doubling shift {abs(ests[0].estimate - ests[1].estimate):.2e} <= {half:.2e}"
@@ -232,7 +230,7 @@ def test_criterion_09_monte_carlo_consistency():
     spec_s = va.PolyspectrumSpec(va.FieldSpec(S, 2, 15), 2, 1.0)
     dom_s = fs.build_domain(S, 2, 1.0, 20)
     exact_s = va.variance_exact_spherical(spec_s).value
-    runs = [fs.mc_polyspectrum_variance(spec_s, fs.FieldSampler(spec_s.field, seed), dom_s, 2000)
+    runs = [fs.mc_polyspectrum_variance(spec_s, seed, dom_s, 2000)
             for seed in range(77, 87)]
     ests_s = np.array([m.estimate for m in runs])
     se = float(ests_s.std(ddof=1)) / math.sqrt(len(runs))

@@ -103,11 +103,8 @@ class TestSamplers:
         # a spherical field, drawn through the Cholesky factor
         spec = va.PolyspectrumSpec(va.FieldSpec(S, 2, 5), 3, 1.0)
         dom = fs.build_domain(S, 2, 1.0, 8)
-        a = fs.FieldSampler(spec.field, 3)
-        b = fs.FieldSampler(spec.field, 3)
-        assert a == b
-        ma = fs.mc_polyspectrum_variance(spec, a, dom, 100)
-        mb = fs.mc_polyspectrum_variance(spec, b, dom, 100)
+        ma = fs.mc_polyspectrum_variance(spec, 3, dom, 100)
+        mb = fs.mc_polyspectrum_variance(spec, 3, dom, 100)
         assert ma.estimate == mb.estimate and ma.ci95 == mb.ci95
 
     @pytest.mark.parametrize(
@@ -212,8 +209,7 @@ class TestMCPolyspectrumVariance:
     def test_ci_brackets_exact_euclidean(self):
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 8.0), 3, 1.0)
         dom = fs.build_domain(E, 2, 1.0, 12)
-        sampler = fs.FieldSampler(spec.field, 99)
-        mc = fs.mc_polyspectrum_variance(spec, sampler, dom, 1500)
+        mc = fs.mc_polyspectrum_variance(spec, 99, dom, 1500)
         exact = va.variance_exact_euclidean(spec)
         assert mc.ci95[0] <= exact.value <= mc.ci95[1]
         assert mc.ci95[0] <= mc.estimate <= mc.ci95[1]
@@ -221,19 +217,14 @@ class TestMCPolyspectrumVariance:
     def test_even_order_positive(self):
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 5.0), 2, 1.0)
         dom = fs.build_domain(E, 2, 1.0, 10)
-        sampler = fs.FieldSampler(spec.field, 3)
-        mc = fs.mc_polyspectrum_variance(spec, sampler, dom, 400)
+        mc = fs.mc_polyspectrum_variance(spec, 3, dom, 400)
         assert mc.estimate > 0
 
     def test_deterministic(self):
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 5.0), 3, 1.0)
         dom = fs.build_domain(E, 2, 1.0, 10)
-        a = fs.mc_polyspectrum_variance(
-            spec, fs.FieldSampler(spec.field, 5), dom, 300
-        )
-        b = fs.mc_polyspectrum_variance(
-            spec, fs.FieldSampler(spec.field, 5), dom, 300
-        )
+        a = fs.mc_polyspectrum_variance(spec, 5, dom, 300)
+        b = fs.mc_polyspectrum_variance(spec, 5, dom, 300)
         assert a.estimate == b.estimate and a.ci95 == b.ci95
 
     @pytest.mark.parametrize("ell", [5, 8])
@@ -244,7 +235,7 @@ class TestMCPolyspectrumVariance:
         spec = va.PolyspectrumSpec(va.FieldSpec(S, 2, ell), 5, 1.0)
         dom = fs.build_domain(S, 2, 1.0, 16)
         exact = va.variance_exact_spherical(spec).value
-        runs = [fs.mc_polyspectrum_variance(spec, fs.FieldSampler(spec.field, seed), dom, 2000)
+        runs = [fs.mc_polyspectrum_variance(spec, seed, dom, 2000)
                 for seed in range(77, 87)]
         ests = np.array([m.estimate for m in runs])
         se = float(ests.std(ddof=1)) / math.sqrt(len(runs))
@@ -256,12 +247,10 @@ class TestMCPolyspectrumVariance:
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 6.0), 3, 1.0)
         dom = fs.build_domain(E, 2, 1.0, 10)
         shifted = fs.QuadratureDomain(
-            dom.geometry, dom.d, dom.R, dom.points + np.array([5.0, -3.0]), dom.weights
+            dom.ball, dom.points + np.array([5.0, -3.0]), dom.weights
         )
-        s1 = fs.FieldSampler(spec.field, 31)
-        s2 = fs.FieldSampler(spec.field, 32)
-        a = fs.mc_polyspectrum_variance(spec, s1, dom, 1200)
-        b = fs.mc_polyspectrum_variance(spec, s2, shifted, 1200)
+        a = fs.mc_polyspectrum_variance(spec, 31, dom, 1200)
+        b = fs.mc_polyspectrum_variance(spec, 32, shifted, 1200)
         width = (a.ci95[1] - a.ci95[0]) + (b.ci95[1] - b.ci95[0])
         assert abs(a.estimate - b.estimate) <= width
 
@@ -271,18 +260,25 @@ class TestMCPolyspectrumVariance:
         doms = [fs.build_domain(E, 2, 1.0, res) for res in (10, 20)]
         ests = []
         for dom in doms:
-            sampler = fs.FieldSampler(spec.field, 88)
-            mc = fs.mc_polyspectrum_variance(spec, sampler, dom, 600)
+            mc = fs.mc_polyspectrum_variance(spec, 88, dom, 600)
             ests.append(mc)
         half = 0.5 * (ests[0].ci95[1] - ests[0].ci95[0])
         assert abs(ests[0].estimate - ests[1].estimate) <= half
 
+    @pytest.mark.parametrize("geometry,R", [(E, 0.3), (S, 1.0)])
+    def test_rejects_domain_of_another_ball(self, geometry, R):
+        # a planar R = 1 spec used to give a number on any domain: 0.0453 on
+        # an R = 0.3 disc and 1.859 on an S^2 cap (0.4455 on its own disc)
+        spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 10.0), 3, 1.0)
+        dom = fs.build_domain(geometry, 2, R, 16)
+        with pytest.raises(ValueError, match="ball"):
+            fs.mc_polyspectrum_variance(spec, 1, dom, 200)
+
     def test_rejects_few_trials(self):
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 5.0), 3, 1.0)
         dom = fs.build_domain(E, 2, 1.0, 10)
-        sampler = fs.FieldSampler(spec.field, 5)
         with pytest.raises(ValueError):
-            fs.mc_polyspectrum_variance(spec, sampler, dom, 50)
+            fs.mc_polyspectrum_variance(spec, 5, dom, 50)
 
 
 class TestWalkDensityCheck:

@@ -48,7 +48,7 @@ class TestBesselJ:
         x = np.concatenate(
             [np.linspace(1e-8, 20, 500), np.linspace(20, 200, 200), [1e3, 1e4]]
         )
-        mine = sf.bessel_j(sf.BesselOrder(d), x)
+        mine = sf.bessel_j(nu, x)
         with mpmath.workdps(30):
             ref = np.array([float(mpmath.besselj(nu, v)) for v in x])
         small = x <= 20

@@ -72,6 +72,11 @@ class TestExactEuclidean:
         right = va.variance_exact_euclidean(euclid(2, 1.0, 3, 5.0), 1e-12)
         assert left.value == pytest.approx(5.0**-4 * right.value, rel=1e-8)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            va.variance_exact_euclidean(euclid(2, 9.0, 3, 1.0), tol)
+
     def test_method_tag_and_error(self):
         v = va.variance_exact_euclidean(euclid(2, 9.0, 3, 1.0))
         assert v.method is va.Method.EXACT_QUADRATURE

@@ -130,8 +130,8 @@ def p3_mpmath(x: float) -> float:
 
 class TestExactPlanarThreeStep:
     def test_against_mpmath_hypergeometric(self):
-        psi3, kinks = walk._psi_level(2, 3)
-        assert kinks == (1.0, 2.0, 3.0)
+        psi3 = walk._psi_level(2, 3)
+        assert walk._psi_kinks(3) == (1.0, 2.0, 3.0)
         offsets = [1e-12, 1e-9, 1e-6, 1e-3, 0.1]
         grid = sorted({1.0 + s * e for e in offsets for s in (-1, 1)}
                       | {1e-6, 0.05, 0.3, 0.6, 1.4, 1.8, 2.2, 2.7, 2.99, 3.0 - 1e-9})
@@ -146,7 +146,7 @@ class TestExactPlanarThreeStep:
                 p3_mpmath(r), rel=1e-13), r
 
     def test_finite_cap_at_unit_radius(self):
-        psi3, _ = walk._psi_level(2, 3)
+        psi3 = walk._psi_level(2, 3)
         vals = psi3(np.array([1.0, 3.0, 3.5]))
         assert np.isfinite(vals[0]) and vals[0] > psi3(np.array([1.0 - 1e-12]))[0]
         assert vals[1] == 0.0 and vals[2] == 0.0
@@ -199,7 +199,7 @@ IDQ_REFERENCES = _idq_references()
 def test_d3_levels_against_rayleigh_treloar(n):
     # PCHIP tables were off by up to 6.6e-6; the step from psi_2 near r = 1
     # by 1.4e-6 without the split ladder
-    tab, _ = walk._psi_level(3, n)
+    tab = walk._psi_level(3, n)
     grid = np.unique(np.concatenate(
         [np.linspace(0.0, n, 3001)]
         + [k + s * np.geomspace(1e-9, 0.4, 40) for k in range(n + 1) for s in (-1, 1)]
@@ -413,7 +413,8 @@ def test_psi_level_builds_once_under_threads(monkeypatch):
     monkeypatch.setattr(walk, "_PsiTable", counting)
     walk._psi_level.cache_clear()
     a, b = _race(walk._psi_level, 3, 4)
-    assert builds == [(3, 3), (3, 4)]
+    # the level-4 table asks for level 3 while it builds
+    assert builds == [(3, 4), (3, 3)]
     assert a is b
 
 
@@ -445,7 +446,7 @@ class TestNormalization:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_mass_and_second_moment(self, d, n):
-        tab, _ = walk._psi_level(d, n)
+        tab = walk._psi_level(d, n)
         grid = np.unique(
             np.concatenate(
                 [np.linspace(1e-9, n - 1e-9, 3001)]
@@ -526,8 +527,17 @@ class TestIdq:
         assert res.classification is Classification.DIVERGENT
         assert res.value is None and res.error is None
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        # a NaN tol used to spend the whole panel budget and return a value
+        # with no sign that it never converged
+        with pytest.raises(ValueError, match="tol"):
+            walk.idq(3, 5, IdqRoute.DIRECT_INTEGRAL, tol)
+        with pytest.raises(ValueError, match="tol"):
+            walk.density_kluyver(WalkSpec(3, 5), 1.5, tol)
+
     def test_unconverged_direct_integral_raises(self, monkeypatch):
-        def unconverged(g, a, tol, **kwargs):
+        def unconverged(g, tol, **kwargs):
             return quadrature.QuadResult(0.49, 1e3 * tol, 640_048, False)
 
         monkeypatch.setattr(walk, "integrate_oscillatory_tail", unconverged)
