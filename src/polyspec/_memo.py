@@ -8,15 +8,12 @@ import threading
 _MISSING = object()
 
 
-def build_once(fn=None, *, maxsize: int | None = None):
+def build_once(fn):
     """Memoise fn on its positional arguments.
 
     Threads that ask for a missing key together wait for a single build; a
-    cached key is read without a lock.  With maxsize, the oldest key is
-    dropped once more than maxsize are held.  The wrapper has cache_clear().
+    cached key is read without a lock.  The wrapper has cache_clear().
     """
-    if fn is None:
-        return functools.partial(build_once, maxsize=maxsize)
     cache: dict = {}
     locks: dict = {}
     guard = threading.Lock()
@@ -33,8 +30,6 @@ def build_once(fn=None, *, maxsize: int | None = None):
                     value = fn(*args)
                     with guard:
                         cache[args] = value
-                        if maxsize is not None and len(cache) > maxsize:
-                            del cache[next(iter(cache))]
                         locks.pop(args, None)
         return value
 

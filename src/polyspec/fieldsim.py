@@ -278,6 +278,8 @@ def mc_walk_density_check(spec: walk.WalkSpec, n_samples: int, bins: int,
     infinite-density point of the planar 3-step walk).  Returns
     (chi2, pvalue).
     """
+    if spec.n < 2:
+        raise ValueError("density routes need n >= 2 (a single step has unit radius)")
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
     if n_samples < 10 * bins:

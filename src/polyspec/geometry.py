@@ -17,11 +17,12 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import betainc, betaln, gammaln
+# PchipInterpolator is not called here; perfbench's tracer wraps the name
+from scipy.interpolate import PchipInterpolator  # noqa: F401
+from scipy.special import betainc, betaln, gammaln, roots_jacobi
 
 # integrate_adaptive is not called here; perfbench's tracer wraps the name
-from .quadrature import check_converged, integrate_adaptive, integrate_adaptive_batch  # noqa: F401
+from .quadrature import integrate_adaptive  # noqa: F401
 from .specfun import _validate_dim
 
 __all__ = [
@@ -35,10 +36,6 @@ __all__ = [
     "weight_spherical",
     "make_weight",
 ]
-
-# base grid size of a spherical cap-weight table
-WEIGHT_TABLE_POINTS = 800
-
 
 class Geometry(str, Enum):
     EUCLIDEAN = "euclidean"
@@ -107,12 +104,14 @@ def weight_euclidean(d: int, R: float, r):
 
 def _sin_power_integral(m: int, phi) -> np.ndarray:
     """int_0^phi sin(psi)^m dpsi for phi in [0, pi], vectorized in phi."""
-    phi = np.asarray(phi, dtype=float)
+    phi = np.clip(np.asarray(phi, dtype=float), 0.0, math.pi)
     if m == 0:
-        return phi.copy()
-    total = math.exp(betaln((m + 1) / 2.0, 0.5))  # int_0^pi sin^m
-    s = np.sin(np.clip(phi, 0.0, math.pi)) ** 2
-    half = 0.5 * total * betainc((m + 1) / 2.0, 0.5, s)
+        return phi
+    k = (m + 1) / 2.0
+    total = math.exp(betaln(k, 0.5))  # int_0^pi sin^m
+    s, co = np.sin(phi) ** 2, np.cos(phi) ** 2
+    # I_s(k, 1/2), by its complement where 1 - s would lose the digits of cos^2
+    half = 0.5 * total * np.where(s <= 0.5, betainc(k, 0.5, s), 1.0 - betainc(0.5, k, co))
     return np.where(phi <= 0.5 * math.pi, half, total - half)
 
 
@@ -122,46 +121,89 @@ def cap_volume(d: int, R: float) -> float:
     return omega(d - 1) * float(_sin_power_integral(d - 1, R))
 
 
-def weight_spherical(d: int, R: float, r):
-    """omega_{d-1} times the volume of the intersection of two geodesic caps.
+def _cos_power_integrals(m0: int, m1: int, sin_phi, cos_phi):
+    """Yield (m, int_0^phi cos^m) for m = m0, m0 + 2, ..., m1 (m0 = 0 or 1)."""
+    j = sin_phi if m0 else np.arctan2(sin_phi, cos_phi)
+    p, cos2 = cos_phi ** (m0 + 1) * sin_phi, cos_phi * cos_phi
+    for m in range(m0, m1 + 1, 2):
+        yield m, j
+        j, p = (p + (m + 1) * j) / (m + 2), p * cos2
 
-    Caps of radius R on S^d at geodesic center distance r.  Latitude
-    quadrature from the first center: the zone at colatitude theta meets the
-    second cap in a sub-cap of S^(d-1) whose half-angle is an arccos
-    expression in cos R, cos r, cos theta (argument clamped to [-1, 1] to
-    absorb the all-in / all-out configurations).  Exactly
-    omega_{d-1} omega_d when R = pi.  Each latitude quadrature runs at
-    tolerance 1e-10.
+
+def _cap_drop(d: int, c: float, r: np.ndarray) -> np.ndarray:
+    """G_d(r) = int_0^r (1 - c^2 tan^2(s/2))^((d-1)/2) ds / 2, r <= r*.
+
+    Under c tan(s/2) = sin(phi) it is G_d = c int_0^phi cos^d / (c^2 + sin^2),
+    and cos^2 = a - (c^2 + sin^2), a = 1 + c^2, gives G_d = a G_(d-2) - c J_(d-2)
+    with J_m = int_0^phi cos^m, G_1 = r/2 and G_0 = arctan(sqrt(a) tan(r/2) /
+    cos(phi)) / sqrt(a).  Each step scales rounding by about a, so past
+    a^(d//2) = 16 the same G_d is summed as the positive series
+    c sum_k J_(d+2k) / a^(k+1), cut where a^-k drops below 2^-53.
     """
-    BallSpec(Geometry.SPHERICAL, d, R)  # validates d and R
-    scalar = np.asarray(r).ndim == 0
-    rs = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any((rs < 0) | (rs > math.pi)):
-        raise ValueError("center distance must lie in [0, pi]")
+    a = 1.0 + c * c
+    t = np.tan(0.5 * r)
+    sin_phi = np.minimum(c * t, 1.0)
+    cos_phi = np.sqrt((1.0 - sin_phi) * (1.0 + sin_phi))
+    if a ** (d // 2) <= 16.0:
+        g = 0.5 * r if d % 2 else np.arctan2(math.sqrt(a) * t, cos_phi) / math.sqrt(a)
+        for _, j in _cos_power_integrals(d % 2, d - 2, sin_phi, cos_phi):
+            g = a * g - c * j
+        return g
+    last = d + 2 * math.ceil(53.0 * math.log(2.0) / math.log(a)) - 2
+    terms = _cos_power_integrals(d % 2, last, sin_phi, cos_phi)
+    return c * sum(j / a ** ((m - d) // 2 + 1) for m, j in terms if m >= d)
+
+
+def _cap_weight(spec: BallSpec) -> WeightFunction:
+    """The weight of a geodesic cap in closed form, with its integral.
+
+    Moving one center by dr changes the intersection by the flux through the
+    part of its boundary sphere inside the other cap: W'(r) = -K (1 - c^2
+    tan^2(r/2))_+^((d-1)/2), c = |cot R|, K = omega_{d-1} omega_{d-2}
+    sin(R)^(d-1) / (d-1), zero from r* = 2 arctan(1/c) (2R, or 2 pi - 2R once
+    R > pi/2).  So W = W(0) - 2K G_d (see _cap_drop), W(0) = omega_{d-1} |cap|,
+    down to W(pi) = omega_{d-1} max(0, 2 |cap| - omega_d), the overlap of two
+    caps that cover the sphere; the whole sphere's W is omega_{d-1} omega_d.
+
+    int_0^pi W = pi W(pi) - int_0^r* r W'.  W' falls to 0 within about c
+    of r*; tan(r/2) = sinh(v) stretches that to O(1), so the moment is
+    K int_0^v* 4 arctan(sinh v) sech(v) (1 - c^2 sinh^2 v)^((d-1)/2) dv,
+    v* = asinh(1/c).  A Gauss-Jacobi rule takes (v* - v)^((d-1)/2) as its
+    weight; the rest is analytic within pi/2 of the segment, and
+    20 + 3 ceil(v*) nodes leave only the rounding of the rule itself.
+    """
+    d, R = spec.d, spec.R
     if R >= math.pi:
-        out = np.full_like(rs, omega(d - 1) * omega(d))
-        return float(out[0]) if scalar else out
-    w_d2 = omega(d - 2)
-    # coincident centers: the intersection is the whole cap
-    out = np.full_like(rs, omega(d - 1) * cap_volume(d, R))
-    apart = ~(rs < 1e-12)
-    sin_r, cos_r = np.sin(rs[apart]), np.cos(rs[apart])
+        const = omega(d - 1) * omega(d)
+        return WeightFunction(spec, lambda r: np.full_like(r, const), math.pi * const)
+    c = abs(math.cos(R) / math.sin(R))
+    K = omega(d - 1) * omega(d - 2) * math.sin(R) ** (d - 1) / (d - 1)
+    cap = cap_volume(d, R)
+    w0, w_pi = omega(d - 1) * cap, omega(d - 1) * max(0.0, 2.0 * cap - omega(d))
+    r_end = 2.0 * math.atan2(1.0, c)
 
-    def zone(theta, k):
-        ct, st = np.cos(theta), np.sin(theta)
-        arg = (math.cos(R) - ct * cos_r[k]) / np.maximum(st * sin_r[k], 1e-300)
-        phi = np.arccos(np.clip(arg, -1.0, 1.0))
-        return st ** (d - 1) * w_d2 * _sin_power_integral(d - 2, phi)
+    def ev(r: np.ndarray) -> np.ndarray:
+        drop = _cap_drop(d, c, np.clip(r, 0.0, r_end))
+        return np.where(r < r_end, np.maximum(w0 - 2.0 * K * drop, w_pi), w_pi)
 
-    # clamp transitions: the latitude circle enters or leaves the second
-    # cap directly (theta = |r - R|, r + R) or by wrapping past the far
-    # pole (theta = 2 pi - r - R, relevant once R > pi/2)
-    r = rs[apart, None]
-    kinks = np.hstack([np.abs(r - R), r + R, 2.0 * math.pi - r - R])
-    res = integrate_adaptive_batch(zone, 0.0, R, 1e-10, split_points=kinks)
-    check_converged(res, 1e-10, "cap weight quadrature")
-    out[apart] = omega(d - 1) * res.value
-    return float(out[0]) if scalar else out
+    v_end = math.asinh(1.0 / c)
+    x, wx = roots_jacobi(20 + 3 * math.ceil(v_end), 0.5 * (d - 1), 0.0)
+    v, gap = 0.5 * v_end * (1.0 + x), 0.5 * v_end * (1.0 - x)
+    # (1 - c^2 sinh^2 v) / (v* - v), without cancellation next to v*
+    inner = (2.0 * c * np.cosh(0.5 * (v_end + v)) * np.sinh(0.5 * gap) / gap
+             * (1.0 + c * np.sinh(v)))
+    f = 4.0 * np.arctan(np.sinh(v)) / np.cosh(v) * inner ** (0.5 * (d - 1))
+    moment = K * (0.5 * v_end) ** (0.5 * (d + 1)) * float(wx @ f)
+    return WeightFunction(spec, ev, math.pi * w_pi + moment)
+
+
+def weight_spherical(d: int, R: float, r):
+    """omega_{d-1} times the volume of the intersection of two geodesic caps
+    of radius R on S^d at center distance r, in closed form (_cap_weight)."""
+    spec = BallSpec(Geometry.SPHERICAL, d, R)  # validates d and R
+    if np.any((np.asarray(r) < 0) | (np.asarray(r) > math.pi)):
+        raise ValueError("center distance must lie in [0, pi]")
+    return _cap_weight(spec)(r)
 
 
 @dataclass
@@ -188,48 +230,14 @@ class WeightFunction:
 
 
 def make_weight(spec: BallSpec) -> WeightFunction:
-    """Build the weight function for a ball spec.
+    """Build the weight function for a ball spec, in closed form.
 
-    Euclidean weights are closed-form, with the closed-form integral
-    4 omega_{d-1} omega_{d-2} R^(d+1) / ((d-1)(d+1)); the whole sphere's is
-    the constant omega_{d-1} omega_d.  Partial-cap weights are tabulated once
-    on a dense grid (each table value a latitude quadrature) and interpolated
-    monotonically in between, which also gives their exact integral.  The
-    grid spans the kink at r = 2R, so the interpolant stays PCHIP: a C^2
-    spline rings there (down to -1.9e-5 past 2R at d = 2, R = 1, where W = 0).
+    A Euclidean ball's integral is 4 omega_{d-1} omega_{d-2} R^(d+1) /
+    ((d-1)(d+1)); a cap's is pi W(pi) plus a fixed Gauss-Jacobi moment
+    (see _cap_weight).
     """
     d, R = spec.d, spec.R
-    if spec.geometry == Geometry.EUCLIDEAN:
-
-        def ev(r: np.ndarray) -> np.ndarray:
-            return np.asarray(weight_euclidean(d, R, r))
-
-        integral = 4.0 * omega(d - 1) * omega(d - 2) * R ** (d + 1) / ((d - 1) * (d + 1))
-        return WeightFunction(spec, ev, integral)
-
-    if R >= math.pi:
-        const = omega(d - 1) * omega(d)
-
-        def ev_const(r: np.ndarray) -> np.ndarray:
-            return np.full_like(np.asarray(r, dtype=float), const)
-
-        return WeightFunction(spec, ev_const, math.pi * const)
-
-    # grid refined near the kinks at r = 0 and r = 2R (caps become disjoint)
-    base = np.unique(
-        np.concatenate(
-            [
-                np.linspace(0.0, math.pi, WEIGHT_TABLE_POINTS),
-                np.linspace(0.0, min(2.0 * R, math.pi), WEIGHT_TABLE_POINTS // 2),
-                np.geomspace(1e-6, math.pi, WEIGHT_TABLE_POINTS // 4),
-            ]
-        )
-    )
-    vals = weight_spherical(d, R, base)
-    interp = PchipInterpolator(base, vals, extrapolate=False)
-
-    def ev_tab(r: np.ndarray) -> np.ndarray:
-        out = interp(np.clip(r, 0.0, math.pi))
-        return np.nan_to_num(out, nan=0.0)
-
-    return WeightFunction(spec, ev_tab, float(interp.integrate(0.0, math.pi)))
+    if spec.geometry == Geometry.SPHERICAL:
+        return _cap_weight(spec)
+    integral = 4.0 * omega(d - 1) * omega(d - 2) * R ** (d + 1) / ((d - 1) * (d + 1))
+    return WeightFunction(spec, lambda r: weight_euclidean(d, R, r), integral)

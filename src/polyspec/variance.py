@@ -18,8 +18,7 @@ import numpy as np
 from scipy.special import roots_hermitenorm
 
 from . import specfun, walk
-from ._memo import build_once
-from .geometry import BallSpec, Geometry, WeightFunction, make_weight
+from .geometry import BallSpec, Geometry, make_weight
 from .quadrature import check_converged, integrate_adaptive
 
 __all__ = [
@@ -116,11 +115,6 @@ def regime_of(spec: PolyspectrumSpec) -> Regime:
     return Regime.GENERIC
 
 
-@build_once(maxsize=64)
-def _cached_weight(ball: BallSpec) -> WeightFunction:
-    return make_weight(ball)
-
-
 def _exact_quadrature(spec: PolyspectrumSpec, f, freq: float,
                       tol: float) -> VarianceEstimate:
     """q! int_0^end f(r) dr over the ball's pair distances by
@@ -147,7 +141,7 @@ def variance_exact_euclidean(spec: PolyspectrumSpec, tol: float = 1e-9) -> Varia
     if spec.field.geometry != Geometry.EUCLIDEAN:
         raise ValueError("Euclidean spec required")
     d, q, lam = spec.field.d, spec.q, spec.field.freq
-    w = _cached_weight(spec.ball)
+    w = make_weight(spec.ball)
 
     def f(r: np.ndarray) -> np.ndarray:
         return specfun.jd(d, lam * r) ** q * w(r) * r ** (d - 1)
@@ -170,7 +164,7 @@ def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9,
         return VarianceEstimate(spec, 0.0, Method.EXACT_QUADRATURE, 0.0, regime)
     d, q = spec.field.d, spec.q
     gspec = specfun.GegenbauerSpec(d, spec.field.ell)
-    w = _cached_weight(spec.ball)
+    w = make_weight(spec.ball)
 
     def f(r: np.ndarray) -> np.ndarray:
         return (
@@ -205,7 +199,7 @@ def variance_asymptotic(spec: PolyspectrumSpec) -> VarianceEstimate:
     d, q = spec.field.d, spec.q
     spherical = spec.field.geometry == Geometry.SPHERICAL
     regime = regime_of(spec)
-    w = _cached_weight(spec.ball)
+    w = make_weight(spec.ball)
     qfac = math.factorial(q)
     if regime is Regime.PARITY_ZERO:
         return VarianceEstimate(spec, 0.0, Method.ASYMPTOTIC, None, regime)

@@ -197,8 +197,8 @@ def test_criterion_08_cross_geometry_constant():
     spec_e = va.PolyspectrumSpec(va.FieldSpec(E, 2, 300.0), 3, 1.0)
     v_s = va.variance_exact_spherical(spec_s).value
     v_e = va.variance_exact_euclidean(spec_e).value
-    c_s = 300.0**2 * v_s / va._cached_weight(spec_s.ball).at_zero
-    c_e = 300.0**2 * v_e / va._cached_weight(spec_e.ball).at_zero
+    c_s = 300.0**2 * v_s / va.make_weight(spec_s.ball).at_zero
+    c_e = 300.0**2 * v_e / va.make_weight(spec_e.ball).at_zero
     ok = abs(c_s / c_e - 1.0) <= 0.10
     report(
         "criterion 8 (cross-geometry constant)",

@@ -294,6 +294,11 @@ class TestWalkDensityCheck:
         chi2, p = fs.mc_walk_density_check(walk.WalkSpec(2, 3), 1_000_000, 50, seed=13)
         assert p > 0.001
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_refuses_single_step(self, d):
+        with pytest.raises(ValueError, match="n >= 2"):
+            fs.mc_walk_density_check(walk.WalkSpec(d, 1), 1000, 10, seed=1)
+
     def test_refuses_sparse_bins(self):
         with pytest.raises(ValueError):
             fs.mc_walk_density_check(walk.WalkSpec(2, 2), 1200, 400, seed=1)

@@ -121,12 +121,41 @@ class TestWeightSpherical:
         assert abs(res.value - mc) <= 4.0 * se
 
 
+class TestCapWeightClosedForm:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("R", [0.3, 1.0, math.pi / 2, 2.0, 2.5, math.pi - 1e-3])
+    def test_matches_latitude_oracle(self, latitude_oracle, d, R):
+        # c = |cot R| is 0 at pi/2; r* = 2R or 2 pi - 2R is where W' ends;
+        # measured: within 1.1e-14 W(0) on this grid
+        r = np.array([x for x in (0.0, 2 * R, 2 * math.pi - 2 * R, math.pi,
+                                  0.5 * R, R, 0.3, 1.3, 2.9) if 0.0 <= x <= math.pi])
+        w0 = geo.omega(d - 1) * geo.cap_volume(d, R)
+        oracle = latitude_oracle(d, R, r, 1e-13 * geo.cap_volume(d, R))
+        assert np.abs(geo.weight_spherical(d, R, r) - oracle).max() <= 1e-13 * w0
+
+    @pytest.mark.parametrize("R", [0.3, 1.0, 1.5, 2.0, 2.5])
+    def test_s2_gauss_bonnet_lens(self, R):
+        # the lens has two arcs of geodesic curvature cot R, each turning
+        # 2 beta at its cap center, and exterior angle gamma at each corner:
+        # area = 2 pi - 2 gamma - 4 beta cos R
+        r = np.linspace(0.05, 0.99 * min(2 * R, 2 * math.pi - 2 * R), 9)
+        cos_beta = math.cos(R) * (1 - np.cos(r)) / (math.sin(R) * np.sin(r))
+        cos_gamma = (np.cos(r) - math.cos(R) ** 2) / math.sin(R) ** 2
+        area = (2 * math.pi - 2 * np.arccos(cos_gamma)
+                - 4 * np.arccos(cos_beta) * math.cos(R))
+        w0 = geo.weight_spherical(2, R, 0.0)
+        assert np.abs(geo.weight_spherical(2, R, r) - 2 * math.pi * area).max() <= 1e-13 * w0
+
+    def test_disjoint_caps_weigh_zero(self):
+        for d in (2, 3, 4, 5):
+            assert np.all(geo.weight_spherical(d, 1.0, np.array([2.0, 2.5, math.pi])) == 0.0)
+
+
 class TestWeightFunctionObjects:
-    def test_spherical_table_matches_direct(self):
+    def test_spherical_weight_matches_latitude_quadrature(self, latitude_oracle):
         w = geo.make_weight(BallSpec(Geometry.SPHERICAL, 2, 1.0))
         r = np.linspace(0.01, 3.1, 17)
-        direct = geo.weight_spherical(2, 1.0, r)
-        assert np.abs(w(r) - direct).max() < 5e-6
+        assert np.abs(w(r) - latitude_oracle(2, 1.0, r, 1e-10)).max() <= 1e-10 * w.at_zero
 
     def test_euclidean_eval(self):
         w = geo.make_weight(BallSpec(Geometry.EUCLIDEAN, 3, 1.0))
@@ -134,8 +163,7 @@ class TestWeightFunctionObjects:
         assert w(2.5) == 0.0
 
     def test_weight_non_increasing(self):
-        # measured on this grid: the largest increase is <= 0, except 3.1e-12
-        # on the (d, R) = (2, 2.5) cap table
+        # measured on this grid: no step increases, the cap weights included
         for geometry, d, R in [
             (Geometry.EUCLIDEAN, 2, 1.0), (Geometry.EUCLIDEAN, 3, 1.0),
             (Geometry.SPHERICAL, 2, 1.0), (Geometry.SPHERICAL, 3, 0.7),

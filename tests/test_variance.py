@@ -1,14 +1,11 @@
 import math
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from polyspec import variance as va
 from polyspec import walk
-from polyspec.geometry import BallSpec, Geometry, make_weight, omega
+from polyspec.geometry import BallSpec, Geometry, WeightFunction, cap_volume, make_weight, omega
 from polyspec.quadrature import integrate_adaptive
 
 E, S = Geometry.EUCLIDEAN, Geometry.SPHERICAL
@@ -122,6 +119,24 @@ class TestExactSpherical:
             assert v.value >= 0.5 * pred.value, spec
 
 
+    @pytest.mark.parametrize("d, q, R, ell", [
+        (2, 2, 1.5, 40), (2, 3, 1.0, 20), (2, 3, 1.0, 80), (2, 5, 1.0, 40),
+        (5, 3, 1.5, 30), (3, 3, 0.7, 40), (3, 5, 0.7, 40),
+    ])
+    def test_error_bar_covers_latitude_reference(self, latitude_oracle, monkeypatch,
+                                                  d, q, R, ell):
+        # the same quadrature over the latitude oracle's W at 1e-13 of the cap;
+        # a cap weight off by more than rounding shows up beyond the bar
+        # (the former PCHIP table was 1.5x to 3,600x outside it here)
+        spec = sphere(d, ell, q, R)
+        v = va.variance_exact_spherical(spec, tol=1e-11)
+        tol_w = 1e-13 * cap_volume(d, R)
+        monkeypatch.setattr(va, "make_weight", lambda ball: WeightFunction(
+            ball, lambda r: latitude_oracle(d, R, r, tol_w), math.nan))
+        ref = va.variance_exact_spherical(spec, tol=1e-13)
+        assert abs(v.value - ref.value) <= v.error
+
+
 class TestAsymptotic:
     def test_generic_constant_d3_q3(self):
         spec = euclid(3, 3.0, 3, 1.0)
@@ -177,14 +192,17 @@ class TestAsymptotic:
 
     @pytest.mark.parametrize("geometry, d, R", [
         *(pytest.param(S, d, R, id=f"{d}-{R}")
-          for d, R in [(2, 1.0), (2, 1.5), (3, 0.7), (4, 2.5)]),
+          for d, R in [(2, 1.0), (2, 1.5), (3, 0.7), (4, 2.5),
+                       (2, math.pi / 2), (5, math.pi / 2 - 1e-6)]),
         *(pytest.param(S, d, math.pi, id=f"sphere-{d}") for d in (2, 3)),
         *(pytest.param(E, d, R, id=f"euclidean-{d}-{R}")
           for d in (2, 3, 4, 5) for R in (0.3, 1.0, 2.5)),
     ])
     def test_weight_mean_integral_is_exact_table_integral(self, geometry, d, R):
-        # every weight kind carries its exact integral: the cap table's, the
-        # Euclidean closed form, the whole sphere's constant times pi
+        # every weight kind carries its exact integral: the cap's closed W
+        # with its Gauss-Jacobi moment (at c = |cot R| near 0 the rule has
+        # the most nodes), the Euclidean closed form, the whole sphere's
+        # constant times pi
         w = make_weight(BallSpec(geometry, d, R))
         ref = integrate_adaptive(lambda r: w(r), 0.0, w.support_end, 1e-13 * w.integral)
         assert ref.converged
@@ -213,26 +231,3 @@ class TestHermiteIdentity:
             va.hermite_covariance_identity_check(0, 0.5)
         with pytest.raises(ValueError):
             va.hermite_covariance_identity_check(2, 1.5)
-
-
-def test_cached_weight_builds_once_under_threads(monkeypatch):
-    real, builds = va.make_weight, []
-
-    def counting(ball):
-        builds.append(ball)
-        time.sleep(0.05)  # keep the build open while the other thread asks
-        return real(ball)
-
-    monkeypatch.setattr(va, "make_weight", counting)
-    va._cached_weight.cache_clear()
-    ball = sphere(2, 20, 2, 0.9).ball
-    barrier = threading.Barrier(2)
-
-    def run():
-        barrier.wait()
-        return va._cached_weight(ball)
-
-    with ThreadPoolExecutor(2) as pool:
-        a, b = [f.result() for f in [pool.submit(run) for _ in range(2)]]
-    assert builds == [ball]
-    assert a is b
