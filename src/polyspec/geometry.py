@@ -75,30 +75,29 @@ def ball_volume(d: int, R: float) -> float:
     return omega(d - 1) * R**d / d
 
 
-def _cap_volume_euclidean(d: int, R: float, h) -> np.ndarray:
-    """Volume of the cap of height h of a radius-R ball in R^d.
-
-    Regularized incomplete Beta form, valid for 0 <= h <= 2R:
-    half the ball volume scaled by I_x((d+1)/2, 1/2) at x = (2Rh - h^2)/R^2
-    for h <= R, complemented for h > R.
-    """
-    h = np.clip(np.asarray(h, dtype=float), 0.0, 2.0 * R)
-    ball = ball_volume(d, R)
-    small = np.minimum(h, 2.0 * R - h)
-    x = np.clip((2.0 * R - small) * small / R**2, 0.0, 1.0)
-    v = 0.5 * ball * betainc((d + 1) / 2.0, 0.5, x)
-    return np.where(h > R, ball - v, v)
+def _betainc_half(a: float, x, x_c) -> np.ndarray:
+    """I_x(a, 1/2) given both x and x_c = 1 - x, one betainc per point: from
+    x where x <= 1/2, else as 1 - I_(x_c)(1/2, a), so that neither side
+    loses the digits of its complement."""
+    x, x_c = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(x_c, dtype=float))
+    low = x <= 0.5
+    out = np.empty(x.shape)
+    out[low] = betainc(a, 0.5, x[low])
+    out[~low] = 1.0 - betainc(0.5, a, x_c[~low])
+    return out
 
 
 def weight_euclidean(d: int, R: float, r):
     """omega_{d-1} times the lens volume of two radius-R balls at distance r.
 
-    The lens is twice the cap of height R - r/2; identically 0 for r >= 2R.
+    The lens, two caps of height R - r/2, is ball_volume(d, R) times
+    I_(1-u^2)((d+1)/2, 1/2), u = r / 2R; identically 0 for r >= 2R.
     """
     BallSpec(Geometry.EUCLIDEAN, d, R)  # validates d and R
     arr = np.asarray(r, dtype=float)
-    h = np.clip(R - 0.5 * np.abs(arr), 0.0, R)
-    out = omega(d - 1) * 2.0 * _cap_volume_euclidean(d, R, h)
+    u = np.minimum(0.5 * np.abs(arr) / R, 1.0)
+    lens = ball_volume(d, R) * _betainc_half((d + 1) / 2.0, (1.0 - u) * (1.0 + u), u * u)
+    out = omega(d - 1) * lens
     return float(out) if arr.ndim == 0 else out
 
 
@@ -109,9 +108,7 @@ def _sin_power_integral(m: int, phi) -> np.ndarray:
         return phi
     k = (m + 1) / 2.0
     total = math.exp(betaln(k, 0.5))  # int_0^pi sin^m
-    s, co = np.sin(phi) ** 2, np.cos(phi) ** 2
-    # I_s(k, 1/2), by its complement where 1 - s would lose the digits of cos^2
-    half = 0.5 * total * np.where(s <= 0.5, betainc(k, 0.5, s), 1.0 - betainc(0.5, k, co))
+    half = 0.5 * total * _betainc_half(k, np.sin(phi) ** 2, np.cos(phi) ** 2)
     return np.where(phi <= 0.5 * math.pi, half, total - half)
 
 

@@ -25,8 +25,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
+from scipy.special import roots_jacobi
 
 __all__ = [
     "QuadResult",
@@ -402,6 +401,28 @@ def _neville_to_zero(xs: np.ndarray, ys) -> np.ndarray:
     return np.array(out)
 
 
+def _neville_limit(xs: np.ndarray, ys, scale: float):
+    """Limit at x = 0 of the Neville tableau through (xs[i], ys[i]), xs[0]
+    nearest 0, and its error estimate.
+
+    Entry 0 is judged by the spread of ys, entry k >= 1 by its change from
+    entry k - 1, each plus (entry 0: at least) its rounding level: eps times
+    scale, the absolute size of the terms summed into ys, times the sum of
+    |Lagrange weights| at 0 that the entry applies to ys.  The entry with
+    the smallest error wins.
+    """
+    ext = _neville_to_zero(xs, ys)
+    floor = [_EPS * scale * sum(
+        abs(np.prod([x / (x - xj) for x in xs[:k + 1] if x != xj])) for xj in xs[:k + 1]
+    ) for k in range(len(xs))]
+    best, err = float(ext[0]), max(abs(ys[-1] - ys[0]), floor[0])
+    for k in range(1, len(xs)):
+        cand = float(abs(ext[k] - ext[k - 1])) + floor[k]
+        if cand < err:
+            best, err = float(ext[k]), cand
+    return best, err
+
+
 def _richardson_inverse_t(sums: np.ndarray, t0: float):
     """Neville extrapolation of partial sums to T = oo in powers of 1/T.
 
@@ -417,13 +438,8 @@ def _richardson_inverse_t(sums: np.ndarray, t0: float):
         xs.append(1.0 / (t0 + 2.0 * m * math.pi))
         ys.append(sums[2 * m - 1])
         m //= 2
-    ext = _neville_to_zero(np.array(xs), ys)
-    change = np.abs(np.diff(ext))
-    best = (float(ext[0]), np.inf)
-    for k in range(2, len(ext)):
-        if change[k - 1] < best[1]:
-            best = (float(ext[k]), float(change[k - 1]) + 1e-15 * abs(ext[k]))
-    return best
+    scale = float(np.abs(np.diff(sums, prepend=0.0)).sum())
+    return _neville_limit(np.array(xs), ys, scale)
 
 
 def _accelerate_sums(sums: np.ndarray, t0: float):
@@ -502,21 +518,8 @@ def integrate_oscillatory_mollified(
         plain_total += float(part.sum())
         abs_total += float(np.abs(part).sum())
 
-    # Neville extrapolation to x = 0, anchored at the largest T.  No error
-    # estimate goes below the rounding level of entry k: eps times the sum of
-    # the absolute panel contributions, times the sum of |Lagrange weights|
-    # at 0 that entry applies to the sums
-    xs = np.array(xs[::-1])
-    ext = _neville_to_zero(xs, vals[::-1])
-    floor = [_EPS * abs_total * sum(
-        abs(np.prod([x / (x - xj) for x in xs[:k + 1] if x != xj])) for xj in xs[:k + 1]
-    ) for k in range(_MOLLIFIED_LEVELS)]
-    best, err = float(ext[0]), abs(vals[-1] - vals[0])
-    err = max(err, floor[0])
-    for k in range(1, _MOLLIFIED_LEVELS):
-        cand = float(abs(ext[k] - ext[k - 1])) + floor[k]
-        if cand < err:
-            best, err = float(ext[k]), cand
+    # extrapolation to T = oo, anchored at the largest T
+    best, err = _neville_limit(np.array(xs[::-1]), vals[::-1], abs_total)
     return QuadResult(best, err, n_evals, err < tol)
 
 
@@ -619,9 +622,9 @@ def integrate_oscillatory_tail(
 def gauss_jacobi_symmetric(nu: float, m: int):
     """m-point Gauss rule for the weight (1 - s^2)^(nu - 1/2) on (-1, 1).
 
-    Golub-Welsch on the symmetric Jacobi matrix of the Gegenbauer weight;
-    nodes come in +/- pairs with equal weights and the weights sum to
-    sqrt(pi) Gamma(nu + 1/2) / Gamma(nu + 1).  Returns (nodes, weights).
+    scipy's roots_jacobi with alpha = beta = nu - 1/2, made exactly
+    symmetric: nodes come in +/- pairs with equal weights, and the weights
+    sum to sqrt(pi) Gamma(nu + 1/2) / Gamma(nu + 1).  Returns (nodes, weights).
     """
     if nu < 0:
         raise ValueError("order must be >= 0")
@@ -629,18 +632,5 @@ def gauss_jacobi_symmetric(nu: float, m: int):
         raise ValueError("node count must be an integer >= 1")
     if m > _GAUSS_JACOBI_NODE_BUDGET:
         raise ValueError(f"node count exceeds budget {_GAUSS_JACOBI_NODE_BUDGET}")
-    mu0 = math.sqrt(math.pi) * math.exp(gammaln(nu + 0.5) - gammaln(nu + 1.0))
-    if m == 1:
-        return np.zeros(1), np.array([mu0])
-    k = np.arange(1, m)
-    beta = np.empty(m - 1)
-    beta[0] = 1.0 / (2.0 * (nu + 1.0))
-    if m > 2:
-        kk = k[1:].astype(float)
-        beta[1:] = kk * (kk + 2.0 * nu - 1.0) / (4.0 * (kk + nu) * (kk + nu - 1.0))
-    nodes, vecs = eigh_tridiagonal(np.zeros(m), np.sqrt(beta))
-    weights = mu0 * vecs[0, :] ** 2
-    # enforce exact +/- symmetry
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    return nodes, weights
+    nodes, weights = roots_jacobi(int(m), nu - 0.5, nu - 0.5)
+    return 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])

@@ -214,9 +214,7 @@ def variance_asymptotic(spec: PolyspectrumSpec) -> VarianceEstimate:
         value = qfac * (3.0 / (2.0 * math.pi**2)) * w_ends * math.log(f) / f**2
         return VarianceEstimate(spec, value, Method.ASYMPTOTIC, None, regime)
     f = spec.field.freq
-    idq_val = walk.idq_closed_form(d, q) if (q == 3 or (d, q) == (2, 5)) else None
-    if idq_val is None:
-        idq_val = walk.idq(d, q, walk.IdqRoute.DIRECT_INTEGRAL, 1e-10).value
+    idq_val = walk.idq_value(d, q, 1e-10)
     weight_term = w.at_zero
     if spherical:
         sign = -1.0 if (q % 2 == 1 and spec.field.ell % 2 == 1) else 1.0

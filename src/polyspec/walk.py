@@ -15,7 +15,6 @@ the same density machinery and yields an independent second route.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +51,7 @@ __all__ = [
     "classify_idq",
     "idq",
     "idq_closed_form",
+    "idq_value",
     "idq_partial_integrals",
     "sample_walk",
     "density_curve",
@@ -357,45 +357,38 @@ def _min_beat_frequency(n: int, r: float) -> float:
     return min(freqs) if freqs else 1.0
 
 
-# jd(d, t)^n on the canonical panel nodes of one (d, n), one array per panel
-# width: panel k holds entries 16k .. 16k + 15.  Every width of the current
-# (d, n) stays resident, since a density grid mixes several, and each
-# extension is published by swapping in a new tuple under the lock, so a
-# reader always sees a complete table.
-_kernel_table: tuple = ((), {})
-_kernel_lock = threading.Lock()
-_NO_VALUES = np.empty(0)
+# canonical panels per memoised block of jd(t)^n
+_KERNEL_BLOCK_PANELS = 64
+
+
+@build_once
+def _kernel_block(d: int, n: int, width: float, block: int) -> np.ndarray:
+    """jd(d, t) ** n on the B = _KERNEL_BLOCK_PANELS canonical panels of this
+    width from panel block * B on, 16 entries per panel."""
+    k0 = block * _KERNEL_BLOCK_PANELS
+    nodes = quadrature.canonical_panel_nodes(width, k0, k0 + _KERNEL_BLOCK_PANELS)[0]
+    return specfun.jd(d, nodes.ravel()) ** n
 
 
 def _kernel_power(d: int, n: int, width: float, t: np.ndarray) -> np.ndarray:
     """specfun.jd(d, t) ** n, bit for bit, shared across Kluyver radii.
 
     When t are whole panels of the canonical grid of this width (as
-    integrate_oscillatory_mollified asks for them), the values come from a
-    table that grows by the missing panels only; any other t is computed
-    directly, so the table only ever changes speed.
+    integrate_oscillatory_mollified asks for them), the values are sliced
+    from blocks of panels, each built once per (d, n, width, block) and kept
+    (_kernel_block); any other t is computed directly, so the blocks only
+    ever change speed.
     """
-    global _kernel_table
     m, rest = divmod(t.size, 16)
     k0 = math.floor(t[0] / width) if t.ndim == 1 and m and math.isfinite(t[0]) else -1
     if rest or k0 < 0 or not np.array_equal(
         quadrature.canonical_panel_nodes(width, k0, k0 + m)[0].ravel(), t
     ):
         return specfun.jd(d, t) ** n
-    key, k1 = (d, n), k0 + m
-    entry = _kernel_table
-    vals = entry[1].get(width, _NO_VALUES) if entry[0] == key else _NO_VALUES
-    if len(vals) < 16 * k1:
-        with _kernel_lock:
-            entry = _kernel_table
-            tables = entry[1] if entry[0] == key else {}
-            vals = tables.get(width, _NO_VALUES)
-            done = len(vals) // 16
-            if done < k1:
-                nodes = quadrature.canonical_panel_nodes(width, done, k1)[0].ravel()
-                vals = np.concatenate([vals, specfun.jd(d, nodes) ** n])
-                _kernel_table = (key, {**tables, width: vals})
-    return vals[16 * k0:16 * k1]
+    b0, b1 = k0 // _KERNEL_BLOCK_PANELS, (k0 + m - 1) // _KERNEL_BLOCK_PANELS
+    vals = np.concatenate([_kernel_block(d, n, width, b) for b in range(b0, b1 + 1)])
+    start = 16 * (k0 - b0 * _KERNEL_BLOCK_PANELS)
+    return vals[start:start + 16 * m]
 
 
 def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
@@ -404,7 +397,7 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     rho^d_n(r) = (1/((nu!)^2 4^nu)) int_0^inf (t r)^(2nu+1) jd(t r) jd(t)^n dt,
     an improper integral evaluated by mollified truncation on the engine's
     canonical panel grid.  The factor jd(t)^n does not depend on r: it is
-    read from a table shared by every radius with the same (d, n).
+    read from blocks shared by every radius with the same (d, n).
     Interior resonances with a non-summable envelope are the
     infinite-density points and come back with status 'divergent'.
     """
@@ -460,7 +453,7 @@ def classify_idq(d: int, q: int) -> Classification:
 
 def idq_closed_form(d: int, q: int) -> float:
     """Exact values: the q = 3 product formula for every d, and (d, q) = (2, 5)."""
-    nu = 0.5 * d - 1.0
+    nu = specfun._validate_dim(d)
     if q == 3:
         return (
             2.0
@@ -472,6 +465,15 @@ def idq_closed_form(d: int, q: int) -> float:
         lg = sum(gammaln(f / 15.0) for f in (1.0, 2.0, 4.0, 8.0))
         return math.sqrt(5.0) * math.exp(lg) / (40.0 * math.pi**4)
     raise ValueError(f"no closed form for (d, q) = ({d}, {q})")
+
+
+def idq_value(d: int, q: int, tol: float) -> float | None:
+    """I_q^d by its closed form where idq_closed_form has one, else by the
+    direct integral at tol; None for a divergent moment."""
+    try:
+        return idq_closed_form(d, q)
+    except ValueError:
+        return idq(d, q, IdqRoute.DIRECT_INTEGRAL, tol).value
 
 
 def _idq_integrand(d: int, q: int):
@@ -603,7 +605,11 @@ def density_curve(spec: WalkSpec, r_min: float, r_max: float, points: int,
         raise ValueError("density routes need n >= 2 (a single step has unit radius)")
     if not (0 <= r_min < r_max < math.inf):
         raise ValueError("need 0 <= r_min < r_max < inf")
+    if points < 1:
+        raise ValueError(f"need points >= 1, got {points}")
     grid = np.linspace(r_min, r_max, points)
     grid = grid[grid > 0] if r_min == 0 else grid
+    if not grid.size:
+        raise ValueError("no radius left once r = 0 is dropped; need points >= 2")
     vals, errs = density_on_grid(spec, grid, route, seed=seed, tol=tol)
     return DensityCurve(spec, grid, vals, route, errs)

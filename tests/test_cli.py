@@ -69,6 +69,16 @@ class TestDensityCommand:
             else:
                 assert float(rho) >= 0.0 and float(err) > 0.0, r
 
+    @pytest.mark.parametrize("points", ["1", "0", "-2"])
+    def test_empty_grid_rejected(self, points):
+        # --points 1 and 0 printed only the header and exited 0 (the lone
+        # radius r = 0 is dropped); -2 exited 2 with numpy's message
+        proc = run_cli(["density", "--d", "3", "--n", "2", "--route", "closed",
+                        "--points", points], check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "points" in proc.stderr and "Number of samples" not in proc.stderr
+
 
 class TestConstantCommand:
     def test_closed_pi_over_four(self):

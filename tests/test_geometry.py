@@ -41,6 +41,23 @@ class TestWeightEuclidean:
             2 * math.pi * lens, rel=1e-12
         )
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("r", [1e-10, 1e-8, 1e-6, 1e-4])
+    def test_small_distance_lens_closed_form(self, d, r):
+        # the lens at r << R in 40-digit mpmath: 2 R^2 acos(r/2R) -
+        # (r/2) sqrt(4R^2 - r^2) at d = 2, pi (4R + r)(2R - r)^2 / 12 at d = 3.
+        # Forming 1 - (r/2R)^2 next to 1 left 7.5e-9 relative at d = 3,
+        # r = 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = mpmath.mpf(r)
+            if d == 2:
+                lens = 2 * mpmath.acos(x / 2) - x / 2 * mpmath.sqrt(4 - x * x)
+            else:
+                lens = mpmath.pi * (4 + x) * (2 - x) ** 2 / 12
+            expect = float(geo.omega(d - 1) * lens)
+        assert geo.weight_euclidean(d, 1.0, r) == pytest.approx(expect, rel=1e-14, abs=0)
+
     def test_monotone_nonincreasing(self):
         r = np.linspace(0.0, 2.0, 100)
         for d in (2, 3, 5):

@@ -281,10 +281,6 @@ def _kluyver(points):
     return {p: walk.density_kluyver(WalkSpec(p[0], p[1]), p[2], 1e-8) for p in points}
 
 
-def _cold_kernel_table(monkeypatch):
-    monkeypatch.setattr(walk, "_kernel_table", ((), {}))
-
-
 def _race(fn, *args):
     """fn(*args) from two threads released together."""
     barrier = threading.Barrier(2)
@@ -299,7 +295,23 @@ def _race(fn, *args):
 
 
 def _counted_kluyver(points):
-    """_kluyver(points) from a cold kernel table, and the jd points it took."""
+    """_kluyver(points) from cold kernel blocks, and the jd points it took."""
+    jd, count = specfun.jd, [0]
+
+    def counting(d, r):
+        count[0] += np.size(r)
+        return jd(d, r)
+
+    walk._kernel_block.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "jd", counting)
+        results = _kluyver(points)
+    return results, count[0]
+
+
+def _kernel_points(d, n, r):
+    """The jd points density_kluyver spends at (d, n, r) on jd(t)^n: all it
+    takes beyond the one jd(t r) per evaluation of its integrand."""
     jd, count = specfun.jd, [0]
 
     def counting(d, r):
@@ -307,15 +319,14 @@ def _counted_kluyver(points):
         return jd(d, r)
 
     with pytest.MonkeyPatch.context() as mp:
-        _cold_kernel_table(mp)
         mp.setattr(specfun, "jd", counting)
-        results = _kluyver(points)
-    return results, count[0]
+        res = walk.density_kluyver(WalkSpec(d, n), r)
+    return count[0] - res.n_evals
 
 
 @pytest.fixture(scope="module")
 def sweep_reference():
-    """The sweep radii in ascending order from a cold kernel table, and the
+    """The sweep radii in ascending order from cold kernel blocks, and the
     number of jd points they took."""
     return _counted_kluyver(SWEEP_POINTS)
 
@@ -323,7 +334,7 @@ def sweep_reference():
 class TestKernelTable:
     def test_sweep_jd_work_count(self, sweep_reference):
         # 9.67 M when every radius evaluated jd(t)^n itself.  The radii of
-        # each (d, n) grid in a shuffled order took 8.46 M while the table
+        # each (d, n) grid in a shuffled order took 8.46 M while the factor
         # kept a single panel width
         assert sweep_reference[1] < 6_500_000
         rng = random.Random(6)
@@ -333,72 +344,76 @@ class TestKernelTable:
         assert results == sweep_reference[0]
         assert count < 6_500_000
 
+    def test_interleaved_grids_jd_work_count(self, sweep_reference):
+        # both (d, n) grids in one shuffled order: 8.66 M while a new (d, n)
+        # dropped the factor of the last one
+        results, count = _counted_kluyver(random.Random(6).sample(SWEEP_POINTS, 80))
+        assert results == sweep_reference[0]
+        assert count < 6_500_000
+
     @pytest.mark.parametrize("order", ["descending", "shuffled"])
-    def test_results_independent_of_call_order(self, sweep_reference, order, monkeypatch):
+    def test_results_independent_of_call_order(self, sweep_reference, order):
         points = SWEEP_POINTS[::-1]
         if order == "shuffled":
             points = random.Random(6).sample(SWEEP_POINTS, len(SWEEP_POINTS))
-        _cold_kernel_table(monkeypatch)
+        walk._kernel_block.cache_clear()
         assert _kluyver(points) == sweep_reference[0]
 
-    def test_results_independent_of_thread_count(self, sweep_reference, monkeypatch):
-        _cold_kernel_table(monkeypatch)
+    def test_results_independent_of_thread_count(self, sweep_reference):
+        walk._kernel_block.cache_clear()
         with ThreadPoolExecutor(2) as pool:
             got = list(pool.map(lambda p: _kluyver([p])[p], SWEEP_POINTS))
         assert dict(zip(SWEEP_POINTS, got)) == sweep_reference[0]
 
-    def test_table_is_fresh_power_bit_for_bit(self, monkeypatch):
-        _cold_kernel_table(monkeypatch)
-        sizes = []
+    def test_table_is_fresh_power_bit_for_bit(self):
+        # one panel width; 1.9 starts later, near a beat, and reaches further
+        walk._kernel_block.cache_clear()
+        spent = [_kernel_points(2, 4, r) for r in (0.3, 1.9, 1.1)]
+        assert spent[0] > 0 and spent[1] > 0 and spent[2] == 0
         width = math.pi / 4
-        for r in (0.3, 1.9, 1.1):  # one panel width; 1.9 starts later, near a beat
-            walk.density_kluyver(WalkSpec(2, 4), r)
-            sizes.append(len(walk._kernel_table[1][width]))
-        assert sizes[0] < sizes[1] == sizes[2]
-        (d, n), tables = walk._kernel_table
-        assert (d, n) == (2, 4) and list(tables) == [width]
-        vals = tables[width]
-        nodes = quadrature.canonical_panel_nodes(width, 0, len(vals) // 16)[0].ravel()
-        assert np.array_equal(vals, specfun.jd(d, nodes) ** n)
-        part = quadrature.canonical_panel_nodes(width, 37, 101)[0].ravel()
-        assert np.array_equal(walk._kernel_power(2, 4, width, part), specfun.jd(2, part) ** 4)
+        for k0, k1 in ((0, walk._KERNEL_BLOCK_PANELS), (37, 101), (0, 300)):
+            part = quadrature.canonical_panel_nodes(width, k0, k1)[0].ravel()
+            assert np.array_equal(walk._kernel_power(2, 4, width, part), specfun.jd(2, part) ** 4)
 
-    def test_widths_of_one_key_stay_resident(self, monkeypatch):
-        # r = 0.5 and 3.5 take 4 and 5 panels per period: both tables stay,
-        # so revisiting either extends nothing; a new (d, n) replaces them
-        _cold_kernel_table(monkeypatch)
-        for r in (0.5, 3.5):
-            walk.density_kluyver(WalkSpec(2, 4), r)
-        key, tables = walk._kernel_table
-        assert key == (2, 4) and sorted(tables) == [math.pi / 5, math.pi / 4]
-        for r in (0.5, 3.5):
-            walk.density_kluyver(WalkSpec(2, 4), r)
-            assert walk._kernel_table[1] is tables
-        walk.density_kluyver(WalkSpec(3, 5), 1.5)
-        assert walk._kernel_table[0] == (3, 5) and len(walk._kernel_table[1]) == 1
+    def test_widths_of_one_key_stay_resident(self):
+        # r = 0.5 and 3.5 take 4 and 5 panels per period: the blocks of both
+        # widths stay, and so do those of a (d, n) asked for in between
+        walk._kernel_block.cache_clear()
+        assert _kernel_points(2, 4, 0.5) > 0 and _kernel_points(2, 4, 3.5) > 0
+        assert _kernel_points(3, 5, 1.5) > 0
+        assert _kernel_points(2, 4, 0.5) == 0 and _kernel_points(2, 4, 3.5) == 0
+        assert _kernel_points(3, 5, 1.5) == 0
 
     def test_other_nodes_computed_directly(self, monkeypatch):
-        _cold_kernel_table(monkeypatch)
-        width = math.pi / 4
-        nodes = quadrature.canonical_panel_nodes(width, 0, 8)[0].ravel()
-        for t in (nodes + 1e-3, nodes[:-1], np.linspace(0.1, 5.0, 32)):
-            assert np.array_equal(walk._kernel_power(2, 4, width, t), specfun.jd(2, t) ** 4)
-        assert len(walk._kernel_table[1]) == 0
-
-    def test_kernel_table_extends_once(self, monkeypatch):
-        _cold_kernel_table(monkeypatch)
-        jd, points = specfun.jd, []
+        walk._kernel_block.cache_clear()
+        jd, sizes = specfun.jd, []
 
         def counting(d, r):
-            points.append(np.size(r))
-            time.sleep(0.05)  # keep the extension open while the other thread asks
+            sizes.append(np.size(r))
             return jd(d, r)
 
         monkeypatch.setattr(specfun, "jd", counting)
         width = math.pi / 4
-        nodes = quadrature.canonical_panel_nodes(width, 0, 64)[0].ravel()
+        nodes = quadrature.canonical_panel_nodes(width, 0, 8)[0].ravel()
+        for t in (nodes + 1e-3, nodes[:-1], np.linspace(0.1, 5.0, 32)):
+            sizes.clear()
+            assert np.array_equal(walk._kernel_power(2, 4, width, t), jd(2, t) ** 4)
+            assert sizes == [t.size]
+
+    def test_kernel_table_extends_once(self, monkeypatch):
+        walk._kernel_block.cache_clear()
+        jd, points = specfun.jd, []
+
+        def counting(d, r):
+            points.append(np.size(r))
+            time.sleep(0.05)  # keep the build open while the other thread asks
+            return jd(d, r)
+
+        monkeypatch.setattr(specfun, "jd", counting)
+        width, panels = math.pi / 4, walk._KERNEL_BLOCK_PANELS
+        nodes = quadrature.canonical_panel_nodes(width, 0, 2 * panels)[0].ravel()
         a, b = _race(walk._kernel_power, 2, 4, width, nodes)
-        assert points == [len(nodes)]
+        assert points == [16 * panels, 16 * panels]  # two blocks, each built once
         assert np.array_equal(a, b) and np.array_equal(a, jd(2, nodes) ** 4)
 
 
@@ -576,6 +591,16 @@ class TestIdq:
             monkeypatch.setattr(quadrature, name, spy(name))
         walk.idq(3, q, IdqRoute.DIRECT_INTEGRAL)
         assert calls[used] > 0 and calls[unused] == 0
+
+    def test_value_prefers_closed_form(self):
+        assert walk.idq_value(4, 3, 1e-10) == walk.idq_closed_form(4, 3)
+        assert walk.idq_value(2, 5, 1e-10) == walk.idq_closed_form(2, 5)
+        direct = walk.idq(3, 4, IdqRoute.DIRECT_INTEGRAL, 1e-10).value
+        assert walk.idq_value(3, 4, 1e-10) == direct
+        assert walk.idq_value(2, 4, 1e-10) is None
+        for d in (1, 2.5):  # the closed form returned 0.0 and 0.521
+            with pytest.raises(ValueError):
+                walk.idq_value(d, 3, 1e-10)
 
     def test_closed_route_rejected_outside_coverage(self):
         with pytest.raises(ValueError):
