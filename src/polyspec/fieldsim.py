@@ -192,6 +192,9 @@ def build_domain(geometry: Geometry, d: int, R: float, resolution: int) -> Quadr
     ball = BallSpec(Geometry(geometry), d, R)  # validates d and R
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
+    if 4 * resolution**d > COVARIANCE_POINT_BUDGET**2:  # refused before it is built
+        raise ValueError(f"resolution {resolution} gives 4 * {resolution}^{d} points;"
+                         f" no factor draws more than {COVARIANCE_POINT_BUDGET}^2")
     n_azimuth = 4 * resolution
     x, wx = leggauss(resolution)
     sph, sw = _sphere_rule(d - 1, resolution, n_azimuth)
@@ -275,8 +278,8 @@ def mc_walk_density_check(spec: walk.WalkSpec, n_samples: int, bins: int,
 
     Equal-width bins over the support; bins whose expected count falls below
     10 are merged into their neighbor (this also absorbs the registered
-    infinite-density point of the planar 3-step walk).  Returns
-    (chi2, pvalue).
+    infinite-density point of the planar 3-step walk), and at least 2 must
+    remain.  Returns (chi2, pvalue).
     """
     if spec.n < 2:
         raise ValueError("density routes need n >= 2 (a single step has unit radius)")
@@ -311,6 +314,8 @@ def mc_walk_density_check(spec: walk.WalkSpec, n_samples: int, bins: int,
     exp_arr = np.array(keep_exp)
     if np.any(exp_arr < 10.0):
         raise ValueError("expected counts below 10 after merging")
+    if len(exp_arr) < 2:  # one bin leaves the test no degree of freedom
+        raise ValueError(f"need at least 2 bins after merging, got {len(exp_arr)}")
     exp_arr *= counts_arr.sum() / exp_arr.sum()
     stat = float(np.sum((counts_arr - exp_arr) ** 2 / exp_arr))
     dof = len(exp_arr) - 1

@@ -198,7 +198,7 @@ def weight_spherical(d: int, R: float, r):
     """omega_{d-1} times the volume of the intersection of two geodesic caps
     of radius R on S^d at center distance r, in closed form (_cap_weight)."""
     spec = BallSpec(Geometry.SPHERICAL, d, R)  # validates d and R
-    if np.any((np.asarray(r) < 0) | (np.asarray(r) > math.pi)):
+    if not np.all((np.asarray(r) >= 0) & (np.asarray(r) <= math.pi)):
         raise ValueError("center distance must lie in [0, pi]")
     return _cap_weight(spec)(r)
 

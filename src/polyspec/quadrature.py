@@ -30,7 +30,6 @@ from scipy.special import roots_jacobi
 __all__ = [
     "QuadResult",
     "QuadBatch",
-    "OscillatoryIntegrand",
     "NonConvergedError",
     "integrate_adaptive",
     "integrate_adaptive_batch",
@@ -80,22 +79,6 @@ class QuadResult:
     def __post_init__(self) -> None:
         if not self.converged and self.status == "converged":
             self.status = "non_converged"
-
-
-@dataclass
-class OscillatoryIntegrand:
-    """An eventually-oscillatory integrand on [0, oo), as the tail engine
-    reads it.
-
-    decay_exponent is the envelope exponent alpha with |f(t)| ~ t^(-alpha);
-    for integrands jd(t)^q t^(d-1) it equals (d-1)(q/2 - 1).  The asymptotic
-    spacing of sign changes is pi, as for every power of jd, and
-    phase_offset shifts the partition onto the asymptotic zeros.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    decay_exponent: float
-    phase_offset: float = 0.0
 
 
 def _panel_nodes(lefts: np.ndarray, rights: np.ndarray, xg):
@@ -540,12 +523,20 @@ def oscillatory_partial_integrals(
 
 
 def integrate_oscillatory_tail(
-    g: OscillatoryIntegrand,
-    tol: float = 1e-9,
+    f: Callable[[np.ndarray], np.ndarray],
+    tol: float,
     *,
+    decay_exponent: float,
+    phase_offset: float = 0.0,
     chunks_per_period: int = 2,
 ) -> QuadResult:
-    """Improper integral int_0^oo g as a limit of inter-zero partial sums.
+    """Improper integral int_0^oo f of an eventually-oscillatory integrand,
+    as a limit of inter-zero partial sums.
+
+    decay_exponent is the envelope exponent alpha with |f(t)| ~ t^(-alpha);
+    for integrands jd(t)^q t^(d-1) it equals (d-1)(q/2 - 1).  The asymptotic
+    spacing of sign changes is pi, as for every power of jd, and
+    phase_offset shifts the partition onto the asymptotic zeros.
 
     Panels of one period pi each (aligned to phase_offset), integrated by
     a fixed rule and summed.  At each check the partial-sum sequence is
@@ -565,17 +556,17 @@ def integrate_oscillatory_tail(
     floor moves neither the value nor the converged flag.
     """
     _check_tol(tol)
-    alpha = g.decay_exponent
+    alpha = decay_exponent
     p = math.pi
     # first boundary lands on the asymptotic zero grid offset + (k + 1/2) p
-    k0 = math.ceil(-g.phase_offset / p - 0.5)
-    t0 = g.phase_offset + (k0 + 0.5) * p
+    k0 = math.ceil(-phase_offset / p - 0.5)
+    t0 = phase_offset + (k0 + 0.5) * p
     while t0 <= 1e-12:
         t0 += p
 
     n = max(2, int(math.ceil(t0 / p * 2 * max(2, chunks_per_period))))
     cuts = np.linspace(0.0, t0, n + 1)
-    head = float(_panel_values(g.evaluator, cuts[:-1], cuts[1:], _X16, _W16).sum())
+    head = float(_panel_values(f, cuts[:-1], cuts[1:], _X16, _W16).sum())
     n_evals = 16 * n
 
     sums: list[float] = []
@@ -594,7 +585,7 @@ def integrate_oscillatory_tail(
         sub = max(1, chunks_per_period)
         fine = np.linspace(edges[:-1], edges[1:], sub + 1, axis=1)
         vals = _panel_values(
-            g.evaluator, fine[:, :-1].ravel(), fine[:, 1:].ravel(), _X16, _W16
+            f, fine[:, :-1].ravel(), fine[:, 1:].ravel(), _X16, _W16
         ).reshape(batch, sub).sum(axis=1)
         n_evals += 16 * batch * sub
         for v in vals:

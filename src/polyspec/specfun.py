@@ -1,9 +1,8 @@
 """Special-function kernels used throughout the library.
 
-Bessel functions of the first kind at integer and half-integer order, the
-normalized radial covariance kernel of isotropic monochromatic waves, Hermite
-polynomials (probabilists' convention), normalized Gegenbauer polynomials, and
-the Bessel main term of their large-degree approximation.
+The normalized radial covariance kernel of isotropic monochromatic waves,
+Hermite polynomials (probabilists' convention), normalized Gegenbauer
+polynomials, and the Bessel main term of their large-degree approximation.
 
 The kernel jd goes through ``scipy.special``: ``spherical_jn`` at
 half-integer order (odd d), which is several times faster than ``jv`` there,
@@ -26,18 +25,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermitenorm, gammaln, j0, j1, jv, spherical_jn
+from scipy.special import eval_hermitenorm, j0, j1, jv, spherical_jn
 
 __all__ = [
     "GegenbauerSpec",
-    "bessel_j",
     "jd",
-    "jd_amplitude_constant",
-    "jd_asymptotic",
     "hermite",
     "gegenbauer",
     "hilb_main_term",
-    "eigenspace_dim",
 ]
 
 
@@ -73,26 +68,6 @@ class GegenbauerSpec:
     @property
     def L(self) -> float:
         return self.ell + 0.5 * (self.d - 1)
-
-
-def bessel_j(nu: float, x):
-    """Bessel function of the first kind J_nu(x) for x >= 0.
-
-    The order nu must be a non-negative integer or half-integer.  Evaluated
-    by ``scipy.special.jv``.
-    """
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < 0:
-        raise ValueError(f"order must be finite and >= 0, got {nu}")
-    if abs(2 * nu - round(2 * nu)) > 1e-12:
-        raise ValueError(f"order must be an integer or half-integer, got {nu}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)):
-        raise ValueError("argument must be finite")
-    if np.any(arr < 0):
-        raise ValueError("argument must be >= 0")
-    out = jv(nu, arr)
-    return float(out) if arr.ndim == 0 else out
 
 
 def _jd_arr(d: int, r: np.ndarray) -> np.ndarray:
@@ -131,30 +106,6 @@ def jd(d: int, r):
         raise ValueError("argument must be >= 0")
     out = _jd_arr(d, arr)
     return float(out) if arr.ndim == 0 else out
-
-
-def jd_amplitude_constant(d: int) -> float:
-    """The constant C_d with jd(r) ~ C_d r^{-(d-1)/2} cos(r - phase) at large r."""
-    nu = _validate_dim(d)
-    return math.exp(gammaln(nu + 1)) * 2.0**nu * math.sqrt(2.0 / math.pi)
-
-
-def jd_asymptotic(d: int, r):
-    """Cosine-envelope approximation of jd: returns (amplitude, phase_shift).
-
-    jd(d, r) ~ amplitude * cos(r - phase_shift) with
-    amplitude = C_d (r v 1)^{-(d-1)/2} and phase_shift = (d-1) pi / 4; the
-    remainder is O(r^{1 - d/2}).
-    """
-    _validate_dim(d)
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("argument must be > 0")
-    amp = jd_amplitude_constant(d) * np.maximum(arr, 1.0) ** (-0.5 * (d - 1))
-    phase = (d - 1) * math.pi / 4.0
-    if arr.ndim == 0:
-        return float(amp), phase
-    return amp, phase
 
 
 def hermite(q: int, t):
@@ -209,13 +160,3 @@ def hilb_main_term(spec: GegenbauerSpec, theta):
     out = (vals / np.sin(vals)) ** (nu + 0.5) * _jd_arr(spec.d, big_l * vals)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
-
-def eigenspace_dim(d: int, ell: int) -> int:
-    """Dimension of the degree-ell Laplace eigenspace on S^d, exact integer."""
-    _validate_dim(d)
-    if int(ell) != ell or ell < 1:
-        raise ValueError(f"degree must be an integer >= 1, got {ell}")
-    num = (2 * ell + d - 1) * math.comb(ell + d - 2, ell - 1)
-    if num % ell:
-        raise ArithmeticError("eigenspace dimension is not an integer")
-    return num // ell

@@ -28,7 +28,6 @@ from . import quadrature, specfun
 from ._memo import build_once
 # integrate_adaptive is not called here; perfbench's tracer wraps the name
 from .quadrature import (  # noqa: F401
-    OscillatoryIntegrand,
     QuadResult,
     integrate_adaptive,
     integrate_oscillatory_mollified,
@@ -211,9 +210,9 @@ def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
     call; row k of its splits holds the angles where the argument at rs[k]
     crosses a kink radius of the previous level (NaN where it does not).
     For radii within 0.1 of 1, a geometric ladder of splits into phi = pi is
-    added when d = 2 or when the previous level is psi_2 (n = 3), which is
-    ~1/u at u = 0 in every dimension.  An integral left unconverged with an
-    error above 100 tol raises NonConvergedError.
+    added when the previous level is psi_2 (n = 3), which is ~1/u at u = 0 in
+    every dimension.  An integral left unconverged with an error above
+    100 tol raises NonConvergedError.
     """
     prev = _psi_level(d, n - 1)
     power = float(d - 2)  # 2 nu
@@ -231,11 +230,12 @@ def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
         splits = np.where((s > -1.0) & (s < 1.0), np.arccos(s), np.nan)
     # the argument grazes the 1/u blow-up of psi_2 at phi = pi when r is near
     # 1; the resulting peak of width |1 - r| hides between quadrature nodes,
-    # and the error estimate misses it, so panel it down explicitly.  On the
-    # d >= 3 steps from a table the ladder measured no gain, only cost
+    # and the error estimate misses it, so panel it down explicitly.  The
+    # levels above psi_2 (the exact planar psi_3, every table) are finite at
+    # u = 0, so they have no such peak
     u_min = np.abs(1.0 - rs)
     near = u_min < 0.1
-    if (d == 2 or n == 3) and near.any():
+    if n == 3 and near.any():
         ladder = np.full((len(rs), 30), np.nan)
         ladder[near] = math.pi - np.geomspace(
             np.maximum(u_min[near], 1e-11) * 0.5, 1.0, 30, axis=-1
@@ -260,7 +260,7 @@ class _PsiTable:
     so no spline spans a kink and none rings there.
     """
 
-    def __init__(self, d: int, n: int, tol: float = 1e-9):
+    def __init__(self, d: int, n: int):
         self.d = d
         self.n = n
         ends = (0.0,) + _psi_kinks(n)
@@ -275,7 +275,7 @@ class _PsiTable:
                  hi - width * np.geomspace(1e-9, 0.25, 30)]
             )
             grids.append(np.unique(np.concatenate([base, edges])))
-        vals = np.split(_psi_step(d, n, np.concatenate(grids), tol),
+        vals = np.split(_psi_step(d, n, np.concatenate(grids), 1e-9),
                         np.cumsum([len(g) for g in grids])[:-1])
         self.segments = [
             (lo, hi, CubicSpline(pts, v, extrapolate=True))
@@ -327,6 +327,8 @@ def density_recursion(spec: WalkSpec, r):
     if not 3 <= n <= MAX_RECURSION_STEPS:
         raise ValueError(f"recursion supports 3 <= n <= {MAX_RECURSION_STEPS}")
     arr = np.asarray(r, dtype=float)
+    if np.isnan(arr).any():
+        raise ValueError("radius must not be NaN")
     out = np.zeros(arr.shape)
     singular = _at_singular_point(d, n, arr)
     out[singular] = math.inf
@@ -404,8 +406,8 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     d, n = spec.d, spec.n
     if n < 2:
         raise ValueError("the density integral needs n >= 2")
-    if r <= 0:
-        raise ValueError("radius must be > 0")
+    if not r > 0:
+        raise ValueError(f"radius must be > 0, got {r}")
     if r >= n:
         return QuadResult(0.0, 0.0, 0, True)
     if _at_singular_point(d, n, r):
@@ -509,13 +511,13 @@ def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
         rho = density_recursion(WalkSpec(d, q - 1), 1.0)
         val = fac * rho
         return IdqResult(d, q, cls, val, float(_recursion_error(val)), route)
-    alpha = (d - 1) * (q / 2.0 - 1.0)
-    g = OscillatoryIntegrand(
+    res = integrate_oscillatory_tail(
         _idq_integrand(d, q),
-        decay_exponent=alpha,
+        tol,
+        decay_exponent=(d - 1) * (q / 2.0 - 1.0),
         phase_offset=(d - 1) * math.pi / 4.0,
+        chunks_per_period=max(2, (q + 2) // 2),
     )
-    res = integrate_oscillatory_tail(g, tol, chunks_per_period=max(2, (q + 2) // 2))
     quadrature.check_converged(res, tol, f"moment integral (d={d}, q={q})")
     return IdqResult(d, q, cls, res.value, res.abs_error_estimate, route)
 

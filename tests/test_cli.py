@@ -258,6 +258,15 @@ class TestInfrastructure:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    def test_oversized_mc_domain_exit_code(self, capsys):
+        # the domain was allocated before it was refused: numpy's "Unable to
+        # allocate 715. GiB", exit 1 with a traceback
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["variance", "--geometry", "euclidean", "--d", "3", "--q", "3",
+                      "--R", "1", "--freq", "5", "--method", "mc", "--resolution", "2000"])
+        assert exc.value.code == 2
+        assert "4096^2" in capsys.readouterr().err
+
     def test_missing_config_file_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--config", "/nonexistent.cfg", "table"])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,15 @@ class TestBuildDomain:
     def test_rejects_low_resolution(self):
         with pytest.raises(ValueError):
             fs.build_domain(E, 2, 1.0, 4)
+
+    @pytest.mark.parametrize("geometry,d,resolution", [(E, 3, 2000), (S, 2, 3000)])
+    def test_refuses_oversized_domain_before_building(self, geometry, d, resolution):
+        # 4 resolution^d points, beyond the 4096^2 any factor draws: the R^3
+        # domain asked numpy for 715 GiB, the S^2 one built 36 M points
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="points"):
+            fs.build_domain(geometry, d, 1.0, resolution)
+        assert time.perf_counter() - start < 1.0
 
 
 def _draws(spec, pts, rng, n_draws):
@@ -302,3 +312,10 @@ class TestWalkDensityCheck:
     def test_refuses_sparse_bins(self):
         with pytest.raises(ValueError):
             fs.mc_walk_density_check(walk.WalkSpec(2, 2), 1200, 400, seed=1)
+
+    @pytest.mark.parametrize("bins", [0, 1])
+    def test_refuses_fewer_than_two_bins(self, bins):
+        # one bin has 0 degrees of freedom and gave p = 0.0 on a perfect
+        # fit; no bin gave (0.0, nan)
+        with pytest.raises(ValueError, match="at least 2"):
+            fs.mc_walk_density_check(walk.WalkSpec(3, 3), 1000, bins, seed=1)

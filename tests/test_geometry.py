@@ -167,6 +167,12 @@ class TestCapWeightClosedForm:
         for d in (2, 3, 4, 5):
             assert np.all(geo.weight_spherical(d, 1.0, np.array([2.0, 2.5, math.pi])) == 0.0)
 
+    def test_rejects_nan_distance(self):
+        # NaN failed both range comparisons and came back as weight 0.0
+        for r in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="center distance"):
+                geo.weight_spherical(2, 1.0, r)
+
 
 class TestWeightFunctionObjects:
     def test_spherical_weight_matches_latitude_quadrature(self, latitude_oracle):

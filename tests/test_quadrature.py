@@ -138,12 +138,12 @@ class TestAdaptiveBatch:
 
 class TestOscillatoryTail:
     def test_dirichlet_cube(self):
-        g = quad.OscillatoryIntegrand(
+        res = quad.integrate_oscillatory_tail(
             lambda t: sf.jd(3, t) ** 3 * t**2,
+            1e-9,
             decay_exponent=1.0,
             phase_offset=math.pi / 2,
         )
-        res = quad.integrate_oscillatory_tail(g, 1e-9)
         assert res.converged
         assert res.value == pytest.approx(math.pi / 4, abs=1e-9)
 
@@ -151,28 +151,28 @@ class TestOscillatoryTail:
         # divergence is decided analytically (walk.classify_idq); the engine
         # itself must only never claim a limit that does not exist
         for power, alpha in ((4, 1.0), (2, 0.0)):  # log growth, constant envelope
-            g = quad.OscillatoryIntegrand(
+            res = quad.integrate_oscillatory_tail(
                 lambda t: sf.jd(2, t) ** power * t,
+                1e-9,
                 decay_exponent=alpha,
                 phase_offset=math.pi / 4,
             )
-            res = quad.integrate_oscillatory_tail(g, 1e-9)
             assert not res.converged and res.status == "non_converged", power
 
     def test_damped_against_adaptive(self):
         f = lambda t: sf.jd(2, t) ** 2 * t * np.exp(-t)
-        g = quad.OscillatoryIntegrand(f, decay_exponent=2.0, phase_offset=math.pi / 4)
-        res = quad.integrate_oscillatory_tail(g, 1e-9)
+        res = quad.integrate_oscillatory_tail(
+            f, 1e-9, decay_exponent=2.0, phase_offset=math.pi / 4
+        )
         oracle = quad.integrate_adaptive(f, 1e-300, 40.0, 1e-12)
         assert res.value == pytest.approx(oracle.value, abs=1e-8)
 
     @pytest.mark.parametrize("d,q", [(4, 4), (3, 5)])
     def test_absolutely_convergent_vs_brute_truncation(self, d, q):
         f = lambda t: sf.jd(d, t) ** q * t ** (d - 1)
-        g = quad.OscillatoryIntegrand(
-            f, decay_exponent=(d - 1) * (q / 2 - 1), phase_offset=(d - 1) * math.pi / 4
+        res = quad.integrate_oscillatory_tail(
+            f, 1e-9, decay_exponent=(d - 1) * (q / 2 - 1), phase_offset=(d - 1) * math.pi / 4
         )
-        res = quad.integrate_oscillatory_tail(g, 1e-9)
         brute = quad.oscillatory_partial_integrals(f, np.array([1e5]))[0]
         assert res.converged
         assert res.value == pytest.approx(brute, abs=1e-6)
@@ -235,10 +235,9 @@ class TestMollified:
     def test_single_frequency(self):
         # int_0^inf cos(t)/ (1+t)^0.7 style check against the tail engine
         f = lambda t: sf.jd(2, t) ** 3 * t
-        g = quad.OscillatoryIntegrand(
-            f, decay_exponent=0.5, phase_offset=math.pi / 4
+        a = quad.integrate_oscillatory_tail(
+            f, 1e-10, decay_exponent=0.5, phase_offset=math.pi / 4
         )
-        a = quad.integrate_oscillatory_tail(g, 1e-10)
         b = quad.integrate_oscillatory_mollified(f, 1e-10)
         assert b.value == pytest.approx(a.value, abs=5e-9)
 

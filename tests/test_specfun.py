@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_hermitenorm
+from scipy.special import gamma, jv, roots_hermitenorm
 
 from polyspec import specfun as sf
 
@@ -20,13 +20,24 @@ def bessel_series_oracle(nu: float, x: float, terms: int = 120) -> float:
     return total
 
 
+def jd_from_jv(d: int, x: np.ndarray) -> np.ndarray:
+    """nu! 2^nu x^-nu J_nu(x) by scipy's jv, for x > 0."""
+    nu = 0.5 * d - 1.0
+    return gamma(nu + 1.0) * 2.0**nu * x**-nu * jv(nu, x)
+
+
 class TestBesselJ:
+    """jd's Bessel branches (Cephes j0 / j1, spherical_jn, jv) against
+    references that do not take them."""
+
     def test_j0_at_zero(self):
-        assert sf.bessel_j(0.0, 0.0) == 1.0
+        assert sf.jd(2, 0.0) == 1.0
 
     def test_half_order_trig_zero(self):
-        # J_{1/2}(x) = sqrt(2/(pi x)) sin(x) vanishes at pi
-        assert abs(sf.bessel_j(0.5, math.pi)) < 1e-15
+        # J_{3/2} in closed form: jd(5, r) = 3 (sin r - r cos r) / r^3
+        r = np.linspace(0.5, 50.0, 5001)
+        expect = 3.0 * (np.sin(r) - r * np.cos(r)) / r**3
+        assert np.abs(sf.jd(5, r) - expect).max() < 1e-13
 
     def test_first_zero_of_j0(self):
         # locate the first zero of the series oracle by bisection, then
@@ -39,18 +50,17 @@ class TestBesselJ:
             else:
                 lo = mid
         assert abs(lo - 2.404825557695773) < 1e-12
-        assert abs(sf.bessel_j(0.0, 2.404825557695773)) < 1e-10
+        assert abs(sf.jd(2, 2.404825557695773)) < 1e-10
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_against_scipy(self, d):
-        # bessel_j is scipy's jv; the reference is 30-digit mpmath
-        nu = 0.5 * d - 1.0
+        # the Cephes branch (d = 2, 4 up to r = 40) and spherical_jn (odd d)
+        # against the jv form of the kernel
         x = np.concatenate(
             [np.linspace(1e-8, 20, 500), np.linspace(20, 200, 200), [1e3, 1e4]]
         )
-        mine = sf.bessel_j(nu, x)
-        with mpmath.workdps(30):
-            ref = np.array([float(mpmath.besselj(nu, v)) for v in x])
+        mine = sf.jd(d, x)
+        ref = jd_from_jv(d, x)
         small = x <= 20
         # relative accuracy up to x = 20, absolute beyond
         assert np.all(
@@ -62,20 +72,18 @@ class TestBesselJ:
     def test_against_series_oracle_midrange(self):
         # the plain-float oracle loses ~e^x/x * eps to cancellation, so the
         # comparison tolerance follows the oracle's accuracy, not the library's
-        for nu in (0.0, 1.0, 2.0):
+        for nu in (0, 1, 2):
             for x in (0.5, 4.0, 9.0, 13.5):
-                slack = 5e-16 * math.exp(x) / x + 1e-14
-                assert sf.bessel_j(nu, x) == pytest.approx(
-                    bessel_series_oracle(nu, x), abs=slack
+                pref = math.factorial(nu) * 2**nu * x**-nu
+                slack = pref * (5e-16 * math.exp(x) / x + 1e-14)
+                assert sf.jd(2 * nu + 2, x) == pytest.approx(
+                    pref * bessel_series_oracle(nu, x), abs=slack
                 )
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            sf.bessel_j(0.0, -1.0)
-        with pytest.raises(ValueError):
-            sf.bessel_j(0.3, 1.0)
-        with pytest.raises(ValueError):
-            sf.bessel_j(0.0, math.inf)
+        for d, r in ((2, -1.0), (2, math.inf), (2, math.nan), (2.5, 1.0), (1, 1.0)):
+            with pytest.raises(ValueError):
+                sf.jd(d, r)
 
 
 def jd_mpmath(d: int, r: float) -> float:
@@ -122,27 +130,13 @@ class TestJd:
         for d in range(2, 9):
             assert np.abs(sf.jd(d, r)).max() <= 1.0 + 1e-12
 
-
-class TestJdAsymptotic:
-    def test_phase_d3(self):
-        _, phase = sf.jd_asymptotic(3, 100.0)
-        assert phase == pytest.approx(math.pi / 2)
-
     def test_envelope_bound_d2(self):
-        # |jd - amp cos(r - phase)| = O(r^{-3/2}) beyond the first lobes
+        # jd(2, r) = J_0(r) = sqrt(2/pi) r^{-1/2} cos(r - pi/4) + O(r^{-3/2})
+        # beyond the first lobes
         r = np.linspace(5.0, 200.0, 4000)
-        amp, phase = sf.jd_asymptotic(2, r)
-        resid = np.abs(sf.jd(2, r) - amp * np.cos(r - phase))
+        envelope = math.sqrt(2.0 / math.pi) * r**-0.5
+        resid = np.abs(sf.jd(2, r) - envelope * np.cos(r - math.pi / 4))
         assert np.all(resid <= 0.5 * r**-1.5)
-
-    def test_amplitude_clamped_below_one(self):
-        amp_small, _ = sf.jd_asymptotic(2, 0.5)
-        amp_one, _ = sf.jd_asymptotic(2, 1.0)
-        assert amp_small == amp_one
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            sf.jd_asymptotic(2, 0.0)
 
 
 class TestHermite:
@@ -254,25 +248,3 @@ class TestHilbMainTerm:
         with pytest.raises(ValueError):
             sf.hilb_main_term(sf.GegenbauerSpec(2, 4), math.pi)
 
-
-class TestEigenspaceDim:
-    def test_known_values(self):
-        assert sf.eigenspace_dim(2, 3) == 7
-        assert sf.eigenspace_dim(2, 1) == 3
-        assert sf.eigenspace_dim(3, 1) == 4
-
-    def test_circle_counts(self):
-        # S^2 harmonics: 2 ell + 1
-        for ell in range(1, 30):
-            assert sf.eigenspace_dim(2, ell) == 2 * ell + 1
-
-    def test_difference_of_binomials_identity(self):
-        # degree-ell harmonic polynomials in the ambient d+1 variables
-        for d in range(2, 8):
-            for ell in range(2, 40):
-                expect = math.comb(ell + d, ell) - math.comb(ell + d - 2, ell - 2)
-                assert sf.eigenspace_dim(d, ell) == expect
-
-    def test_rejects_zero_degree(self):
-        with pytest.raises(ValueError):
-            sf.eigenspace_dim(3, 0)
