@@ -36,7 +36,6 @@ __all__ = [
     "check_converged",
     "integrate_oscillatory_tail",
     "integrate_oscillatory_mollified",
-    "oscillatory_partial_integrals",
     "canonical_panel_nodes",
     "gauss_jacobi_symmetric",
 ]
@@ -327,6 +326,10 @@ def integrate_adaptive_batch(
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
         raise ValueError("need finite a < b")
     _check_tol(tol)
+    # the first pass alone evaluates min_panels GL15 + GL7 pairs per integral
+    if 22 * min_panels > max_evals:
+        raise ValueError(f"{min_panels:.3g} initial panels need more than"
+                         f" max_evals = {max_evals} evaluations")
     return QuadBatch(*_refine(f, a, b, tol, splits, max_evals, min_panels))
 
 
@@ -504,22 +507,6 @@ def integrate_oscillatory_mollified(
     # extrapolation to T = oo, anchored at the largest T
     best, err = _neville_limit(np.array(xs[::-1]), vals[::-1], abs_total)
     return QuadResult(best, err, n_evals, err < tol)
-
-
-def oscillatory_partial_integrals(
-    f: Callable[[np.ndarray], np.ndarray], t_values, *, chunks_per_period: int = 2
-) -> np.ndarray:
-    """Cumulative integrals int_0^T f for every T in t_values (increasing)."""
-    t_values = np.asarray(t_values, dtype=float)
-    edges = np.unique(np.concatenate([[0.0], t_values]))
-    out = np.empty(len(t_values))
-    total = 0.0
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        n = max(1, int(math.ceil((hi - lo) / math.pi * chunks_per_period)))
-        cuts = np.linspace(lo, hi, n + 1)
-        total += float(_panel_values(f, cuts[:-1], cuts[1:], _X16, _W16).sum())
-        out[i] = total
-    return out[np.searchsorted(edges[1:], t_values)]
 
 
 def integrate_oscillatory_tail(

@@ -4,17 +4,26 @@ The normalized radial covariance kernel of isotropic monochromatic waves,
 Hermite polynomials (probabilists' convention), normalized Gegenbauer
 polynomials, and the Bessel main term of their large-degree approximation.
 
-The kernel jd goes through ``scipy.special``: ``spherical_jn`` at
-half-integer order (odd d), which is several times faster than ``jv`` there,
-and ``jv`` at integer order (even d), except that d = 2 and d = 4 use the
-Cephes ``j0`` / ``j1`` for r <= 40, about 30 times faster than ``jv``.
-Against 30-digit mpmath ``j0`` measured within 3.7e-16 and ``j1`` within
-8.9e-16 r^{-1/2} on [0, 40]; beyond 40 they drift (to 1.0e-12 and
-3.1e-12 r^{-1/2} on [2e4, 2e5]) while ``jv`` stays at 3.7e-16 r^{-1/2}, so
-``jv`` takes over there.  Against 40-digit mpmath for d = 2..10 the absolute
-error of jd measured at most 8e-15 for r <= 40, and at most
-1.4e-13 r^{-(d-1)/2} (that is, relative to the kernel's envelope) for
-40 < r <= 2e5.
+The kernel jd takes ``scipy.special.spherical_jn`` at odd d (half-integer
+order), several times faster than ``jv`` there.  At even d it splits at a
+per-order seam: 40 up to d = 8, 40.05 at d = 10, 88 at d = 26, 436 at d = 42.
+
+- Below the seam: the Cephes ``j0`` / ``j1`` for d = 2, 4, about 30 times
+  faster than ``jv``, and ``jv`` for d >= 6.
+- Past it: Hankel's expansion (DLMF 10.17.3), 14 terms, its phase taken from
+  cos and sin of the argument itself.  The seam is where the first omitted
+  term falls below 2^-56.  Against 30-digit mpmath, J_nu measured within
+  4.3e-16 of its envelope (2/(pi r))^{1/2} for nu = 0..20 up to r = 2e5, and
+  ``jv`` within 6.6e-16.  It takes 70-90 ms per 10^6 points (one core, in
+  chunks of 8192) where ``jv`` takes 250-330 ms.
+
+Cephes ``j0`` / ``j1`` measured within 3.7e-16 and 8.9e-16 r^{-1/2} of
+30-digit mpmath on [0, 40] but drift beyond (to 1.0e-12 and
+3.1e-12 r^{-1/2} on [2e4, 2e5]): they form the phase as x - pi/4, whose
+rounding costs ulp(x)/2 of phase.  Against 40-digit mpmath for d = 2..10,
+the absolute error of jd measured at most 8e-15 for r <= 40, and at most
+4.1e-16 of the kernel's envelope nu! 2^nu (2/pi)^{1/2} r^{-(d-1)/2} for
+40 < r <= 2e5 (5.0e-16 for even d up to 42, past each seam).
 
 All evaluators accept scalars or numpy arrays and are pure and reentrant.
 """
@@ -27,6 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_hermitenorm, j0, j1, jv, spherical_jn
 
+from ._memo import build_once
+
 __all__ = [
     "GegenbauerSpec",
     "jd",
@@ -36,10 +47,14 @@ __all__ = [
 ]
 
 
-# Largest argument at which d = 2, 4 take the Cephes j0 / j1: within 3.7e-16
-# (j0) and 8.9e-16 r^{-1/2} (j1) of 30-digit mpmath on [0, 40]; beyond, they
-# drift to 2.1e-14 r^{-1/2} on [200, 400] and 1.0e-12 r^{-1/2} on [2e4, 2e5]
+# Largest argument at which d = 2, 4 take the Cephes j0 / j1 (within 3.7e-16
+# and 8.9e-16 r^{-1/2} of 30-digit mpmath on [0, 40]), and the lowest seam
+# of Hankel's expansion, which takes over past it
 _CEPHES_MAX = 40.0
+_HANKEL_TERMS = 14
+# points per pass: on whole arrays (calls of up to 112,128 points in the
+# `sweep` benchmark) the temporaries added 1 MB of peak RSS and 10% of solve time
+_HANKEL_CHUNK = 8192
 
 
 def _validate_dim(d: int) -> float:
@@ -70,6 +85,49 @@ class GegenbauerSpec:
         return self.ell + 0.5 * (self.d - 1)
 
 
+@build_once
+def _hankel_terms(n: int):
+    """Seam, Horner coefficients and phase signs of Hankel's expansion of J_n.
+
+    With a_k = prod_{j<=k} (4n^2 - (2j-1)^2) / (k! 8^k), P = sum (-1)^m a_2m
+    x^-2m and Q = sum (-1)^m a_(2m+1) x^-(2m+1) over the first _HANKEL_TERMS
+    terms (DLMF 10.17.3).  Past the seam the first omitted term
+    a_14 x^-14 is below 2^-56.  c, s are sqrt(2) cos and sqrt(2) sin of the
+    phase (2n + 1) pi/4.
+    """
+    mu = 4.0 * n * n
+    a = [1.0]
+    for k in range(1, _HANKEL_TERMS + 1):
+        a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
+    seam = max(_CEPHES_MAX, (abs(a[-1]) * 2.0**56) ** (1.0 / _HANKEL_TERMS))
+    half = _HANKEL_TERMS // 2
+    p = [(-1) ** m * a[2 * m] for m in reversed(range(half))]
+    q = [(-1) ** m * a[2 * m + 1] for m in reversed(range(half))]
+    c, s = ((1, 1), (-1, 1), (-1, -1), (1, -1))[n % 4]
+    return seam, p, q, c, s
+
+
+def _hankel(n: int, x: np.ndarray) -> np.ndarray:
+    """J_n on a 1-D array past the seam of _hankel_terms(n).
+
+    J_n(x) = (pi x)^{-1/2} (P (c cos x + s sin x) + Q (s cos x - c sin x)),
+    that is (2/(pi x))^{1/2} (P cos w - Q sin w) at w = x - (2n + 1) pi/4
+    with the phase split off exactly: w itself is never formed, since the
+    rounding of x - pi/4 costs ulp(x)/2 of phase.
+    """
+    _, p, q, c, s = _hankel_terms(n)
+    out = np.empty_like(x)
+    for lo in range(0, x.size, _HANKEL_CHUNK):
+        t = x[lo:lo + _HANKEL_CHUNK]
+        y = 1.0 / (t * t)
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        out[lo:lo + _HANKEL_CHUNK] = (
+            np.polyval(p, y) * (c * cos_t + s * sin_t)
+            + np.polyval(q, y) / t * (s * cos_t - c * sin_t)
+        ) / np.sqrt(np.pi * t)
+    return out
+
+
 def _jd_arr(d: int, r: np.ndarray) -> np.ndarray:
     """jd on a checked array of arguments r >= 0."""
     d = int(d)
@@ -83,12 +141,11 @@ def _jd_arr(d: int, r: np.ndarray) -> np.ndarray:
         vals = math.prod(range(1, 2 * n + 2, 2)) * spherical_jn(n, x) / x**n
     else:
         n = d // 2 - 1
-        if n < 2:
-            bessel = (j0 if n == 0 else j1)(x, out=np.empty_like(x))
-            far = x > _CEPHES_MAX
-            bessel[far] = jv(n, x[far])
-        else:
-            bessel = jv(n, x)
+        far = x > _hankel_terms(n)[0]
+        near = x[~far]
+        bessel = np.empty_like(x)
+        bessel[~far] = j0(near) if n == 0 else j1(near) if n == 1 else jv(n, near)
+        bessel[far] = _hankel(n, x[far])
         vals = math.factorial(n) * 2**n * bessel / x**n
     return np.where(tiny, 1.0 - r * r / (2 * d), vals)
 

@@ -127,8 +127,11 @@ def _exact_quadrature(spec: PolyspectrumSpec, f, freq: float,
         # an even panel count keeps the partition symmetric about pi/2, so
         # the parity cancellation is realized numerically as well
         min_panels += min_panels % 2
-    res = integrate_adaptive(f, 0.0, end, tol / qfac, min_panels=min_panels,
-                             max_evals=6_000_000)
+    try:
+        res = integrate_adaptive(f, 0.0, end, tol / qfac, min_panels=min_panels,
+                                 max_evals=6_000_000)
+    except ValueError as exc:
+        raise ValueError(f"exact quadrature at frequency {freq:g}: {exc}") from None
     check_converged(res, tol / qfac, "variance quadrature")
     return VarianceEstimate(
         spec, qfac * res.value, Method.EXACT_QUADRATURE,

@@ -32,7 +32,6 @@ from .quadrature import (  # noqa: F401
     integrate_adaptive,
     integrate_oscillatory_mollified,
     integrate_oscillatory_tail,
-    oscillatory_partial_integrals,
 )
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "idq",
     "idq_closed_form",
     "idq_value",
-    "idq_partial_integrals",
     "sample_walk",
     "density_curve",
     "density_on_grid",
@@ -520,12 +518,6 @@ def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
     )
     quadrature.check_converged(res, tol, f"moment integral (d={d}, q={q})")
     return IdqResult(d, q, cls, res.value, res.abs_error_estimate, route)
-
-
-def idq_partial_integrals(d: int, q: int, t_values) -> np.ndarray:
-    """Cumulative moment integrals int_0^T jd^q t^(d-1) dt over a grid of T."""
-    return oscillatory_partial_integrals(_idq_integrand(d, q), t_values,
-                                         chunks_per_period=max(2, q))
 
 
 def sample_walk(spec: WalkSpec, n_samples: int, seed: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polyspec import geometry as geo
+from polyspec import quadrature as quad
 from polyspec.quadrature import check_converged, integrate_adaptive_batch
 
 
@@ -42,3 +43,30 @@ def latitude_weight(d: int, R: float, r, tol: float) -> np.ndarray:
 def latitude_oracle():
     """The latitude-quadrature cap weight, an oracle for the closed form."""
     return latitude_weight
+
+
+def partial_integrals(f, t_values, chunks_per_period: int = 2) -> np.ndarray:
+    """Cumulative integrals int_0^T f for every T in t_values (increasing).
+
+    Each stretch between consecutive T is cut into chunks_per_period panels
+    per period pi, each integrated by 16-point Gauss-Legendre, and the
+    panel sums accumulate in order.  Truncated integrals, so an oracle for
+    how a moment integral grows with its upper limit, not for its value.
+    """
+    t_values = np.asarray(t_values, dtype=float)
+    edges = np.unique(np.concatenate([[0.0], t_values]))
+    out = np.empty(len(t_values))
+    total = 0.0
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        n = max(1, int(math.ceil((hi - lo) / math.pi * chunks_per_period)))
+        cuts = np.linspace(lo, hi, n + 1)
+        panels = quad._panel_values(f, cuts[:-1], cuts[1:], quad._X16, quad._W16)
+        total += float(panels.sum())
+        out[i] = total
+    return out[np.searchsorted(edges[1:], t_values)]
+
+
+@pytest.fixture(scope="session")
+def partial_integrals_oracle():
+    """Cumulative truncated integrals int_0^T f over a grid of T."""
+    return partial_integrals

@@ -8,6 +8,7 @@ import pytest
 
 from polyspec import fieldsim as fs
 from polyspec import geometry as geo
+from polyspec import specfun as sf
 from polyspec import variance as va
 from polyspec import walk
 from polyspec.geometry import Geometry
@@ -44,13 +45,14 @@ def test_criterion_01_exact_constants():
     report("criterion 1 (exact constants)", ok, detail)
 
 
-def test_criterion_02_divergence_classification():
+def test_criterion_02_divergence_classification(partial_integrals_oracle):
     ok = walk.classify_idq(2, 4) is Classification.DIVERGENT
     ok = ok and all(
         walk.classify_idq(d, 2) is Classification.DIVERGENT for d in range(2, 7)
     )
     t_grid = np.geomspace(1e2, 1e4, 12)
-    partials = walk.idq_partial_integrals(2, 4, t_grid)
+    # int_0^T jd(2, t)^4 t dt, four panels per period as for q = 4
+    partials = partial_integrals_oracle(lambda t: sf.jd(2, t) ** 4 * t, t_grid, 4)
     design = np.vstack([np.ones_like(t_grid), np.log(t_grid)]).T
     coef, *_ = np.linalg.lstsq(design, partials, rcond=None)
     fit = design @ coef

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -266,6 +267,20 @@ class TestInfrastructure:
                       "--R", "1", "--freq", "5", "--method", "mc", "--resolution", "2000"])
         assert exc.value.code == 2
         assert "4096^2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("freq", ["1e9", "1e300"])
+    def test_oversized_exact_quadrature_exit_code(self, freq, capsys):
+        # the first pass of the adaptive engine asked numpy for 19.0 GiB at
+        # 1e9 (exit 1); at 1e300 its panel count overflowed int64 (exit 2
+        # with numpy's "negative dimensions are not allowed")
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["variance", "--geometry", "euclidean", "--d", "2", "--q", "3",
+                      "--R", "1", "--freq", freq])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"frequency {float(freq):g}" in err and "max_evals" in err
 
     def test_missing_config_file_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -41,6 +41,20 @@ class TestIntegrateAdaptive:
         assert not res.converged
         assert res.status == "non_converged"
 
+    def test_refuses_first_pass_over_budget(self):
+        # min_panels GL15 + GL7 pairs exceed max_evals: refused before f runs
+        # or any panel is allocated
+        def f(x):
+            raise AssertionError("integrand called")
+
+        with pytest.raises(ValueError, match="max_evals"):
+            quad.integrate_adaptive(f, 0.0, 1.0, 1e-8, min_panels=10**300)
+        with pytest.raises(ValueError, match="max_evals"):
+            quad.integrate_adaptive(f, 0.0, 1.0, 1e-8, min_panels=46, max_evals=1000)
+        res = quad.integrate_adaptive(lambda x: x, 0.0, 1.0, 1e-8, min_panels=45,
+                                      max_evals=1000)
+        assert res.value == pytest.approx(0.5, abs=1e-12) and res.n_evals == 990
+
 
 # members of one family: (integrand, a, b, tol, split points); the third has
 # an inverse-square-root endpoint, the last exhausts its budget
@@ -168,12 +182,13 @@ class TestOscillatoryTail:
         assert res.value == pytest.approx(oracle.value, abs=1e-8)
 
     @pytest.mark.parametrize("d,q", [(4, 4), (3, 5)])
-    def test_absolutely_convergent_vs_brute_truncation(self, d, q):
+    def test_absolutely_convergent_vs_brute_truncation(self, d, q,
+                                                       partial_integrals_oracle):
         f = lambda t: sf.jd(d, t) ** q * t ** (d - 1)
         res = quad.integrate_oscillatory_tail(
             f, 1e-9, decay_exponent=(d - 1) * (q / 2 - 1), phase_offset=(d - 1) * math.pi / 4
         )
-        brute = quad.oscillatory_partial_integrals(f, np.array([1e5]))[0]
+        brute = partial_integrals_oracle(f, np.array([1e5]))[0]
         assert res.converged
         assert res.value == pytest.approx(brute, abs=1e-6)
 

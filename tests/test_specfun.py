@@ -27,8 +27,8 @@ def jd_from_jv(d: int, x: np.ndarray) -> np.ndarray:
 
 
 class TestBesselJ:
-    """jd's Bessel branches (Cephes j0 / j1, spherical_jn, jv) against
-    references that do not take them."""
+    """jd's Bessel branches (Cephes j0 / j1, spherical_jn, jv, Hankel's
+    expansion) against references that do not take them."""
 
     def test_j0_at_zero(self):
         assert sf.jd(2, 0.0) == 1.0
@@ -54,8 +54,9 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_against_scipy(self, d):
-        # the Cephes branch (d = 2, 4 up to r = 40) and spherical_jn (odd d)
-        # against the jv form of the kernel
+        # the Cephes branch (d = 2, 4 up to r = 40), spherical_jn (odd d) and
+        # Hankel's expansion (even d past the seam) against the jv form of
+        # the kernel
         x = np.concatenate(
             [np.linspace(1e-8, 20, 500), np.linspace(20, 200, 200), [1e3, 1e4]]
         )
@@ -96,18 +97,52 @@ def jd_mpmath(d: int, r: float) -> float:
         return float(mpmath.gamma(nu + 1) * 2**nu * x**-nu * mpmath.besselj(nu, x))
 
 
+def jd_amplitude(d: int) -> float:
+    """nu! 2^nu (2/pi)^{1/2}: jd(d, r) oscillates within this times r^{-(d-1)/2}."""
+    nu = 0.5 * d - 1.0
+    return gamma(nu + 1.0) * 2.0**nu * math.sqrt(2.0 / math.pi)
+
+
+def hankel_seam(d: int) -> float:
+    """Where even d switches to Hankel's expansion (40 up to d = 8)."""
+    return sf._hankel_terms(d // 2 - 1)[0] if d % 2 == 0 else 40.0
+
+
 class TestJd:
-    @pytest.mark.parametrize("d", range(2, 11))
+    @pytest.mark.parametrize("d", [*range(2, 11), 12, 16, 20, 30, 40])
     def test_against_mpmath(self, d):
-        # 40 (1 -+ 1e-12) straddle the seam where d = 2, 4 switch from j0/j1 to jv
+        # 40 (1 -+ 1e-12) straddle the seam where d = 2, 4 switch from j0/j1 to
+        # Hankel's expansion; far starts just past each order's seam
         near = np.concatenate([[0.0, 1e-300, 1e-9, 1e-6, 2e-6, 1e-3, 40 * (1 - 1e-12),
                                 40 * (1 + 1e-12)], np.linspace(0.1, 40, 200)])
-        far = np.geomspace(40.5, 2e5, 200)
+        far = np.geomspace(max(40.5, hankel_seam(d) * (1 + 1e-12)), 2e5, 200)
         ref_near = np.array([jd_mpmath(d, r) for r in near])
         ref_far = np.array([jd_mpmath(d, r) for r in far])
         assert np.all(np.abs(sf.jd(d, near) - ref_near) <= 2e-14)
-        # beyond the first lobes the bound follows the envelope r^{-(d-1)/2}
-        assert np.all(np.abs(sf.jd(d, far) - ref_far) <= 1e-11 * far ** (-0.5 * (d - 1)))
+        # beyond the first lobes the bound follows the kernel's envelope, with
+        # its amplitude: for d <= 10 (amplitude at most 306) this is tighter
+        # than 1e-11 r^{-(d-1)/2}, which would ask for less than one ulp from
+        # d = 16 on (amplitude 5.1e22 at d = 40)
+        envelope = jd_amplitude(d) * far ** (-0.5 * (d - 1))
+        assert np.all(np.abs(sf.jd(d, far) - ref_far) <= 2e-15 * envelope)
+
+    @pytest.mark.parametrize("d", [*range(2, 11), 40])
+    def test_scalar_and_0d_match_arrays(self, d):
+        for r in (50.0, 1e4):
+            one = sf.jd(d, np.array([r]))[0]
+            assert sf.jd(d, r) == one and sf.jd(d, np.array(r)) == one
+            assert type(sf.jd(d, r)) is float
+
+    def test_low_even_orders_never_call_jv(self, monkeypatch):
+        # d = 2, 4 take j0 / j1 up to 40 and Hankel's expansion past it
+        def refuse(*args):
+            raise AssertionError("jv called")
+
+        monkeypatch.setattr(sf, "jv", refuse)
+        r = np.concatenate([[0.0, 1e-7], np.geomspace(1e-3, 2e5, 20_000)])
+        for d in (2, 4):
+            assert np.all(np.isfinite(sf.jd(d, r)))
+            assert np.isfinite(sf.jd(d, 40.0)) and np.isfinite(sf.jd(d, 2e5))
 
     def test_value_at_zero(self):
         for d in range(2, 9):
