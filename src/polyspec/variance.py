@@ -122,14 +122,23 @@ def _exact_quadrature(spec: PolyspectrumSpec, f, freq: float,
     of a kernel at frequency freq."""
     qfac = math.factorial(spec.q)
     end = spec.ball.support_end
-    min_panels = max(8, int(math.ceil(end / (math.pi / (4.0 * freq)))))
+    max_evals = 6_000_000
+    # panels of width pi / (4 freq); 4 freq overflows past a frequency of
+    # about 4.5e307, and end / width past end * freq ~ 1.4e308: a count no
+    # float holds, far over any budget
+    width = math.pi / (4.0 * freq)
+    panels = end / width if width > 0.0 else math.inf
+    if math.isinf(panels):
+        raise ValueError(f"exact quadrature at frequency {freq:g}: its initial panels"
+                         f" outnumber any float, far more than max_evals = {max_evals}")
+    min_panels = max(8, int(math.ceil(panels)))
     if spec.field.geometry == Geometry.SPHERICAL:
         # an even panel count keeps the partition symmetric about pi/2, so
         # the parity cancellation is realized numerically as well
         min_panels += min_panels % 2
     try:
         res = integrate_adaptive(f, 0.0, end, tol / qfac, min_panels=min_panels,
-                                 max_evals=6_000_000)
+                                 max_evals=max_evals)
     except ValueError as exc:
         raise ValueError(f"exact quadrature at frequency {freq:g}: {exc}") from None
     check_converged(res, tol / qfac, "variance quadrature")

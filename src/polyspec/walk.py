@@ -152,22 +152,25 @@ def _psi2(d: int, u: np.ndarray) -> np.ndarray:
     return np.where(inside, rho2_closed(d, x) / x ** (d - 1), 0.0)
 
 
-def _psi3_planar(u) -> np.ndarray:
+def _psi3_planar(u, one_minus_u=None) -> np.ndarray:
     """psi^2_3 = p_3(u) / u, the planar three-step density in closed form.
 
     p_3(x) = 4x / (pi^2 sqrt((3-x)(x+1)^3)) K(m) on (0, 1) and
     sqrt(x) / pi^2 K(m) on (1, 3) (Borwein, Straub, Wan & Zudilin, Canad. J.
     Math. 2012).  K goes through ellipkm1 on the closed-form complement
     1 - m = (1-x)^3 (x+3) / ((3-x)(x+1)^3), resp. (x-1)^3 (x+3) / (16x), which
-    keeps full relative accuracy into the log-infinite point x = 1.  There
-    1 - m is floored at the smallest normal double: a finite cap on the
-    integrable spike, which quadrature nodes do hit exactly.
+    keeps full relative accuracy into the log-infinite point x = 1 as long
+    as 1 - x does: a caller that forms u near 1 from a small offset passes
+    one_minus_u, the signed 1 - u computed without cancellation, in place
+    of 1.0 - u.  1 - m is floored at the smallest normal double: a finite
+    cap on the integrable spike, which quadrature nodes do hit exactly.
     """
     u = np.asarray(u, dtype=float)
     inside = (u >= 0) & (u < 3)
     x = np.where(inside, u, 0.5)
-    low = x < 1.0
-    dist = np.abs(1.0 - x)
+    off = 1.0 - x if one_minus_u is None else np.where(inside, one_minus_u, 0.5)
+    low = off > 0.0
+    dist = np.abs(off)
     # p_3 = K / (pi^2 sqrt(den)) * (x on (0, 1), sqrt(x) on (1, 3))
     den = np.where(low, (3.0 - x) * (x + 1.0) * (x + 1.0) * (x + 1.0) / 16.0, x)
     one_minus_m = dist * dist * dist * (x + 3.0) / (16.0 * den)
@@ -209,28 +212,45 @@ def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
     crosses a kink radius of the previous level (NaN where it does not).
     For radii within 0.1 of 1, a geometric ladder of splits into phi = pi is
     added when the previous level is psi_2 (n = 3), which is ~1/u at u = 0 in
-    every dimension.  An integral left unconverged with an error above
-    100 tol raises NonConvergedError.
+    every dimension.  The step from the exact planar psi_3 hands it the
+    offset 1 - u computed without cancellation, since psi_3 is log-infinite
+    at u = 1.  An integral left unconverged with an error above 100 tol
+    raises NonConvergedError.
     """
     prev = _psi_level(d, n - 1)
     power = float(d - 2)  # 2 nu
     root = 2.0 * np.sqrt(rs)
+    kinks = np.asarray(_psi_kinks(n - 1))
+    s = (kinks * kinks - 1.0 - (rs * rs)[:, None]) / (2.0 * rs[:, None])
+    with np.errstate(invalid="ignore"):
+        splits = np.where((s > -1.0) & (s < 1.0), np.arccos(s), np.nan)
+    # the first kink is u = 1, crossed at phi_1 = arccos(-r/2) when r < 2
+    phi1 = splits[:, 0]
 
     def integrand(phi: np.ndarray, k) -> np.ndarray:
         # cancellation-free form of sqrt(1 + 2 r cos(phi) + r^2); the naive
         # expression loses everything below u ~ 1e-8 when r is near 1
         u = np.hypot(1.0 - rs[k], root[k] * np.cos(0.5 * phi))
-        return prev(u) * np.sin(phi) ** power if power else prev(u)
+        if (d, n) != (2, 4):
+            return prev(u) * np.sin(phi) ** power if power else prev(u)
+        # the log spike of the planar psi_3 at u = 1 drowns in the rounding
+        # of 1.0 - u when r is small (u - 1 ~ r cos(phi)), so form u^2 - 1 =
+        # r (r + 2 cos(phi)) without cancellation: -4 r sin((phi + phi_1)/2)
+        # sin((phi - phi_1)/2) for r < 2, r ((r - 2) + 4 cos(phi/2)^2) above
+        r = rs[k]
+        sq = np.where(
+            r < 2.0,
+            -4.0 * r * np.sin(0.5 * (phi + phi1[k])) * np.sin(0.5 * (phi - phi1[k])),
+            r * ((r - 2.0) + 4.0 * np.cos(0.5 * phi) ** 2),
+        )
+        return prev(u, -sq / (1.0 + u))
 
-    kinks = np.asarray(_psi_kinks(n - 1))
-    s = (kinks * kinks - 1.0 - (rs * rs)[:, None]) / (2.0 * rs[:, None])
-    with np.errstate(invalid="ignore"):
-        splits = np.where((s > -1.0) & (s < 1.0), np.arccos(s), np.nan)
     # the argument grazes the 1/u blow-up of psi_2 at phi = pi when r is near
     # 1; the resulting peak of width |1 - r| hides between quadrature nodes,
     # and the error estimate misses it, so panel it down explicitly.  The
-    # levels above psi_2 (the exact planar psi_3, every table) are finite at
-    # u = 0, so they have no such peak
+    # levels above psi_2 are finite at u = 0, except the planar psi_4 table,
+    # which is only log-infinite there (psi_4(u) ~ -3 ln(u) / (2 pi^2)) and
+    # converges without a ladder
     u_min = np.abs(1.0 - rs)
     near = u_min < 0.1
     if n == 3 and near.any():

@@ -268,11 +268,13 @@ class TestInfrastructure:
         assert exc.value.code == 2
         assert "4096^2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("freq", ["1e9", "1e300"])
+    @pytest.mark.parametrize("freq", ["1e9", "1e300", "1e308", "1.7e308"])
     def test_oversized_exact_quadrature_exit_code(self, freq, capsys):
         # the first pass of the adaptive engine asked numpy for 19.0 GiB at
         # 1e9 (exit 1); at 1e300 its panel count overflowed int64 (exit 2
-        # with numpy's "negative dimensions are not allowed")
+        # with numpy's "negative dimensions are not allowed"); from 1e308 on
+        # 4 freq overflowed and the panel width pi / inf divided by zero
+        # (exit 3)
         start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             cli.main(["variance", "--geometry", "euclidean", "--d", "2", "--q", "3",
