@@ -5,33 +5,25 @@ from __future__ import annotations
 import functools
 import threading
 
-_MISSING = object()
-
 
 def build_once(fn):
     """Memoise fn on its positional arguments.
 
-    Threads that ask for a missing key together wait for a single build; a
-    cached key is read without a lock.  The wrapper has cache_clear().
+    A missing key is built under the memo's one reentrant lock: threads that
+    ask for it together wait for a single build, a build may ask its own
+    memo for another key, and builds of different keys run one at a time.  A
+    cached key is read without the lock.  The wrapper has cache_clear().
     """
     cache: dict = {}
-    locks: dict = {}
-    guard = threading.Lock()
+    lock = threading.RLock()
 
     @functools.wraps(fn)
     def wrapper(*args):
-        value = cache.get(args, _MISSING)
-        if value is _MISSING:
-            with guard:
-                lock = locks.setdefault(args, threading.Lock())
+        if args not in cache:
             with lock:
-                value = cache.get(args, _MISSING)  # built while this thread waited
-                if value is _MISSING:
-                    value = fn(*args)
-                    with guard:
-                        cache[args] = value
-                        locks.pop(args, None)
-        return value
+                if args not in cache:  # else built while this thread waited
+                    cache[args] = fn(*args)
+        return cache[args]
 
     wrapper.cache_clear = cache.clear
     return wrapper

@@ -22,7 +22,6 @@ from . import __version__, fieldsim, geometry, variance, walk
 
 __all__ = ["main"]
 
-EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_LINALG = 4
 
@@ -30,19 +29,13 @@ EXIT_LINALG = 4
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".17g")
-    return str(x)
+    # 17 digits round-trip a double; inf, -inf and nan print as such
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _jsonable(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-    return x
+    """Non-finite floats as the strings "inf", "-inf" and "nan"."""
+    return str(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _emit(args, header: list[str], rows: list[list], inputs: dict,
@@ -269,8 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.format is None:
             args.format = args.default_format
         return args.fn(args, time.monotonic())
-    except (argparse.ArgumentTypeError, OSError) as exc:
-        parser.error(str(exc))  # OSError: unreadable --config or --output-path
+    # OSError: unreadable --config or --output-path; MemoryError: too large a request
+    except (argparse.ArgumentTypeError, OSError, MemoryError) as exc:
+        parser.error(str(exc) or "out of memory")
     except np.linalg.LinAlgError as exc:  # and fieldsim.CovarianceFactorizationError
         print(f"linear algebra failure: {exc}", file=sys.stderr)
         return EXIT_LINALG

@@ -156,29 +156,28 @@ class QuadratureDomain:
         return float(self.weights.sum())
 
 
+def _lift(c: np.ndarray | None, s: np.ndarray, w: np.ndarray, x: np.ndarray, v: np.ndarray):
+    """Product of a 1-D rule (c_i, s_i, w_i) and a sphere rule (x, v): points
+    (c_i, s_i x) and weights w_i v; c is None for the ball, which has no
+    first coordinate."""
+    pts = s[:, None, None] * x[None, :, :]
+    if c is not None:
+        first = np.broadcast_to(c[:, None, None], pts.shape[:2] + (1,))
+        pts = np.concatenate([first, pts], axis=2)
+    return pts.reshape(-1, pts.shape[2]), (w[:, None] * v[None, :]).ravel()
+
+
 def _sphere_rule(m: int, n_polar: int, n_azimuth: int):
-    """Product quadrature on the unit sphere S^m in R^(m+1)."""
-    if m == 0:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    """Product quadrature on the unit sphere S^m in R^(m+1), m >= 1."""
     if m == 1:
         ang = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
         pts = np.column_stack([np.cos(ang), np.sin(ang)])
         return pts, np.full(n_azimuth, 2.0 * math.pi / n_azimuth)
-    sub_pts, sub_w = _sphere_rule(m - 1, n_polar, n_azimuth)
     # colatitude measure sin^(m-1) dtheta = (1-t^2)^((m-2)/2) dt, the
     # symmetric Jacobi weight of order nu = (m-1)/2
     t, tw = gauss_jacobi_symmetric(0.5 * (m - 1), n_polar)
     s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-    pts = np.concatenate(
-        [
-            np.column_stack(
-                [np.full(len(sub_pts), ti), si * sub_pts]
-            )
-            for ti, si in zip(t, s)
-        ]
-    )
-    w = np.concatenate([wi * sub_w for wi in tw])
-    return pts, w
+    return _lift(t, s, tw, *_sphere_rule(m - 1, n_polar, n_azimuth))
 
 
 def build_domain(geometry: Geometry, d: int, R: float, resolution: int) -> QuadratureDomain:
@@ -195,26 +194,13 @@ def build_domain(geometry: Geometry, d: int, R: float, resolution: int) -> Quadr
     if 4 * resolution**d > COVARIANCE_POINT_BUDGET**2:  # refused before it is built
         raise ValueError(f"resolution {resolution} gives 4 * {resolution}^{d} points;"
                          f" no factor draws more than {COVARIANCE_POINT_BUDGET}^2")
-    n_azimuth = 4 * resolution
     x, wx = leggauss(resolution)
-    sph, sw = _sphere_rule(d - 1, resolution, n_azimuth)
+    sph = _sphere_rule(d - 1, resolution, 4 * resolution)
+    a = 0.5 * R * (x + 1.0)  # radius or colatitude
     if ball.geometry == Geometry.EUCLIDEAN:
-        r = 0.5 * R * (x + 1.0)
-        wr = 0.5 * R * wx * r ** (d - 1)
-        pts = (r[:, None, None] * sph[None, :, :]).reshape(-1, d)
-        w = (wr[:, None] * sw[None, :]).ravel()
+        pts, w = _lift(None, a, 0.5 * R * wx * a ** (d - 1), *sph)
     else:
-        theta = 0.5 * R * (x + 1.0)
-        wt = 0.5 * R * wx * np.sin(theta) ** (d - 1)
-        pts = np.concatenate(
-            [
-                np.column_stack(
-                    [np.full(len(sph), math.cos(t)), math.sin(t) * sph]
-                )
-                for t in theta
-            ]
-        )
-        w = (wt[:, None] * sw[None, :]).ravel()
+        pts, w = _lift(np.cos(a), np.sin(a), 0.5 * R * wx * np.sin(a) ** (d - 1), *sph)
     return QuadratureDomain(ball, pts, w)
 
 

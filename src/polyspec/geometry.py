@@ -53,6 +53,10 @@ class BallSpec:
         if self.geometry == Geometry.EUCLIDEAN:
             if not (0 < self.R < math.inf):
                 raise ValueError("Euclidean radius must be finite and > 0")
+            try:
+                _ball_weight_integral(self.d, self.R)
+            except OverflowError:
+                raise ValueError(f"radius {self.R:g}: its weight integral overflows") from None
         else:
             if not (0 < self.R <= math.pi):
                 raise ValueError("spherical radius must lie in (0, pi]")
@@ -67,6 +71,15 @@ def omega(d: int) -> float:
     if int(d) != d or d < 0:
         raise ValueError(f"dimension must be an integer >= 0, got {d}")
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.exp(gammaln((d + 1) / 2.0))
+
+
+def _ball_weight_integral(d: int, R: float) -> float:
+    """4 omega_{d-1} omega_{d-2} R^(d+1) / ((d-1)(d+1)), the integral of a
+    Euclidean ball's weight.  With R = m 2^e it scales m^(d+1) by 2^(e(d+1)),
+    so no power of R is formed; OverflowError where it exceeds a float."""
+    m, e = math.frexp(R)
+    scaled = 4.0 * omega(d - 1) * omega(d - 2) * m ** (d + 1) / ((d - 1) * (d + 1))
+    return math.ldexp(scaled, e * (d + 1))
 
 
 def ball_volume(d: int, R: float) -> float:
@@ -229,12 +242,11 @@ class WeightFunction:
 def make_weight(spec: BallSpec) -> WeightFunction:
     """Build the weight function for a ball spec, in closed form.
 
-    A Euclidean ball's integral is 4 omega_{d-1} omega_{d-2} R^(d+1) /
-    ((d-1)(d+1)); a cap's is pi W(pi) plus a fixed Gauss-Jacobi moment
-    (see _cap_weight).
+    A Euclidean ball's integral is _ball_weight_integral; a cap's is pi W(pi)
+    plus a fixed Gauss-Jacobi moment (see _cap_weight).
     """
     d, R = spec.d, spec.R
     if spec.geometry == Geometry.SPHERICAL:
         return _cap_weight(spec)
-    integral = 4.0 * omega(d - 1) * omega(d - 2) * R ** (d + 1) / ((d - 1) * (d + 1))
-    return WeightFunction(spec, lambda r: weight_euclidean(d, R, r), integral)
+    return WeightFunction(spec, lambda r: weight_euclidean(d, R, r),
+                          _ball_weight_integral(d, R))

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 # PchipInterpolator is not called here; perfbench's tracer wraps the name
-from scipy.interpolate import CubicSpline, PchipInterpolator  # noqa: F401
+from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly  # noqa: F401
 from scipy.special import ellipkm1, gammaln
 
 from . import quadrature, specfun
@@ -267,46 +267,41 @@ def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
     return _step_pref(d) * res.value
 
 
-class _PsiTable:
-    """psi^d_n tabulated per unit segment with kink-graded grids.
+# the grid of one unit segment of a psi table: Chebyshev-type interior nodes
+# plus geometric grading into the ends, where the density is merely C^0
+# across kinks.  Rounded to multiples of 2^-50, so k + node is exact below 8
+# and a table evaluated at its own nodes reads its spline's knots
+_UNIT_NODES = np.unique(np.round(2.0**50 * np.concatenate([
+    0.5 * (1.0 - np.cos(np.linspace(0, math.pi, 74)[1:-1])),
+    np.geomspace(1e-9, 0.25, 30),
+    1.0 - np.geomspace(1e-9, 0.25, 30),
+])) / 2.0**50)
 
-    Every node of the level is one integral of a single batched engine call;
-    a node left unconverged with an error above 100 tol raises
-    NonConvergedError.  Each segment is a not-a-knot cubic spline: C^2, so
-    the next level's integrand has no derivative jumps for the adaptive
-    engine to bisect toward.  The segment ends are 0 and the kinks of psi_n,
-    so no spline spans a kink and none rings there.
+
+class _PsiTable:
+    """psi^d_n (n >= 3) on the unit segments [k, k + 1), k < n, whose ends are
+    its kinks: one vector-valued not-a-knot cubic spline on _UNIT_NODES holds
+    segment k in column k, so no segment spans a kink, and within one the
+    next level's integrand has no derivative jumps (C^2) for the adaptive
+    engine to bisect toward.  The nodes are one batched engine call; a node
+    left unconverged with an error above 100 tol raises NonConvergedError.
     """
 
     def __init__(self, d: int, n: int):
-        self.d = d
-        self.n = n
-        ends = (0.0,) + _psi_kinks(n)
-        grids = []
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            width = hi - lo
-            # Chebyshev-type interior nodes plus geometric grading into the
-            # segment ends, where the density is merely C^0 across kinks
-            base = lo + width * 0.5 * (1.0 - np.cos(np.linspace(0, math.pi, 74)[1:-1]))
-            edges = np.concatenate(
-                [lo + width * np.geomspace(1e-9, 0.25, 30),
-                 hi - width * np.geomspace(1e-9, 0.25, 30)]
-            )
-            grids.append(np.unique(np.concatenate([base, edges])))
-        vals = np.split(_psi_step(d, n, np.concatenate(grids), 1e-9),
-                        np.cumsum([len(g) for g in grids])[:-1])
-        self.segments = [
-            (lo, hi, CubicSpline(pts, v, extrapolate=True))
-            for lo, hi, pts, v in zip(ends[:-1], ends[1:], grids, vals)
-        ]
+        vals = _psi_step(d, n, (np.arange(n)[:, None] + _UNIT_NODES).ravel(), 1e-9)
+        coef = CubicSpline(_UNIT_NODES, vals.reshape(n, -1).T).c
+        # each column evaluated on its own segment's points: scipy evaluates
+        # every column of a vector-valued spline at every point
+        self.segments = [PPoly.construct_fast(np.ascontiguousarray(coef[..., k]), _UNIT_NODES)
+                         for k in range(n)]
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         out = np.zeros_like(u)
-        for lo, hi, interp in self.segments:
-            mask = (u >= lo) & (u < hi)
+        for k, segment in enumerate(self.segments):
+            mask = (u >= k) & (u < k + 1)
             if mask.any():
-                out[mask] = interp(u[mask])
+                out[mask] = segment(u[mask] - k)
         return np.maximum(out, 0.0)
 
 
@@ -496,13 +491,6 @@ def idq_value(d: int, q: int, tol: float) -> float | None:
         return idq(d, q, IdqRoute.DIRECT_INTEGRAL, tol).value
 
 
-def _idq_integrand(d: int, q: int):
-    def f(t: np.ndarray) -> np.ndarray:
-        return specfun.jd(d, t) ** q * t ** (d - 1)
-
-    return f
-
-
 def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
         tol: float = 1e-9) -> IdqResult:
     """The moment constant I_q^d with its analytic convergence class.
@@ -530,7 +518,7 @@ def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
         val = fac * rho
         return IdqResult(d, q, cls, val, float(_recursion_error(val)), route)
     res = integrate_oscillatory_tail(
-        _idq_integrand(d, q),
+        lambda t: specfun.jd(d, t) ** q * t ** (d - 1),
         tol,
         decay_exponent=(d - 1) * (q / 2.0 - 1.0),
         phase_offset=(d - 1) * math.pi / 4.0,

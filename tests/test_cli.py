@@ -229,9 +229,35 @@ class TestInfrastructure:
          "--freq", "10", "--method", "mc", "--trials", "50"],
         ["variance", "--geometry", "euclidean", "--d", "2", "--q", "3", "--R", "1",
          "--freq", "10", "--method", "mc", "--resolution", "4"],
-    ], ids=["d1", "n9", "closed-n3", "q1", "spherical-R4", "trials50", "resolution4"])
+        # R ** (d + 1) overflowed in the weight integral: exit 3
+        ["variance", "--geometry", "euclidean", "--d", "2", "--q", "3", "--R", "1e300",
+         "--freq", "1e10"],
+        ["variance", "--geometry", "euclidean", "--d", "3", "--q", "3", "--R", "1e120",
+         "--freq", "1", "--method", "asym"],
+    ], ids=["d1", "n9", "closed-n3", "q1", "spherical-R4", "trials50", "resolution4",
+            "euclidean-R1e300", "euclidean-R1e120-asym"])
     def test_bad_flag_value_exit_code(self, argv):
         proc = run_cli(argv, check=False)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--d", "3", "--n", "2", "--route", "closed",
+         "--points", "1000000000000"],
+        ["variance", "--geometry", "spherical", "--d", "2", "--q", "2", "--R", "1",
+         "--freq", "5", "--method", "mc", "--trials", "1000000000000", "--resolution", "8"],
+    ], ids=["density-points", "mc-trials"])
+    def test_out_of_memory_exit_code(self, argv):
+        # numpy's MemoryError traceback, exit 1.  Each run is held to a 4 GiB
+        # address space, so the refused allocation never reaches the machine
+        resource = pytest.importorskip("resource")
+        cap = 4 << 30
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyspec.cli", *argv], capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+        )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 

@@ -33,6 +33,20 @@ class TestBuildDomain:
         val = float(np.sum(dom.weights * np.exp(-np.sum(dom.points**2, axis=1))))
         assert val == pytest.approx(math.pi * (1 - math.exp(-1)), rel=1e-12)
 
+    @pytest.mark.parametrize("geometry,d,R,second,fourth", [
+        (E, 4, 1.0, 2 * math.pi**2 / 24, 2 * math.pi**2 / 192),
+        (S, 3, math.pi, 2 * math.pi**2 / 4, 2 * math.pi**2 / 24),
+    ])
+    def test_coordinate_moments(self, geometry, d, R, second, fourth):
+        # x_i^2 and x_i^2 x_j^2 over the R^4 ball and the whole S^3, on every
+        # coordinate and pair: each level of the product rule is read
+        dom = fs.build_domain(geometry, d, R, 16)
+        sq = dom.points**2
+        assert np.abs(dom.weights @ sq - second).max() < 1e-12
+        for i in range(sq.shape[1]):
+            for j in range(i):
+                assert abs(dom.weights @ (sq[:, i] * sq[:, j]) - fourth) < 1e-12, (i, j)
+
     def test_rejects_low_resolution(self):
         with pytest.raises(ValueError):
             fs.build_domain(E, 2, 1.0, 4)

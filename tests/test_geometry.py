@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,11 @@ class TestBallVolume:
         assert geo.ball_volume(2, 1.0) == pytest.approx(math.pi, rel=1e-14)
         assert geo.ball_volume(3, 1.0) == pytest.approx(4 * math.pi / 3, rel=1e-14)
         assert geo.ball_volume(4, 2.0) == pytest.approx(8 * math.pi**2, rel=1e-14)
+
+    def test_overflowing_radius_refused(self):
+        # R ** d raised OverflowError
+        with pytest.raises(ValueError, match="overflows"):
+            geo.ball_volume(2, 1e300)
 
 
 class TestWeightEuclidean:
@@ -203,6 +209,17 @@ class TestBallSpecValidation:
             BallSpec(Geometry.EUCLIDEAN, 2, 0.0)
         with pytest.raises(ValueError):
             BallSpec(Geometry.SPHERICAL, 2, 3.5)
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 20])
+    def test_euclidean_radius_up_to_a_finite_weight_integral(self, d):
+        # at d = 20 the integral's constant is below 1, so R ** (d + 1)
+        # overflows before the integral does
+        const = 4 * geo.omega(d - 1) * geo.omega(d - 2) / ((d - 1) * (d + 1))
+        edge = math.exp((math.log(sys.float_info.max) - math.log(const)) / (d + 1))
+        weight = geo.make_weight(BallSpec(Geometry.EUCLIDEAN, d, edge * (1 - 1e-12)))
+        assert math.isfinite(weight.integral) and weight.integral > 1e307
+        with pytest.raises(ValueError, match="overflows"):
+            BallSpec(Geometry.EUCLIDEAN, d, edge * (1 + 1e-12))
 
     def test_support_end(self):
         assert BallSpec(Geometry.EUCLIDEAN, 2, 1.5).support_end == 3.0

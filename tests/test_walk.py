@@ -468,6 +468,29 @@ class TestKernelTable:
         assert np.array_equal(a, b) and np.array_equal(a, jd(2, nodes) ** 4)
 
 
+class TestPsiTable:
+    @pytest.fixture(scope="class")
+    def table(self):
+        return walk._PsiTable(3, 4)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_reproduces_step_at_nodes(self, table, k):
+        u = k + walk._UNIT_NODES
+        ref = walk._psi_step(3, 4, u, 1e-9)
+        np.testing.assert_allclose(table(u), ref, rtol=1e-12, atol=0)
+
+    def test_zero_off_support(self, table):
+        u = np.array([-math.inf, -3.0, -0.5, -1e-300, 4.0, 4.0 + 1e-12, 4.5, 1e300, math.inf])
+        assert np.array_equal(table(u), np.zeros_like(u))
+
+    def test_keeps_shape(self, table):
+        u = np.linspace(0.0, 4.0, 12).reshape(3, 4)
+        assert table(u).shape == (3, 4)
+        assert np.array_equal(table(u).ravel(), table(u.ravel()))
+        one = table(np.float64(2.5))
+        assert np.ndim(one) == 0 and one == table(np.array([2.5]))[0]
+
+
 def test_psi_level_builds_once_under_threads(monkeypatch):
     real, builds = walk._PsiTable, []
 
