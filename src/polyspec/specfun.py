@@ -86,16 +86,16 @@ class GegenbauerSpec:
 
 
 @build_once
-def _hankel_terms(n: int):
-    """Seam, Horner coefficients and phase signs of Hankel's expansion of J_n.
+def _hankel_terms(nu: float):
+    """Seam, coefficients and Horner lists of Hankel's expansion of J_nu.
 
-    With a_k = prod_{j<=k} (4n^2 - (2j-1)^2) / (k! 8^k), P = sum (-1)^m a_2m
-    x^-2m and Q = sum (-1)^m a_(2m+1) x^-(2m+1) over the first _HANKEL_TERMS
-    terms (DLMF 10.17.3).  Past the seam the first omitted term
-    a_14 x^-14 is below 2^-56.  c, s are sqrt(2) cos and sqrt(2) sin of the
-    phase (2n + 1) pi/4.
+    a_k = prod_{j<=k} (4nu^2 - (2j-1)^2) / (k! 8^k) for k <= _HANKEL_TERMS;
+    P = sum (-1)^m a_2m x^-2m and Q = sum (-1)^m a_(2m+1) x^-(2m+1) over the
+    first _HANKEL_TERMS terms (DLMF 10.17.3).  Past the seam the first
+    omitted term a_14 x^-14 is below 2^-56.  At half-integer nu below 14 the
+    series terminates: a_k = 0 from k = nu + 1/2 on, and the seam is 40.
     """
-    mu = 4.0 * n * n
+    mu = 4.0 * nu * nu
     a = [1.0]
     for k in range(1, _HANKEL_TERMS + 1):
         a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
@@ -103,8 +103,7 @@ def _hankel_terms(n: int):
     half = _HANKEL_TERMS // 2
     p = [(-1) ** m * a[2 * m] for m in reversed(range(half))]
     q = [(-1) ** m * a[2 * m + 1] for m in reversed(range(half))]
-    c, s = ((1, 1), (-1, 1), (-1, -1), (1, -1))[n % 4]
-    return seam, p, q, c, s
+    return seam, tuple(a), p, q
 
 
 def _hankel(n: int, x: np.ndarray) -> np.ndarray:
@@ -113,9 +112,11 @@ def _hankel(n: int, x: np.ndarray) -> np.ndarray:
     J_n(x) = (pi x)^{-1/2} (P (c cos x + s sin x) + Q (s cos x - c sin x)),
     that is (2/(pi x))^{1/2} (P cos w - Q sin w) at w = x - (2n + 1) pi/4
     with the phase split off exactly: w itself is never formed, since the
-    rounding of x - pi/4 costs ulp(x)/2 of phase.
+    rounding of x - pi/4 costs ulp(x)/2 of phase.  c, s are sqrt(2) cos and
+    sqrt(2) sin of the phase (2n + 1) pi/4.
     """
-    _, p, q, c, s = _hankel_terms(n)
+    _, _, p, q = _hankel_terms(n)
+    c, s = ((1, 1), (-1, 1), (-1, -1), (1, -1))[n % 4]
     out = np.empty_like(x)
     for lo in range(0, x.size, _HANKEL_CHUNK):
         t = x[lo:lo + _HANKEL_CHUNK]

@@ -26,7 +26,8 @@ from scipy.special import ellipkm1, gammaln
 
 from . import quadrature, specfun
 from ._memo import build_once
-# integrate_adaptive is not called here; perfbench's tracer wraps the name
+# integrate_adaptive and integrate_oscillatory_mollified are not called here;
+# perfbench's tracer wraps the names (drop them with the tracer's targets)
 from .quadrature import (  # noqa: F401
     QuadResult,
     integrate_adaptive,
@@ -362,91 +363,164 @@ def density_recursion(spec: WalkSpec, r):
     return float(out) if arr.ndim == 0 else out
 
 
-def _min_beat_frequency(n: int, r: float) -> float:
-    freqs = []
-    for k in range(n + 1):
-        for s in (-1.0, 1.0):
-            f = abs((n - 2 * k) + s * r)
-            if f > 1e-9:
-                freqs.append(f)
-    return min(freqs) if freqs else 1.0
-
-
-# canonical panels per memoised block of jd(t)^n
-_KERNEL_BLOCK_PANELS = 64
+# where the Kluyver head ends when Hankel's series of jd terminates (odd d,
+# below d = 31): the tail is then exact from any cutoff, and pi measured
+# within 2.2e-16 of Rayleigh-Treloar at (3, 5) on half the head evaluations
+# of 2 pi.  Elsewhere the head ends where t and r t are both past the
+# series' seam, capped so that the head stays bounded as r -> 0; below
+# r = seam / cap (8e-4 up to d = 8) r T falls short of the seam, and the
+# first omitted order in the bar grows (at (2, 4), tol 1e-8, r = 1e-4
+# still converges and r = 1e-5 does not)
+_KLUYVER_EXACT_CUTOFF = math.pi
+_KLUYVER_MAX_CUTOFF = 5.0e4
+_EPS = float(np.finfo(float).eps)
 
 
 @build_once
-def _kernel_block(d: int, n: int, width: float, block: int) -> np.ndarray:
-    """jd(d, t) ** n on the B = _KERNEL_BLOCK_PANELS canonical panels of this
-    width from panel block * B on, 16 entries per panel."""
-    k0 = block * _KERNEL_BLOCK_PANELS
-    nodes = quadrature.canonical_panel_nodes(width, k0, k0 + _KERNEL_BLOCK_PANELS)[0]
-    return specfun.jd(d, nodes.ravel()) ** n
+def _kluyver_table(d: int, n: int):
+    """The r-free part of the Kluyver tail, built once per (d, n).
 
-
-def _kernel_power(d: int, n: int, width: float, t: np.ndarray) -> np.ndarray:
-    """specfun.jd(d, t) ** n, bit for bit, shared across Kluyver radii.
-
-    When t are whole panels of the canonical grid of this width (as
-    integrate_oscillatory_mollified asks for them), the values are sliced
-    from blocks of panels, each built once per (d, n, width, block) and kept
-    (_kernel_block); any other t is computed directly, so the blocks only
-    ever change speed.
+    jd(t) = nu! 2^nu t^(-nu) (2 pi t)^(-1/2) (H(1/t) e^(i(t - phi)) + conj)
+    with H(y) = sum_k a_k (i y)^k (the a_k of specfun._hankel_terms) and
+    phi = (2 nu + 1) pi/4.  Returns (seam, exact, h, g): h holds the
+    coefficients of H, and row k of g those of H^(n-k) conj(H)^k, both to
+    order top.  Where the series terminates (exact) top is the degree of
+    the whole product, so nothing is truncated; else top = _HANKEL_TERMS,
+    whose order is left out of the sum and bounds what is.
     """
-    m, rest = divmod(t.size, 16)
-    k0 = math.floor(t[0] / width) if t.ndim == 1 and m and math.isfinite(t[0]) else -1
-    if rest or k0 < 0 or not np.array_equal(
-        quadrature.canonical_panel_nodes(width, k0, k0 + m)[0].ravel(), t
-    ):
-        return specfun.jd(d, t) ** n
-    b0, b1 = k0 // _KERNEL_BLOCK_PANELS, (k0 + m - 1) // _KERNEL_BLOCK_PANELS
-    vals = np.concatenate([_kernel_block(d, n, width, b) for b in range(b0, b1 + 1)])
-    start = 16 * (k0 - b0 * _KERNEL_BLOCK_PANELS)
-    return vals[start:start + 16 * m]
+    seam, a = specfun._hankel_terms(0.5 * d - 1.0)[:2]
+    exact = a[-1] == 0.0
+    top = (n + 1) * int(np.flatnonzero(a)[-1]) if exact else len(a) - 1
+    h = np.zeros(top + 1, dtype=complex)
+    m = min(len(a), top + 1)
+    h[:m] = np.asarray(a[:m]) * 1j ** np.arange(m)
+    g = np.zeros((n + 1, top + 1), dtype=complex)
+    for k in range(n + 1):
+        g[k, 0] = 1.0
+        for factor in [h] * (n - k) + [h.conj()] * k:
+            g[k] = np.convolve(g[k], factor)[:top + 1]
+    return seam, exact, h, g
+
+
+def _kluyver_harmonics(d: int, n: int, rs: np.ndarray):
+    """The Kluyver integrand past the seam as harmonics t^(-s) e^(i omega t).
+
+    Multiplying out Hankel's series of jd(t)^n and jd(r t), the integrand is
+    pref Re sum_(k, j) coef[k, j] t^(-s_j) e^(i omega_k t) with omega_k =
+    n - 2k + r, s_j = s0 + j, s0 = (n - 1)(d - 1)/2 (the conjugate terms
+    carry the frequencies n - 2k - r).  Returns (pref, omega, s, coef,
+    summed): one row of pref, omega and coef per radius; orders j < summed
+    are the series, and coef[..., summed] (when the series does not
+    terminate) is the first order left out.
+    """
+    _, exact, h, g = _kluyver_table(d, n)
+    top = h.size - 1
+    nu = 0.5 * d - 1.0
+    # H(1/(r t)): order m scales by r^-m
+    f = h * rs[:, None] ** -np.arange(top + 1.0)
+    coef = np.zeros((rs.size, n + 1, top + 1), dtype=complex)
+    for m in range(top + 1):
+        coef[:, :, m:] += f[:, m, None, None] * g[:, :top + 1 - m]
+    k = np.arange(n + 1)
+    binom = np.array([math.comb(n, j) for j in k], dtype=float)
+    coef *= (binom * np.exp(-1j * (n - 2 * k + 1) * (2.0 * nu + 1.0) * math.pi / 4.0))[:, None]
+    pref = 2.0 * _norm_factor(d) ** (0.5 * (n + 1)) * rs ** (nu + 0.5) / (2.0 * math.pi) ** (0.5 * (n + 1))
+    omega = (n - 2 * k) + rs[:, None]
+    s = 0.5 * (n - 1) * (d - 1) + np.arange(top + 1.0)
+    return pref, omega, s, coef, top + 1 if exact else top
+
+
+def _kluyver_tail(d: int, n: int, rs: np.ndarray, big_t: np.ndarray):
+    """int_T^oo (t r)^(2nu+1) jd(t r) jd(t)^n dt per radius, and its error.
+
+    Each harmonic's tail is closed-form (quadrature.power_exp_tail).  The
+    error adds the tails' own bounds, the rounding floor eps sum |terms|
+    and, where Hankel's series does not terminate, the first omitted order
+    bounded by its envelope, sum_k |coef| T^(1-s) / (s - 1).
+    """
+    pref, omega, s, coef, summed = _kluyver_harmonics(d, n, rs)
+    tails, bounds = quadrature.power_exp_tail(
+        s[:summed], omega[:, :, None], big_t[:, None, None])
+    terms = coef[:, :, :summed] * tails
+    bounds = np.abs(coef[:, :, :summed]) * bounds + _EPS * np.abs(terms)
+    if summed < s.size:
+        cut = s[summed]
+        omitted = np.abs(coef[:, :, summed]) * (big_t ** (1.0 - cut) / (cut - 1.0))[:, None]
+        bounds = np.concatenate([bounds, omitted[:, :, None]], axis=2)
+    terms, bounds = terms.reshape(rs.size, -1), bounds.reshape(rs.size, -1)
+    # term by term in a fixed order, so a radius's sums never depend on the
+    # other radii of the call
+    total, err = terms[:, 0].copy(), bounds[:, 0].copy()
+    for j in range(1, terms.shape[1]):
+        total += terms[:, j]
+    for j in range(1, bounds.shape[1]):
+        err += bounds[:, j]
+    return pref * total.real, pref * err
+
+
+def _kluyver_batch(spec: WalkSpec, radii, tol: float) -> list[QuadResult]:
+    """density_kluyver at every radius, with one head integral per radius
+    inside the support in one integrate_adaptive_batch call."""
+    d, n = spec.d, spec.n
+    if n < 2:
+        raise ValueError("the density integral needs n >= 2")
+    radii = np.asarray(radii, dtype=float).ravel()
+    for r in radii:
+        if not r > 0:
+            raise ValueError(f"radius must be > 0, got {r}")
+    out = [QuadResult(0.0, 0.0, 0, True) for _ in radii]
+    singular = _at_singular_point(d, n, radii)
+    for i in np.flatnonzero(singular):
+        out[i] = QuadResult(math.inf, math.inf, 0, False, status="divergent")
+    todo = np.flatnonzero((radii < n) & ~singular)
+    if not todo.size:
+        return out
+    rs = radii[todo]
+    nu = 0.5 * d - 1.0
+    fac = _norm_factor(d)
+    seam, exact = _kluyver_table(d, n)[:2]
+    if exact:
+        big_t = np.full(rs.shape, _KLUYVER_EXACT_CUTOFF)
+    else:
+        big_t = np.minimum(np.maximum(seam, seam / rs), _KLUYVER_MAX_CUTOFF)
+    # the head starts on panels one period of its fastest harmonic wide
+    width = 2.0 * math.pi / (n + rs)
+    splits = width[:, None] * np.arange(1.0, math.ceil(float(np.max(big_t / width))) + 1.0)
+
+    def integrand(t: np.ndarray, k) -> np.ndarray:
+        tr = t * rs[k]
+        return tr ** (2.0 * nu + 1.0) * specfun.jd(d, tr) * specfun.jd(d, t) ** n
+
+    # looked up on the module, so a wrapper installed there sees the call
+    head = quadrature.integrate_adaptive_batch(
+        integrand, 0.0, big_t, 0.5 * tol * fac, split_points=splits)
+    tail, tail_err = _kluyver_tail(d, n, rs, big_t)
+    value = (head.value + tail) / fac
+    err = (head.abs_error_estimate + tail_err + _EPS * np.abs(head.value)) / fac
+    for i, v, e, evals in zip(todo, value, err, head.n_evals):
+        out[i] = QuadResult(float(v), float(e), int(evals), bool(e < tol))
+    return out
 
 
 def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     """rho^d_n(r) by the oscillatory Bessel-moment integral.
 
     rho^d_n(r) = (1/((nu!)^2 4^nu)) int_0^inf (t r)^(2nu+1) jd(t r) jd(t)^n dt,
-    an improper integral evaluated by mollified truncation on the engine's
-    canonical panel grid.  The factor jd(t)^n does not depend on r: it is
-    read from blocks shared by every radius with the same (d, n).
-    Interior resonances with a non-summable envelope are the
-    infinite-density points and come back with status 'divergent'.
+    split at a cutoff T.  The head int_0^T goes to the adaptive engine on
+    exact jd values.  Past T, Hankel's expansion (DLMF 10.17.3) turns the
+    integrand into a finite sum of harmonics t^(-s) e^(i omega t), omega =
+    n - 2k +- r and s = (n - 1)(d - 1)/2 + j, and each harmonic's tail is
+    T^(1-s) E_s(-i omega T) in closed form.  At odd d below 31 the series
+    terminates and the tail is exact, T = pi; else T = max(seam, seam / r),
+    capped at _KLUYVER_MAX_CUTOFF, so that t and r t are both past the seam
+    of the series.  The error bar
+    adds the head engine's estimate, the tails' own bounds, the rounding
+    floor eps sum |terms| and the first omitted Hankel order; converged
+    means bar < tol.  density_on_grid takes every radius of a grid in one
+    engine call, with each result bit for bit this one.  Registered
+    infinite-density points come back with status 'divergent'.
     """
-    d, n = spec.d, spec.n
-    if n < 2:
-        raise ValueError("the density integral needs n >= 2")
-    if not r > 0:
-        raise ValueError(f"radius must be > 0, got {r}")
-    if r >= n:
-        return QuadResult(0.0, 0.0, 0, True)
-    if _at_singular_point(d, n, r):
-        return QuadResult(math.inf, math.inf, 0, False, status="divergent")
-    nu = 0.5 * d - 1.0
-    fac = _norm_factor(d)
-
-    # the integrand mixes the incommensurate frequencies |n - 2k +- r|, so
-    # sharp-truncation acceleration is unreliable; mollified truncation with
-    # Richardson over doubled cutoffs handles every mixture uniformly
-    chunks = max(2, int(math.ceil((n + r + 2) / 2.0)))
-    width = math.pi / chunks  # the engine's panel width
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return (t * r) ** (2 * nu + 1) * specfun.jd(d, t * r) * _kernel_power(d, n, width, t)
-
-    res = integrate_oscillatory_mollified(
-        integrand, tol * fac, min_frequency=_min_beat_frequency(n, r), chunks_per_period=chunks
-    )
-    return QuadResult(
-        res.value / fac,
-        res.abs_error_estimate / fac,
-        res.n_evals,
-        res.converged,
-        status=res.status,
-    )
+    return _kluyver_batch(spec, [r], tol)[0]
 
 
 def classify_idq(d: int, q: int) -> Classification:
@@ -570,13 +644,12 @@ def density_on_grid(spec: WalkSpec, grid: np.ndarray, route: DensityRoute,
         vals = rho2_closed(spec.d, grid)
         errs = np.full_like(grid, 1e-15) * np.abs(vals)
     elif route is DensityRoute.KLUYVER:
-        vals, errs = np.empty_like(grid), np.empty_like(grid)
-        for i, r in enumerate(grid):
-            res = density_kluyver(spec, float(r), tol)
+        results = _kluyver_batch(spec, grid, tol)
+        for r, res in zip(grid, results):
             if res.status != "divergent":  # divergent: an infinite-density point
                 quadrature.check_converged(res, tol, f"density integral at r={r:g}")
-            vals[i] = res.value
-            errs[i] = res.abs_error_estimate
+        vals = np.array([res.value for res in results])
+        errs = np.array([res.abs_error_estimate for res in results])
     elif route is DensityRoute.RECURSION:
         vals = density_recursion(spec, grid)
         errs = _recursion_error(vals)

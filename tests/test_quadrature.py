@@ -193,6 +193,47 @@ class TestOscillatoryTail:
         assert res.value == pytest.approx(brute, abs=1e-6)
 
 
+EXPINT_ORDERS = [0.5, 1.5, 2.5, 4.5, 2.0, 3.0, 4.0, 9.0]
+# |omega T| on both sides of the seam between the series and the fraction
+EXPINT_ARGS = [1e-8, 1e-3, 0.3, 1.0, quad._EXPINT_SEAM * (1 - 1e-12),
+               quad._EXPINT_SEAM, 4.0, 40.0, 400.0]
+
+
+def expint_mpmath(p: float, z: complex) -> complex:
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return complex(mpmath.expint(p, mpmath.mpc(z.real, z.imag)))
+
+
+class TestPowerExpTail:
+    @pytest.mark.parametrize("p", EXPINT_ORDERS)
+    def test_expint_against_mpmath(self, p):
+        z = np.array([1j * sign * x for x in EXPINT_ARGS for sign in (1, -1)])
+        ref = np.array([expint_mpmath(p, complex(x)) for x in z])
+        got, bound = quad._expint(p, z)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), z[np.argmax(np.abs(got - ref) / np.abs(ref))]
+        assert np.all(bound < 1e-13 * np.abs(ref))
+
+    def test_each_entry_alone(self):
+        # the fraction stops entry by entry, so a slow neighbour changes nothing
+        z = -1j * np.array([2.0, 40.0, 400.0])
+        got, bound = quad._expint(2.5, z)
+        for k in range(3):
+            one = quad._expint(2.5, z[k:k + 1])
+            assert (got[k], bound[k]) == (one[0][0], one[1][0])
+
+    def test_tail_is_scaled_expint(self):
+        s, omega, t = 2.5, -3.0, 40.0
+        value, bound = quad.power_exp_tail(s, omega, t)
+        assert value == pytest.approx(t ** (1 - s) * expint_mpmath(s, 1j * 3.0 * t), rel=1e-14)
+        assert 0 < bound < 1e-14 * abs(value)
+
+    def test_resonant_tail(self):
+        value, bound = quad.power_exp_tail([1.5, 3.0, 1.0, 0.5], 0.0, 4.0)
+        assert np.array_equal(value, [4.0**-0.5 / 0.5, 4.0**-2 / 2.0, math.inf, math.inf])
+        assert np.array_equal(bound, np.zeros(4))
+
+
 class TestGaussJacobiSymmetric:
     @pytest.mark.parametrize(
         "nu,total",

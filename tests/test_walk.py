@@ -164,18 +164,34 @@ class TestExactPlanarThreeStep:
 
 
 def psi4_planar_mpmath(r: float) -> float:
-    """The planar psi_4(r) = (1/pi) int_0^pi p_3(u)/u dphi for 0 < r <= 2 at 30
-    digits, u = sqrt(1 + 2 r cos(phi) + r^2), split where u = 1 (phi_1 =
-    arccos(-r/2)).  The angle is measured from phi_1, so 1 - u keeps full
-    relative precision at the log spike of p_3; K(m) comes from 1 - m by the
-    AGM, since mpmath.ellipk rounds m to 1 there and returns inf."""
+    """The planar psi_4(r) = (1/pi) int_0^pi p_3(u)/u dphi for 0 < r < 4 at 30
+    digits, u = sqrt(1 + 2 r cos(phi) + r^2).  Up to r = 2 it is split where
+    u = 1 (phi_1 = arccos(-r/2)), and the angle is measured from phi_1, so
+    1 - u keeps full relative precision at the log spike of p_3; past r = 2,
+    u^2 - 1 = r ((r - 2) + 4 cos(phi/2)^2) stays above 0, nearest at phi =
+    pi, and p_3 vanishes below phi_3 = arccos((8 - r^2) / (2 r)), where u
+    passes 3.  K(m) comes from 1 - m by the AGM, since mpmath.ellipk rounds
+    m to 1 there and returns inf."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         rm = mpmath.mpf(r)
-        phi1 = mpmath.acos(-rm / 2)
+        if rm > 2:
+            def u2_minus_1(t):
+                return rm * ((rm - 2) + 4 * mpmath.cos(t / 2) ** 2)
+
+            phi3 = mpmath.acos((8 - rm**2) / (2 * rm))
+            near = mpmath.pi - mpmath.sqrt(rm - 2)  # the spike's width
+            ends = [phi3] + ([near] if near > phi3 else []) + [mpmath.pi]
+        else:
+            phi1 = mpmath.acos(-rm / 2)
+
+            def u2_minus_1(t):
+                return -4 * rm * mpmath.sin(phi1 + t / 2) * mpmath.sin(t / 2)
+
+            ends = [-phi1, mpmath.mpf(0)] + ([mpmath.pi - phi1] if rm < 2 else [])
 
         def psi3(t):
-            sq = -4 * rm * mpmath.sin(phi1 + t / 2) * mpmath.sin(t / 2)  # u^2 - 1
+            sq = u2_minus_1(t)
             u = mpmath.sqrt(1 + sq)
             off = -sq / (1 + u)  # 1 - u
             den = (3 - u) * (u + 1) ** 3 / 16 if off > 0 else u
@@ -183,7 +199,6 @@ def psi4_planar_mpmath(r: float) -> float:
             k = mpmath.pi / (2 * mpmath.agm(1, mpmath.sqrt(one_minus_m)))
             return k / (mpmath.pi**2 * mpmath.sqrt(den))
 
-        ends = [-phi1, mpmath.mpf(0)] + ([mpmath.pi - phi1] if rm < 2 else [])
         return float(mpmath.quad(psi3, ends) / mpmath.pi)
 
 
@@ -311,17 +326,45 @@ class TestDensityKluyver:
             walk.density_kluyver(WalkSpec(3, 4), math.nan)
 
     def test_error_bars_cover_rayleigh_treloar(self):
-        # the floor at the rounding level of the extrapolated sums: at
-        # r = 4.875 the estimate was 9.9e-20 on a value of 9.9e-5, while a
-        # start cutoff moved by less than one panel moved the value by 4.0e-16
+        # the bar never drops below rounding: the mollified engine once put
+        # 9.9e-20 on 9.9e-5 at r = 4.875, where moving its start cutoff by
+        # less than one panel moved the value by 4.0e-16
         res = walk.density_kluyver(WalkSpec(3, 5), 4.875, 1e-8)
-        assert abs(res.value - rayleigh_treloar(5, 4.875)) <= res.abs_error_estimate
         assert res.abs_error_estimate >= 4.0e-16
+        # that engine also stopped unconverged at r = 1 and 3 (up to 1.96
+        # tol), and this test skipped the radii that did not converge
         for i in range(1, 40):
             r = 5 * i / 40
             res = walk.density_kluyver(WalkSpec(3, 5), r, 1e-8)
-            if res.converged:
-                assert abs(res.value - rayleigh_treloar(5, r)) <= res.abs_error_estimate, r
+            assert res.converged, r
+            assert abs(res.value - rayleigh_treloar(5, r)) <= res.abs_error_estimate, r
+
+    @pytest.mark.parametrize("r", [2.0, 2.0 - 1e-6, 2.0 + 1e-6])
+    def test_planar_four_step_at_resonant_radius(self, r):
+        # omega = n - 2k + r vanishes at r = 2 (k = 3): the mollified engine
+        # stopped non_converged there with an error estimate of 3.2e-6
+        res = walk.density_kluyver(WalkSpec(2, 4), r, 1e-8)
+        assert res.converged
+        assert abs(res.value - r * psi4_planar_mpmath(r)) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("r", [1.0, 3.0, 1.0 - 1e-6, 1.0 + 1e-6])
+    def test_d3_five_step_at_resonant_radii(self, r):
+        res = walk.density_kluyver(WalkSpec(3, 5), r, 1e-8)
+        assert res.converged
+        assert abs(res.value - rayleigh_treloar(5, r)) <= res.abs_error_estimate
+
+    def test_singular_registry_is_the_divergent_resonance(self):
+        # a tail harmonic with omega = 0 and s <= 1 does not converge: that
+        # happens at an interior integer radius exactly where the registry
+        # puts an infinite density
+        for d in range(2, 7):
+            for n in range(2, 9):
+                for r in range(1, n):
+                    _, omega, s, coef, summed = walk._kluyver_harmonics(d, n, np.array([float(r)]))
+                    divergent = ((omega[0, :, None] == 0.0) & (s[:summed] <= 1.0)
+                                 & (coef[0, :, :summed] != 0.0))
+                    registered = r in walk.SINGULAR_INTERIOR_POINTS.get((d, n), ())
+                    assert divergent.any() == registered, (d, n, r)
 
 
 # the 80 Kluyver radii of the benchmark's sweep: the CLI's 41-point grids
@@ -345,127 +388,72 @@ def _race(fn, *args):
         return [f.result() for f in futures]
 
 
-def _counted_kluyver(points):
-    """_kluyver(points) from cold kernel blocks, and the jd points it took."""
-    jd, count = specfun.jd, [0]
-
-    def counting(d, r):
-        count[0] += np.size(r)
-        return jd(d, r)
-
-    walk._kernel_block.cache_clear()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(specfun, "jd", counting)
-        results = _kluyver(points)
-    return results, count[0]
-
-
-def _kernel_points(d, n, r):
-    """The jd points density_kluyver spends at (d, n, r) on jd(t)^n: all it
-    takes beyond the one jd(t r) per evaluation of its integrand."""
-    jd, count = specfun.jd, [0]
-
-    def counting(d, r):
-        count[0] += np.size(r)
-        return jd(d, r)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(specfun, "jd", counting)
-        res = walk.density_kluyver(WalkSpec(d, n), r)
-    return count[0] - res.n_evals
-
-
 @pytest.fixture(scope="module")
 def sweep_reference():
-    """The sweep radii in ascending order from cold kernel blocks, and the
-    number of jd points they took."""
-    return _counted_kluyver(SWEEP_POINTS)
+    """The sweep radii in ascending order from a cold tail table."""
+    walk._kluyver_table.cache_clear()
+    return _kluyver(SWEEP_POINTS)
 
 
 class TestKernelTable:
-    def test_sweep_jd_work_count(self, sweep_reference):
-        # 9.67 M when every radius evaluated jd(t)^n itself.  The radii of
-        # each (d, n) grid in a shuffled order took 8.46 M while the factor
-        # kept a single panel width
-        assert sweep_reference[1] < 6_500_000
-        rng = random.Random(6)
-        shuffled = [p for key in ((2, 4), (3, 5))
-                    for p in rng.sample([p for p in SWEEP_POINTS if p[:2] == key], 40)]
-        results, count = _counted_kluyver(shuffled)
-        assert results == sweep_reference[0]
-        assert count < 6_500_000
+    """The Kluyver route: its r-free tail table (walk._kluyver_table, built
+    once per (d, n)) and one head engine call per grid."""
 
-    def test_interleaved_grids_jd_work_count(self, sweep_reference):
-        # both (d, n) grids in one shuffled order: 8.66 M while a new (d, n)
-        # dropped the factor of the last one
-        results, count = _counted_kluyver(random.Random(6).sample(SWEEP_POINTS, 80))
-        assert results == sweep_reference[0]
-        assert count < 6_500_000
+    def test_sweep_head_work_count(self, sweep_reference):
+        # 4.84 M mollified-engine evaluations (6.41 M jd points) before the
+        # head + Hankel tail split; 48,268 head evaluations after it
+        assert all(res.converged for res in sweep_reference.values())
+        assert sum(res.n_evals for res in sweep_reference.values()) < 150_000
 
     @pytest.mark.parametrize("order", ["descending", "shuffled"])
     def test_results_independent_of_call_order(self, sweep_reference, order):
         points = SWEEP_POINTS[::-1]
         if order == "shuffled":
             points = random.Random(6).sample(SWEEP_POINTS, len(SWEEP_POINTS))
-        walk._kernel_block.cache_clear()
-        assert _kluyver(points) == sweep_reference[0]
+        walk._kluyver_table.cache_clear()
+        assert _kluyver(points) == sweep_reference
 
     def test_results_independent_of_thread_count(self, sweep_reference):
-        walk._kernel_block.cache_clear()
+        walk._kluyver_table.cache_clear()
         with ThreadPoolExecutor(2) as pool:
             got = list(pool.map(lambda p: _kluyver([p])[p], SWEEP_POINTS))
-        assert dict(zip(SWEEP_POINTS, got)) == sweep_reference[0]
+        assert dict(zip(SWEEP_POINTS, got)) == sweep_reference
 
-    def test_table_is_fresh_power_bit_for_bit(self):
-        # one panel width; 1.9 starts later, near a beat, and reaches further
-        walk._kernel_block.cache_clear()
-        spent = [_kernel_points(2, 4, r) for r in (0.3, 1.9, 1.1)]
-        assert spent[0] > 0 and spent[1] > 0 and spent[2] == 0
-        width = math.pi / 4
-        for k0, k1 in ((0, walk._KERNEL_BLOCK_PANELS), (37, 101), (0, 300)):
-            part = quadrature.canonical_panel_nodes(width, k0, k1)[0].ravel()
-            assert np.array_equal(walk._kernel_power(2, 4, width, part), specfun.jd(2, part) ** 4)
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 5), (2, 3), (4, 2)])
+    def test_grid_is_single_radius_bit_for_bit(self, d, n):
+        # radii past the support, a registered infinite point and both
+        # cutoff branches (T = seam / r below r = 1 at even d)
+        spec = WalkSpec(d, n)
+        grid = np.concatenate([np.linspace(0.05, n + 0.5, 23), [1.0, 2.0]])
+        vals, errs = walk.density_on_grid(spec, grid, DensityRoute.KLUYVER)
+        for r, v, e in zip(grid, vals, errs):
+            res = walk.density_kluyver(spec, float(r))
+            assert (v, e) == (res.value, res.abs_error_estimate), r
 
-    def test_widths_of_one_key_stay_resident(self):
-        # r = 0.5 and 3.5 take 4 and 5 panels per period: the blocks of both
-        # widths stay, and so do those of a (d, n) asked for in between
-        walk._kernel_block.cache_clear()
-        assert _kernel_points(2, 4, 0.5) > 0 and _kernel_points(2, 4, 3.5) > 0
-        assert _kernel_points(3, 5, 1.5) > 0
-        assert _kernel_points(2, 4, 0.5) == 0 and _kernel_points(2, 4, 3.5) == 0
-        assert _kernel_points(3, 5, 1.5) == 0
+    def test_one_engine_call_per_grid(self, monkeypatch):
+        engine, sizes = quadrature.integrate_adaptive_batch, []
 
-    def test_other_nodes_computed_directly(self, monkeypatch):
-        walk._kernel_block.cache_clear()
-        jd, sizes = specfun.jd, []
+        def counting(f, a, b, *args, **kwargs):
+            sizes.append(np.size(b))
+            return engine(f, a, b, *args, **kwargs)
 
-        def counting(d, r):
-            sizes.append(np.size(r))
-            return jd(d, r)
+        monkeypatch.setattr(quadrature, "integrate_adaptive_batch", counting)
+        grid = np.linspace(0.1, 4.5, 45)  # 39 radii inside the support (0, 4)
+        walk.density_on_grid(WalkSpec(2, 4), grid, DensityRoute.KLUYVER)
+        assert sizes == [39]
 
-        monkeypatch.setattr(specfun, "jd", counting)
-        width = math.pi / 4
-        nodes = quadrature.canonical_panel_nodes(width, 0, 8)[0].ravel()
-        for t in (nodes + 1e-3, nodes[:-1], np.linspace(0.1, 5.0, 32)):
-            sizes.clear()
-            assert np.array_equal(walk._kernel_power(2, 4, width, t), jd(2, t) ** 4)
-            assert sizes == [t.size]
+    def test_table_builds_once_under_threads(self, monkeypatch):
+        hankel, builds = specfun._hankel_terms, []
 
-    def test_kernel_table_extends_once(self, monkeypatch):
-        walk._kernel_block.cache_clear()
-        jd, points = specfun.jd, []
-
-        def counting(d, r):
-            points.append(np.size(r))
+        def counting(nu):
+            builds.append(nu)
             time.sleep(0.05)  # keep the build open while the other thread asks
-            return jd(d, r)
+            return hankel(nu)
 
-        monkeypatch.setattr(specfun, "jd", counting)
-        width, panels = math.pi / 4, walk._KERNEL_BLOCK_PANELS
-        nodes = quadrature.canonical_panel_nodes(width, 0, 2 * panels)[0].ravel()
-        a, b = _race(walk._kernel_power, 2, 4, width, nodes)
-        assert points == [16 * panels, 16 * panels]  # two blocks, each built once
-        assert np.array_equal(a, b) and np.array_equal(a, jd(2, nodes) ** 4)
+        monkeypatch.setattr(specfun, "_hankel_terms", counting)
+        walk._kluyver_table.cache_clear()
+        a, b = _race(walk._kluyver_table, 2, 4)
+        assert builds == [0.0] and a is b
 
 
 class TestPsiTable:
