@@ -610,15 +610,16 @@ def integrate_oscillatory_tail(
 
 def _expint(p, z):
     """The generalized exponential integral E_p(z) = int_1^oo e^(-z u) u^(-p)
-    du for p > 0 and Re z >= 0, z != 0, and an error bound, elementwise.
+    du for p > 0 and Re z >= 0, z != 0, and an error bound, elementwise;
+    on the imaginary axis from |z| = _EXPINT_SEAM on, any real p (its
+    analytic continuation, the Abel limit of the integral where p <= 0).
 
     Below |z| = _EXPINT_SEAM the power series (DLMF 8.19.10, and 8.19.8 at
     integer p, with the digamma and log term); its bound is the rounding
     floor eps sum |terms|, the leading power counted with the rounding of
     its exponent.  From there on the continued fraction of
     e^z E_p(z) (DLMF 8.19.17, even part) by the modified Lentz method; its
-    bound is the last step's relative change plus eps per step taken.  Each
-    entry stops on its own, so its value does not depend on the others.
+    bound is the last step's relative change plus eps per step taken.
     """
     p, z = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(z, dtype=complex))
     out = np.empty(z.shape, dtype=complex)
@@ -649,22 +650,18 @@ def _expint(p, z):
         c = np.full(zb.shape, 1.0 / np.finfo(float).tiny, dtype=complex)
         d = 1.0 / b
         h = d
-        change = np.full(zb.shape, np.inf)
-        steps = np.zeros(zb.shape)
-        for i in range(1, _EXPINT_MAX_STEPS + 1):
-            live = change >= _EPS
-            if not live.any():
-                break
-            a = -i * (pb - 1.0 + i)
+        done = np.zeros(zb.shape, dtype=bool)
+        for steps in range(1, _EXPINT_MAX_STEPS + 1):
+            a = -steps * (pb - 1.0 + steps)
             b = b + 2.0
             d = 1.0 / (a * d + b)
             c = b + a / c
             delta = c * d
-            # np.where, not a masked ufunc: numpy's masked complex product
-            # rounds differently from its plain one, and by array length
-            h = np.where(live, h * delta, h)
-            change = np.where(live, np.abs(delta - 1.0), change)
-            steps = np.where(live, i, steps)
+            h = h * delta
+            change = np.abs(delta - 1.0)
+            done |= change < _EPS
+            if done.all():
+                break
         out[big] = h * np.exp(-zb)
         err[big] = np.abs(out[big]) * (change + _EPS * steps)
     return out, err
@@ -674,8 +671,9 @@ def power_exp_tail(s, omega, t):
     """int_t^oo x^(-s) e^(i omega x) dx for t > 0, and an error bound,
     elementwise over broadcast arrays (complex values, real bounds).
 
-    t^(1-s) E_s(-i omega t) through _expint; t^(1-s) / (s - 1) at omega = 0,
-    and inf there when s <= 1, where the integral diverges.
+    t^(1-s) E_s(-i omega t) through _expint, the Abel limit at s <= 0 (then
+    |omega| t must reach _EXPINT_SEAM); t^(1-s) / (s - 1) at omega = 0, and
+    inf there when s <= 1, where the integral diverges.
     """
     s, omega, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (s, omega, t)))
     scale = t ** (1.0 - s)

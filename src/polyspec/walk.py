@@ -26,8 +26,8 @@ from scipy.special import ellipkm1, gammaln
 
 from . import quadrature, specfun
 from ._memo import build_once
-# integrate_adaptive and integrate_oscillatory_mollified are not called here;
-# perfbench's tracer wraps the names (drop them with the tracer's targets)
+# integrate_oscillatory_mollified is not called here; perfbench's tracer
+# wraps the name (drop it with the tracer's target)
 from .quadrature import (  # noqa: F401
     QuadResult,
     integrate_adaptive,
@@ -367,13 +367,16 @@ def density_recursion(spec: WalkSpec, r):
 # below d = 31): the tail is then exact from any cutoff, and pi measured
 # within 2.2e-16 of Rayleigh-Treloar at (3, 5) on half the head evaluations
 # of 2 pi.  Elsewhere the head ends where t and r t are both past the
-# series' seam, capped so that the head stays bounded as r -> 0; below
-# r = seam / cap (8e-4 up to d = 8) r T falls short of the seam, and the
-# first omitted order in the bar grows (at (2, 4), tol 1e-8, r = 1e-4
-# still converges and r = 1e-5 does not)
+# series' seam, at T = max(seam, seam / r), until r seam falls below
+# _KLUYVER_TAYLOR_REACH (r = 0.05 up to d = 8); from there on the head ends
+# at the seam and the small-radius tail takes over.  At r = 0.05 its
+# _KLUYVER_TAYLOR_TERMS Taylor terms of x^(2nu+1) jd(x) met rho2_closed,
+# the p_4 oracle and the T = seam / r route at (2..6, 2..6) within 1e-15
+# on 440-840 evaluations (the T = seam / r route: 2,200-14,000; 300,000 at
+# r = 0.002); at r = 0.1 the omitted term put 2e-9 on the bar
 _KLUYVER_EXACT_CUTOFF = math.pi
-_KLUYVER_MAX_CUTOFF = 5.0e4
-_EPS = float(np.finfo(float).eps)
+_KLUYVER_TAYLOR_REACH = 2.0
+_KLUYVER_TAYLOR_TERMS = 12
 
 
 @build_once
@@ -383,8 +386,9 @@ def _kluyver_table(d: int, n: int):
     jd(t) = nu! 2^nu t^(-nu) (2 pi t)^(-1/2) (H(1/t) e^(i(t - phi)) + conj)
     with H(y) = sum_k a_k (i y)^k (the a_k of specfun._hankel_terms) and
     phi = (2 nu + 1) pi/4.  Returns (seam, exact, h, g): h holds the
-    coefficients of H, and row k of g those of H^(n-k) conj(H)^k, both to
-    order top.  Where the series terminates (exact) top is the degree of
+    coefficients of H, and row k of g those of binom(n, k) e^(-i (n - 2k)
+    phi) H^(n-k) conj(H)^k, the harmonic e^(i (n - 2k) t) of jd(t)^n, both
+    to order top.  Where the series terminates (exact) top is the degree of
     the whole product, so nothing is truncated; else top = _HANKEL_TERMS,
     whose order is left out of the sum and bounds what is.
     """
@@ -396,110 +400,106 @@ def _kluyver_table(d: int, n: int):
     h[:m] = np.asarray(a[:m]) * 1j ** np.arange(m)
     g = np.zeros((n + 1, top + 1), dtype=complex)
     for k in range(n + 1):
-        g[k, 0] = 1.0
+        g[k, 0] = math.comb(n, k) * np.exp(-1j * (n - 2 * k) * (d - 1) * math.pi / 4.0)
         for factor in [h] * (n - k) + [h.conj()] * k:
             g[k] = np.convolve(g[k], factor)[:top + 1]
     return seam, exact, h, g
 
 
-def _kluyver_harmonics(d: int, n: int, rs: np.ndarray):
+def _kluyver_harmonics(d: int, n: int, r: float):
     """The Kluyver integrand past the seam as harmonics t^(-s) e^(i omega t).
 
     Multiplying out Hankel's series of jd(t)^n and jd(r t), the integrand is
     pref Re sum_(k, j) coef[k, j] t^(-s_j) e^(i omega_k t) with omega_k =
     n - 2k + r, s_j = s0 + j, s0 = (n - 1)(d - 1)/2 (the conjugate terms
     carry the frequencies n - 2k - r).  Returns (pref, omega, s, coef,
-    summed): one row of pref, omega and coef per radius; orders j < summed
-    are the series, and coef[..., summed] (when the series does not
-    terminate) is the first order left out.
+    summed): orders j < summed are the series, and coef[:, summed] (when
+    the series does not terminate) is the first order left out.
     """
     _, exact, h, g = _kluyver_table(d, n)
     top = h.size - 1
     nu = 0.5 * d - 1.0
     # H(1/(r t)): order m scales by r^-m
-    f = h * rs[:, None] ** -np.arange(top + 1.0)
-    coef = np.zeros((rs.size, n + 1, top + 1), dtype=complex)
-    for m in range(top + 1):
-        coef[:, :, m:] += f[:, m, None, None] * g[:, :top + 1 - m]
-    k = np.arange(n + 1)
-    binom = np.array([math.comb(n, j) for j in k], dtype=float)
-    coef *= (binom * np.exp(-1j * (n - 2 * k + 1) * (2.0 * nu + 1.0) * math.pi / 4.0))[:, None]
-    pref = 2.0 * _norm_factor(d) ** (0.5 * (n + 1)) * rs ** (nu + 0.5) / (2.0 * math.pi) ** (0.5 * (n + 1))
-    omega = (n - 2 * k) + rs[:, None]
+    f = h * r ** -np.arange(top + 1.0) * np.exp(-1j * (d - 1) * math.pi / 4.0)
+    coef = np.array([np.convolve(f, row)[:top + 1] for row in g])
+    pref = 2.0 * _norm_factor(d) ** (0.5 * (n + 1)) * r ** (nu + 0.5) / (2.0 * math.pi) ** (0.5 * (n + 1))
+    omega = n - 2.0 * np.arange(n + 1) + r
     s = 0.5 * (n - 1) * (d - 1) + np.arange(top + 1.0)
     return pref, omega, s, coef, top + 1 if exact else top
 
 
-def _kluyver_tail(d: int, n: int, rs: np.ndarray, big_t: np.ndarray):
-    """int_T^oo (t r)^(2nu+1) jd(t r) jd(t)^n dt per radius, and its error.
+def _kluyver_tail(d: int, n: int, r: float, big_t: float, rows=slice(None)):
+    """int_T^oo (t r)^(2nu+1) jd(t r) jd(t)^n dt, and its error.
 
     Each harmonic's tail is closed-form (quadrature.power_exp_tail).  The
     error adds the tails' own bounds, the rounding floor eps sum |terms|
     and, where Hankel's series does not terminate, the first omitted order
-    bounded by its envelope, sum_k |coef| T^(1-s) / (s - 1).
+    bounded by its envelope, sum_k |coef| T^(1-s) / (s - 1).  rows keeps
+    only those harmonics k of jd(t)^n.
     """
-    pref, omega, s, coef, summed = _kluyver_harmonics(d, n, rs)
-    tails, bounds = quadrature.power_exp_tail(
-        s[:summed], omega[:, :, None], big_t[:, None, None])
-    terms = coef[:, :, :summed] * tails
-    bounds = np.abs(coef[:, :, :summed]) * bounds + _EPS * np.abs(terms)
+    pref, omega, s, coef, summed = _kluyver_harmonics(d, n, r)
+    omega, coef = omega[rows], coef[rows]
+    tails, bounds = quadrature.power_exp_tail(s[:summed], omega[:, None], big_t)
+    terms = coef[:, :summed] * tails
+    err = np.sum(np.abs(coef[:, :summed]) * bounds) + quadrature._EPS * np.sum(np.abs(terms))
     if summed < s.size:
         cut = s[summed]
-        omitted = np.abs(coef[:, :, summed]) * (big_t ** (1.0 - cut) / (cut - 1.0))[:, None]
-        bounds = np.concatenate([bounds, omitted[:, :, None]], axis=2)
-    terms, bounds = terms.reshape(rs.size, -1), bounds.reshape(rs.size, -1)
-    # term by term in a fixed order, so a radius's sums never depend on the
-    # other radii of the call
-    total, err = terms[:, 0].copy(), bounds[:, 0].copy()
-    for j in range(1, terms.shape[1]):
-        total += terms[:, j]
-    for j in range(1, bounds.shape[1]):
-        err += bounds[:, j]
-    return pref * total.real, pref * err
+        err += np.sum(np.abs(coef[:, summed])) * big_t ** (1.0 - cut) / (cut - 1.0)
+    return pref * float(np.sum(terms).real), pref * float(err)
 
 
-def _kluyver_batch(spec: WalkSpec, radii, tol: float) -> list[QuadResult]:
-    """density_kluyver at every radius, with one head integral per radius
-    inside the support in one integrate_adaptive_batch call."""
-    d, n = spec.d, spec.n
-    if n < 2:
-        raise ValueError("the density integral needs n >= 2")
-    radii = np.asarray(radii, dtype=float).ravel()
-    for r in radii:
-        if not r > 0:
-            raise ValueError(f"radius must be > 0, got {r}")
-    out = [QuadResult(0.0, 0.0, 0, True) for _ in radii]
-    singular = _at_singular_point(d, n, radii)
-    for i in np.flatnonzero(singular):
-        out[i] = QuadResult(math.inf, math.inf, 0, False, status="divergent")
-    todo = np.flatnonzero((radii < n) & ~singular)
-    if not todo.size:
-        return out
-    rs = radii[todo]
+def _kluyver_small_radius_tail(d: int, n: int, r: float, tol: float):
+    """int_T^oo (t r)^(2nu+1) jd(t r) jd(t)^n dt from the seam T at even d
+    and r T < _KLUYVER_TAYLOR_REACH, with its error and evaluations.
+
+    Only jd(t)^n is expanded: jd(t)^n = A t^(-sigma) sum_(k, j) b[k, j]
+    t^(-j) e^(i (n - 2k) t), sigma = n (nu + 1/2), A = (nu! 2^nu)^n
+    (2 pi)^(-n/2).  On the harmonics with n - 2k != 0 the Taylor series
+    G(x) = x^(2nu+1) jd(x) = sum_m g_m x^(2nu+1+2m) is integrated term by
+    term: its m-th term gives power_exp_tail at s = sigma + j - 2nu - 1 - 2m,
+    the Abel limit where s <= 0, and the series converges since G is of
+    exponential type r < |n - 2k|.  The resonant harmonic n = 2k goes to
+    the adaptive engine up to seam / r (tolerance tol), where r t passes the
+    seam, and to _kluyver_tail from there.  The error adds the engine's,
+    the tails' bounds, the rounding floor, the first omitted Taylor term
+    and the first omitted order of jd(t)^n bounded through |G(x)| <= x^(2nu+1).
+    """
+    seam, _, _, g = _kluyver_table(d, n)
     nu = 0.5 * d - 1.0
-    fac = _norm_factor(d)
-    seam, exact = _kluyver_table(d, n)[:2]
-    if exact:
-        big_t = np.full(rs.shape, _KLUYVER_EXACT_CUTOFF)
-    else:
-        big_t = np.minimum(np.maximum(seam, seam / rs), _KLUYVER_MAX_CUTOFF)
-    # the head starts on panels one period of its fastest harmonic wide
-    width = 2.0 * math.pi / (n + rs)
-    splits = width[:, None] * np.arange(1.0, math.ceil(float(np.max(big_t / width))) + 1.0)
+    order = g.shape[1] - 1  # the first omitted order of jd(t)^n
+    sigma = n * (nu + 0.5)
+    b = (_norm_factor(d) / (2.0 * math.pi)) ** (0.5 * n) * g
+    m = np.arange(_KLUYVER_TAYLOR_TERMS + 1)
+    g_m = (-1.0) ** m * np.exp(gammaln(nu + 1.0) - gammaln(m + 1.0) - gammaln(m + nu + 1.0)) / 4.0**m
+    omega = n - 2.0 * np.arange(n + 1)
+    wave = omega != 0.0
+    j = np.arange(order)
+    tails, bounds = quadrature.power_exp_tail(
+        sigma + j[:, None] - 2.0 * nu - 1.0 - 2.0 * m, omega[wave, None, None], seam)
+    coef = b[wave, :order, None] * (g_m * r ** (2.0 * nu + 1.0 + 2.0 * m))
+    terms = coef * tails
+    value = float(np.sum(terms[..., :-1]).real)
+    err = float(np.sum(np.abs(coef) * bounds) + np.sum(np.abs(terms[..., -1]))
+                + quadrature._EPS * np.sum(np.abs(terms)))
+    err += (np.sum(np.abs(b[:, order])) * r ** (2.0 * nu + 1.0)
+            * seam ** (2.0 * nu + 2.0 - sigma - order) / (sigma + order - 2.0 * nu - 2.0))
+    evals = 0
+    if n % 2 == 0:
+        row = b[n // 2, :order].real
 
-    def integrand(t: np.ndarray, k) -> np.ndarray:
-        tr = t * rs[k]
-        return tr ** (2.0 * nu + 1.0) * specfun.jd(d, tr) * specfun.jd(d, t) ** n
+        def resonant(t: np.ndarray) -> np.ndarray:
+            tr = t * r
+            powers = t[:, None] ** -(sigma + j)
+            return tr ** (2.0 * nu + 1.0) * specfun.jd(d, tr) * (powers @ row)
 
-    # looked up on the module, so a wrapper installed there sees the call
-    head = quadrature.integrate_adaptive_batch(
-        integrand, 0.0, big_t, 0.5 * tol * fac, split_points=splits)
-    tail, tail_err = _kluyver_tail(d, n, rs, big_t)
-    value = (head.value + tail) / fac
-    err = (head.abs_error_estimate + tail_err + _EPS * np.abs(head.value)) / fac
-    for i, v, e, evals in zip(todo, value, err, head.n_evals):
-        out[i] = QuadResult(float(v), float(e), int(evals), bool(e < tol))
-    return out
+        end = seam / r
+        mid = integrate_adaptive(resonant, seam, end, tol,
+                                 split_points=seam * 2.0 ** np.arange(1.0, math.log2(end / seam)))
+        far, far_err = _kluyver_tail(d, n, r, end, rows=[n // 2])
+        value += mid.value + far
+        err += mid.abs_error_estimate + far_err
+        evals = mid.n_evals
+    return value, err, evals
 
 
 def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
@@ -512,15 +512,43 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     n - 2k +- r and s = (n - 1)(d - 1)/2 + j, and each harmonic's tail is
     T^(1-s) E_s(-i omega T) in closed form.  At odd d below 31 the series
     terminates and the tail is exact, T = pi; else T = max(seam, seam / r),
-    capped at _KLUYVER_MAX_CUTOFF, so that t and r t are both past the seam
-    of the series.  The error bar
-    adds the head engine's estimate, the tails' own bounds, the rounding
-    floor eps sum |terms| and the first omitted Hankel order; converged
-    means bar < tol.  density_on_grid takes every radius of a grid in one
-    engine call, with each result bit for bit this one.  Registered
-    infinite-density points come back with status 'divergent'.
+    so that t and r t are both past the seam of the series.  Below r seam =
+    _KLUYVER_TAYLOR_REACH the head ends at the seam and only jd(t)^n is
+    expanded there (_kluyver_small_radius_tail).  The error bar adds the
+    head engine's estimate, the tails' own bounds, the rounding floor
+    eps sum |terms| and the first omitted Hankel (and Taylor) order;
+    converged means bar < tol.  Registered infinite-density points come
+    back with status 'divergent'.
     """
-    return _kluyver_batch(spec, [r], tol)[0]
+    d, n = spec.d, spec.n
+    if n < 2:
+        raise ValueError("the density integral needs n >= 2")
+    if not r > 0:
+        raise ValueError(f"radius must be > 0, got {r}")
+    if r >= n:
+        return QuadResult(0.0, 0.0, 0, True)
+    if _at_singular_point(d, n, r):
+        return QuadResult(math.inf, math.inf, 0, False, status="divergent")
+    nu = 0.5 * d - 1.0
+    fac = _norm_factor(d)
+    seam, exact = _kluyver_table(d, n)[:2]
+    small = not exact and r * seam < _KLUYVER_TAYLOR_REACH
+    big_t = _KLUYVER_EXACT_CUTOFF if exact else seam if small else max(seam, seam / r)
+    # the head starts on panels one period of its fastest harmonic wide
+    width = 2.0 * math.pi / (n + r)
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        tr = t * r
+        return tr ** (2.0 * nu + 1.0) * specfun.jd(d, tr) * specfun.jd(d, t) ** n
+
+    head = integrate_adaptive(integrand, 0.0, big_t, 0.5 * tol * fac,
+                              split_points=width * np.arange(1.0, math.ceil(big_t / width) + 1.0))
+    if small:
+        tail, tail_err, tail_evals = _kluyver_small_radius_tail(d, n, r, 0.25 * tol * fac)
+    else:
+        (tail, tail_err), tail_evals = _kluyver_tail(d, n, r, big_t), 0
+    err = (head.abs_error_estimate + tail_err + quadrature._EPS * abs(head.value)) / fac
+    return QuadResult((head.value + tail) / fac, err, head.n_evals + tail_evals, err < tol)
 
 
 def classify_idq(d: int, q: int) -> Classification:
@@ -644,12 +672,13 @@ def density_on_grid(spec: WalkSpec, grid: np.ndarray, route: DensityRoute,
         vals = rho2_closed(spec.d, grid)
         errs = np.full_like(grid, 1e-15) * np.abs(vals)
     elif route is DensityRoute.KLUYVER:
-        results = _kluyver_batch(spec, grid, tol)
-        for r, res in zip(grid, results):
+        vals, errs = np.empty_like(grid), np.empty_like(grid)
+        for i, r in enumerate(grid):
+            res = density_kluyver(spec, float(r), tol)
             if res.status != "divergent":  # divergent: an infinite-density point
                 quadrature.check_converged(res, tol, f"density integral at r={r:g}")
-        vals = np.array([res.value for res in results])
-        errs = np.array([res.abs_error_estimate for res in results])
+            vals[i] = res.value
+            errs[i] = res.abs_error_estimate
     elif route is DensityRoute.RECURSION:
         vals = density_recursion(spec, grid)
         errs = _recursion_error(vals)

@@ -214,13 +214,14 @@ class TestPowerExpTail:
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), z[np.argmax(np.abs(got - ref) / np.abs(ref))]
         assert np.all(bound < 1e-13 * np.abs(ref))
 
-    def test_each_entry_alone(self):
-        # the fraction stops entry by entry, so a slow neighbour changes nothing
-        z = -1j * np.array([2.0, 40.0, 400.0])
-        got, bound = quad._expint(2.5, z)
-        for k in range(3):
-            one = quad._expint(2.5, z[k:k + 1])
-            assert (got[k], bound[k]) == (one[0][0], one[1][0])
+    @pytest.mark.parametrize("p", [0.0, -0.5, -3.0, -10.5, -23.5])
+    def test_expint_nonpositive_orders_against_mpmath(self, p):
+        # the small-radius Kluyver tail's Taylor terms, at |omega T| >= 40
+        z = np.array([1j * sign * x for x in (40.0, 80.0, 400.0) for sign in (1, -1)])
+        ref = np.array([expint_mpmath(p, complex(x)) for x in z])
+        got, bound = quad._expint(p, z)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        assert np.all(np.abs(got - ref) <= bound)
 
     def test_tail_is_scaled_expint(self):
         s, omega, t = 2.5, -3.0, 40.0

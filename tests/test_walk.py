@@ -353,6 +353,22 @@ class TestDensityKluyver:
         assert res.converged
         assert abs(res.value - rayleigh_treloar(5, r)) <= res.abs_error_estimate
 
+    @pytest.mark.parametrize("d, n", [(2, 2), (4, 2), (2, 3), (2, 4)])
+    @pytest.mark.parametrize("r", [1e-6, 1e-4, 0.0499])
+    def test_small_radii_against_exact_references(self, d, n, r):
+        # below r = 0.05 (r seam = 2) the small-radius tail.  With the head
+        # ending at seam / r, capped at 5e4, every pair here failed at
+        # r = 1e-5; the mollified route failed there at (2, 2) and (2, 4)
+        res = walk.density_kluyver(WalkSpec(d, n), r, 1e-8)
+        if n == 2:
+            ref = walk.rho2_closed(d, r)
+        elif n == 3:
+            ref = walk.density_recursion(WalkSpec(2, 3), r)  # closed form
+        else:
+            ref = r * psi4_planar_mpmath(r)
+        assert res.converged
+        assert abs(res.value - ref) <= res.abs_error_estimate
+
     def test_singular_registry_is_the_divergent_resonance(self):
         # a tail harmonic with omega = 0 and s <= 1 does not converge: that
         # happens at an interior integer radius exactly where the registry
@@ -360,9 +376,9 @@ class TestDensityKluyver:
         for d in range(2, 7):
             for n in range(2, 9):
                 for r in range(1, n):
-                    _, omega, s, coef, summed = walk._kluyver_harmonics(d, n, np.array([float(r)]))
-                    divergent = ((omega[0, :, None] == 0.0) & (s[:summed] <= 1.0)
-                                 & (coef[0, :, :summed] != 0.0))
+                    _, omega, s, coef, summed = walk._kluyver_harmonics(d, n, float(r))
+                    divergent = ((omega[:, None] == 0.0) & (s[:summed] <= 1.0)
+                                 & (coef[:, :summed] != 0.0))
                     registered = r in walk.SINGULAR_INTERIOR_POINTS.get((d, n), ())
                     assert divergent.any() == registered, (d, n, r)
 
@@ -397,7 +413,7 @@ def sweep_reference():
 
 class TestKernelTable:
     """The Kluyver route: its r-free tail table (walk._kluyver_table, built
-    once per (d, n)) and one head engine call per grid."""
+    once per (d, n)) and its head engine calls."""
 
     def test_sweep_head_work_count(self, sweep_reference):
         # 4.84 M mollified-engine evaluations (6.41 M jd points) before the
@@ -419,28 +435,28 @@ class TestKernelTable:
             got = list(pool.map(lambda p: _kluyver([p])[p], SWEEP_POINTS))
         assert dict(zip(SWEEP_POINTS, got)) == sweep_reference
 
-    @pytest.mark.parametrize("d, n", [(2, 4), (3, 5), (2, 3), (4, 2)])
-    def test_grid_is_single_radius_bit_for_bit(self, d, n):
-        # radii past the support, a registered infinite point and both
-        # cutoff branches (T = seam / r below r = 1 at even d)
-        spec = WalkSpec(d, n)
-        grid = np.concatenate([np.linspace(0.05, n + 0.5, 23), [1.0, 2.0]])
-        vals, errs = walk.density_on_grid(spec, grid, DensityRoute.KLUYVER)
-        for r, v, e in zip(grid, vals, errs):
-            res = walk.density_kluyver(spec, float(r))
-            assert (v, e) == (res.value, res.abs_error_estimate), r
+    def test_grid_heads_are_one_radius_each(self, monkeypatch):
+        # one head call per radius inside the support, each split only up to
+        # its own cutoff, so a grid's memory stays that of its worst radius;
+        # below r seam = 2 the resonant harmonic takes one more call
+        engine, calls = walk.integrate_adaptive, []
 
-    def test_one_engine_call_per_grid(self, monkeypatch):
-        engine, sizes = quadrature.integrate_adaptive_batch, []
+        def recording(f, a, b, tol, *, split_points):
+            calls.append((a, b, len(split_points)))
+            return engine(f, a, b, tol, split_points=split_points)
 
-        def counting(f, a, b, *args, **kwargs):
-            sizes.append(np.size(b))
-            return engine(f, a, b, *args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "integrate_adaptive_batch", counting)
-        grid = np.linspace(0.1, 4.5, 45)  # 39 radii inside the support (0, 4)
+        monkeypatch.setattr(walk, "integrate_adaptive", recording)
+        grid = np.linspace(0.02, 4.5, 225)
         walk.density_on_grid(WalkSpec(2, 4), grid, DensityRoute.KLUYVER)
-        assert sizes == [39]
+        seam = walk._kluyver_table(2, 4)[0]
+        heads = [(b, m) for a, b, m in calls if a == 0.0]
+        inside = grid[grid < 4]
+        assert len(heads) == inside.size
+        assert len(calls) == inside.size + np.count_nonzero(inside * seam < 2.0)
+        for (b, splits), r in zip(heads, inside):
+            assert b == (seam if r * seam < 2.0 else max(seam, seam / r))
+            assert splits == math.ceil(b * (4 + r) / (2 * math.pi))
+        assert max(m for _, _, m in calls) < 800
 
     def test_table_builds_once_under_threads(self, monkeypatch):
         hankel, builds = specfun._hankel_terms, []
