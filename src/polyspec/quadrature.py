@@ -5,10 +5,10 @@ open Gauss pair (no endpoint evaluations, so integrable inverse-square-root
 endpoints need no special handling), an improper oscillatory integrator that
 partitions [0, oo) into asymptotic half-periods and accelerates the partial
 sums (iterated Aitken if the panel sums alternate in sign, Richardson in 1/T
-otherwise), the closed-form tail int_T^oo t^(-s) e^(i omega t) dt of one
-harmonic (power_exp_tail), and Gauss-Jacobi rules for the symmetric weight
-(1-s^2)^(nu-1/2).  Every integrator rejects a tolerance that is not positive
-and finite.
+otherwise; no library route calls it), the closed-form tail int_T^oo
+t^(-s) e^(i omega t) dt of one harmonic (power_exp_tail), and Gauss-Jacobi
+rules for the symmetric weight (1-s^2)^(nu-1/2).  Every integrator rejects
+a tolerance that is not positive and finite.
 
 The adaptive integrator is batched: integrate_adaptive_batch takes a family
 of K integrals (an integrand f(x, k), per-integral limits, tolerances and
@@ -249,7 +249,10 @@ def _refine(f, a, b, tol, splits, max_evals: int, min_panels: int):
         cand = (rights - lefts > narrow[owner]) & (errs > 0)
         n_cand = np.bincount(owner[cand], minlength=m)[act]
         ok = total_err <= tol[act]
-        done = ok | (spent[act] >= max_evals) | (n_cand == 0)
+        # so is an error at the rounding level of the sum, eps sum |panels|:
+        # a tol below it stops there, unconverged, not at the budget
+        rounded = total_err <= _EPS * np.add.reduceat(np.abs(vals), starts)
+        done = ok | rounded | (spent[act] >= max_evals) | (n_cand == 0)
         fin = act[done]
         value[fin] = total[done]
         error[fin] = total_err[done]
@@ -360,7 +363,9 @@ def integrate_adaptive(
     the largest embedded-pair discrepancy |GL15 - GL7|; endpoints are never
     evaluated.  split_points seeds the initial partition with known interior
     kinks.  Non-convergence within the budget returns the best estimate with
-    converged=False.  This is integrate_adaptive_batch with one integral.
+    converged=False; so does an error estimate at the rounding level of the
+    sum, eps sum |panel estimates|, which ends the refinement of a tol below
+    it.  This is integrate_adaptive_batch with one integral.
     """
     res = integrate_adaptive_batch(
         lambda x, k: f(x), a, b, tol, split_points=[list(split_points)],

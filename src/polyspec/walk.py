@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-# PchipInterpolator is not called here; perfbench's tracer wraps the name
+# PchipInterpolator and the two oscillatory engines are not called here;
+# perfbench's tracer wraps their names on this module (drop each with its
+# tracer target)
 from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly  # noqa: F401
 from scipy.special import ellipkm1, gammaln
 
 from . import quadrature, specfun
 from ._memo import build_once
-# integrate_oscillatory_mollified is not called here; perfbench's tracer
-# wraps the name (drop it with the tracer's target)
 from .quadrature import (  # noqa: F401
     QuadResult,
     integrate_adaptive,
@@ -363,17 +363,20 @@ def density_recursion(spec: WalkSpec, r):
     return float(out) if arr.ndim == 0 else out
 
 
-# where the Kluyver head ends when Hankel's series of jd terminates (odd d,
-# below d = 31): the tail is then exact from any cutoff, and pi measured
-# within 2.2e-16 of Rayleigh-Treloar at (3, 5) on half the head evaluations
-# of 2 pi.  Elsewhere the head ends where t and r t are both past the
-# series' seam, at T = max(seam, seam / r), until r seam falls below
-# _KLUYVER_TAYLOR_REACH (r = 0.05 up to d = 8); from there on the head ends
-# at the seam and the small-radius tail takes over.  At r = 0.05 its
-# _KLUYVER_TAYLOR_TERMS Taylor terms of x^(2nu+1) jd(x) met rho2_closed,
-# the p_4 oracle and the T = seam / r route at (2..6, 2..6) within 1e-15
-# on 440-840 evaluations (the T = seam / r route: 2,200-14,000; 300,000 at
-# r = 0.002); at r = 0.1 the omitted term put 2e-9 on the bar
+# the first cutoff of the Kluyver head when Hankel's series of jd
+# terminates (odd d, below d = 31): the tail is then exact in exact
+# arithmetic, and pi measured within 2.2e-16 of Rayleigh-Treloar at (3, 5)
+# on half the head evaluations of 2 pi.  In floats the series' terms cancel
+# once nu n grows (a tail bar of 5.8e-6 at (13, 4), r = 1), so the cutoff
+# doubles until the tail's bar is a quarter of tol.  Elsewhere the head
+# ends where t and r t are both past the series' seam, at T = max(seam,
+# seam / r), until r seam falls below _KLUYVER_TAYLOR_REACH (r = 0.05 up
+# to d = 8); from there on the head ends at the seam and the small-radius
+# tail takes over.  At r = 0.05 its _KLUYVER_TAYLOR_TERMS Taylor terms of
+# x^(2nu+1) jd(x) met rho2_closed, the p_4 oracle and the T = seam / r
+# route at (2..6, 2..6) within 1e-15 on 440-840 evaluations (the T = seam
+# / r route: 2,200-14,000; 300,000 at r = 0.002); at r = 0.1 the omitted
+# term put 2e-9 on the bar
 _KLUYVER_EXACT_CUTOFF = math.pi
 _KLUYVER_TAYLOR_REACH = 2.0
 _KLUYVER_TAYLOR_TERMS = 12
@@ -511,14 +514,15 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     integrand into a finite sum of harmonics t^(-s) e^(i omega t), omega =
     n - 2k +- r and s = (n - 1)(d - 1)/2 + j, and each harmonic's tail is
     T^(1-s) E_s(-i omega T) in closed form.  At odd d below 31 the series
-    terminates and the tail is exact, T = pi; else T = max(seam, seam / r),
-    so that t and r t are both past the seam of the series.  Below r seam =
-    _KLUYVER_TAYLOR_REACH the head ends at the seam and only jd(t)^n is
-    expanded there (_kluyver_small_radius_tail).  The error bar adds the
-    head engine's estimate, the tails' own bounds, the rounding floor
-    eps sum |terms| and the first omitted Hankel (and Taylor) order;
-    converged means bar < tol.  Registered infinite-density points come
-    back with status 'divergent'.
+    terminates and the tail is exact up to rounding: T is the first of pi,
+    2 pi, 4 pi, .. whose tail bar is at most tol / 4, or the first past the
+    seam; else T = max(seam, seam / r), so that t and r t are both past the
+    seam of the series.  Below r seam = _KLUYVER_TAYLOR_REACH the head ends
+    at the seam and only jd(t)^n is expanded there
+    (_kluyver_small_radius_tail).  The error bar adds the head engine's
+    estimate, the tails' own bounds, the rounding floor eps sum |terms| and
+    the first omitted Hankel (and Taylor) order; converged means bar < tol.
+    Registered infinite-density points come back with status 'divergent'.
     """
     d, n = spec.d, spec.n
     if n < 2:
@@ -533,20 +537,27 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
     fac = _norm_factor(d)
     seam, exact = _kluyver_table(d, n)[:2]
     small = not exact and r * seam < _KLUYVER_TAYLOR_REACH
-    big_t = _KLUYVER_EXACT_CUTOFF if exact else seam if small else max(seam, seam / r)
+    tail_evals = 0
+    if small:
+        big_t = seam
+        tail, tail_err, tail_evals = _kluyver_small_radius_tail(d, n, r, 0.25 * tol * fac)
+    else:
+        big_t = _KLUYVER_EXACT_CUTOFF if exact else max(seam, seam / r)
+        tail, tail_err = _kluyver_tail(d, n, r, big_t)
+        while exact and tail_err > 0.25 * tol * fac and big_t < seam:
+            big_t *= 2.0
+            tail, tail_err = _kluyver_tail(d, n, r, big_t)
     # the head starts on panels one period of its fastest harmonic wide
     width = 2.0 * math.pi / (n + r)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        tr = t * r
-        return tr ** (2.0 * nu + 1.0) * specfun.jd(d, tr) * specfun.jd(d, t) ** n
+        kernel = specfun.jd(d, t)
+        # at r = 1 (every idq) the two kernels are one
+        inner = kernel if r == 1.0 else specfun.jd(d, t * r)
+        return (t * r) ** (2.0 * nu + 1.0) * inner * kernel ** n
 
     head = integrate_adaptive(integrand, 0.0, big_t, 0.5 * tol * fac,
                               split_points=width * np.arange(1.0, math.ceil(big_t / width) + 1.0))
-    if small:
-        tail, tail_err, tail_evals = _kluyver_small_radius_tail(d, n, r, 0.25 * tol * fac)
-    else:
-        (tail, tail_err), tail_evals = _kluyver_tail(d, n, r, big_t), 0
     err = (head.abs_error_estimate + tail_err + quadrature._EPS * abs(head.value)) / fac
     return QuadResult((head.value + tail) / fac, err, head.n_evals + tail_evals, err < tol)
 
@@ -597,8 +608,10 @@ def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
         tol: float = 1e-9) -> IdqResult:
     """The moment constant I_q^d with its analytic convergence class.
 
-    Routes: DirectIntegral evaluates the oscillatory integral; RecursionEndpoint
-    uses (nu!)^2 4^nu psi^d_{q-1}(1); ClosedForm covers q = 3 and (2, 5).
+    Routes: DirectIntegral is (nu!)^2 4^nu density_kluyver at q - 1 steps
+    and r = 1, its bar that factor times the density's plus 4 eps |value|;
+    RecursionEndpoint uses (nu!)^2 4^nu psi^d_{q-1}(1); ClosedForm covers
+    q = 3 and (2, 5).
     Divergent classifications return no value regardless of route; they
     are decided analytically by classify_idq, never numerically.  A direct
     integral left unconverged beyond 100 tol raises NonConvergedError.
@@ -619,15 +632,12 @@ def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
         rho = density_recursion(WalkSpec(d, q - 1), 1.0)
         val = fac * rho
         return IdqResult(d, q, cls, val, float(_recursion_error(val)), route)
-    res = integrate_oscillatory_tail(
-        lambda t: specfun.jd(d, t) ** q * t ** (d - 1),
-        tol,
-        decay_exponent=(d - 1) * (q / 2.0 - 1.0),
-        phase_offset=(d - 1) * math.pi / 4.0,
-        chunks_per_period=max(2, (q + 2) // 2),
-    )
-    quadrature.check_converged(res, tol, f"moment integral (d={d}, q={q})")
-    return IdqResult(d, q, cls, res.value, res.abs_error_estimate, route)
+    res = density_kluyver(WalkSpec(d, q - 1), 1.0, tol / fac)
+    val = fac * res.value
+    err = fac * res.abs_error_estimate + 4.0 * quadrature._EPS * abs(val)
+    quadrature.check_converged(QuadResult(val, err, res.n_evals, err < tol), tol,
+                               f"moment integral (d={d}, q={q})")
+    return IdqResult(d, q, cls, val, err, route)
 
 
 def sample_walk(spec: WalkSpec, n_samples: int, seed: int) -> np.ndarray:

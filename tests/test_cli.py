@@ -80,6 +80,15 @@ class TestDensityCommand:
         assert proc.stdout == ""
         assert "points" in proc.stderr and "Number of samples" not in proc.stderr
 
+    def test_kluyver_high_odd_dimension(self):
+        # exited 3 at r = 1: the fixed odd-d cutoff pi left an error
+        # estimate of 5.8e-6
+        proc = run_cli(["density", "--d", "13", "--n", "4", "--route", "kluyver",
+                        "--points", "5"])
+        rows = [line.split(",") for line in proc.stdout.strip().splitlines()[1:]]
+        assert [float(r) for r, *_ in rows] == [1.0, 2.0, 3.0, 4.0]
+        assert float(rows[0][1]) == pytest.approx(0.019283090, abs=1e-8)
+
 
 class TestConstantCommand:
     def test_closed_pi_over_four(self):
@@ -101,6 +110,11 @@ class TestConstantCommand:
             run_cli(["constant", "--d", "2", "--q", "3", "--route", "closed"]).stdout
         )["results"][0]["value"]
         assert direct == pytest.approx(closed, abs=1e-6)
+
+    def test_large_q_direct(self):
+        # exited 3: the tail engine's envelope bound t**alpha overflowed
+        payload = json.loads(run_cli(["constant", "--d", "4", "--q", "100"]).stdout)
+        assert payload["results"][0]["value"] == pytest.approx(0.0031681070243332, rel=1e-13)
 
     def test_json_schema(self):
         payload = json.loads(run_cli(["constant", "--d", "3", "--q", "4"]).stdout)

@@ -192,6 +192,30 @@ class TestOscillatoryTail:
         assert res.converged
         assert res.value == pytest.approx(brute, abs=1e-6)
 
+    @pytest.mark.parametrize("q,used,unused", [
+        (5, "_iterated_aitken", "_richardson_inverse_t"),  # alternating tail
+        (4, "_richardson_inverse_t", "_iterated_aitken"),  # monotone mean part
+    ])
+    def test_one_accelerator_per_tail(self, q, used, unused, monkeypatch):
+        calls = {used: 0, unused: 0}
+
+        def spy(name):
+            inner = getattr(quad, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(quad, name, spy(name))
+        quad.integrate_oscillatory_tail(
+            lambda t: sf.jd(3, t) ** q * t**2, 1e-9, decay_exponent=q - 2.0,
+            phase_offset=math.pi / 2, chunks_per_period=max(2, (q + 2) // 2),
+        )
+        assert calls[used] > 0 and calls[unused] == 0
+
 
 EXPINT_ORDERS = [0.5, 1.5, 2.5, 4.5, 2.0, 3.0, 4.0, 9.0]
 # |omega T| on both sides of the seam between the series and the fraction
