@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import chdtrc, jv
+from scipy.special import betainc, chdtrc, jv
 
 from . import specfun, walk
 from .geometry import BallSpec, Geometry
@@ -247,8 +247,16 @@ def mc_polyspectrum_variance(spec: PolyspectrumSpec, seed: int,
 
 
 def _bin_masses(spec: walk.WalkSpec, edges: np.ndarray) -> np.ndarray:
-    """Analytic probability mass of the walk radius in each bin."""
+    """Analytic probability mass of the walk radius in each bin.
+
+    For two steps r^2 / 4 is Beta((d-1)/2, (d-1)/2), the law sample_walk
+    draws, so the masses are differences of its distribution function (the
+    quadrature of rho_2 stalled at its inverse-square-root end at d = 2).
+    """
     d, n = spec.d, spec.n
+    if n == 2:
+        a = 0.5 * (d - 1)
+        return np.diff(betainc(a, a, edges**2 / 4.0))
     tab = walk._psi_level(d, n)
     res = integrate_adaptive_batch(
         lambda r, k: tab(r) * r ** (d - 1), edges[:-1], edges[1:], 1e-9,

@@ -1,14 +1,13 @@
 """Generic 1-D integration engines.
 
-Four pieces: an adaptive finite-interval integrator built on an embedded
+Three pieces: an adaptive finite-interval integrator built on an embedded
 open Gauss pair (no endpoint evaluations, so integrable inverse-square-root
-endpoints need no special handling), an improper oscillatory integrator that
-partitions [0, oo) into asymptotic half-periods and accelerates the partial
-sums (iterated Aitken if the panel sums alternate in sign, Richardson in 1/T
-otherwise; no library route calls it), the closed-form tail int_T^oo
+endpoints need no special handling), the closed-form tail int_T^oo
 t^(-s) e^(i omega t) dt of one harmonic (power_exp_tail), and Gauss-Jacobi
-rules for the symmetric weight (1-s^2)^(nu-1/2).  Every integrator rejects
-a tolerance that is not positive and finite.
+rules for the symmetric weight (1-s^2)^(nu-1/2).  An improper oscillatory
+integral is the adaptive integrator's head on [0, T] plus closed-form
+tails past T (walk.density_kluyver).  The adaptive integrator rejects a
+tolerance that is not positive and finite.
 
 The adaptive integrator is batched: integrate_adaptive_batch takes a family
 of K integrals (an integrand f(x, k), per-integral limits, tolerances and
@@ -21,7 +20,6 @@ turns an unconverged result beyond 100 tol into NonConvergedError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,16 +34,12 @@ __all__ = [
     "integrate_adaptive",
     "integrate_adaptive_batch",
     "check_converged",
-    "integrate_oscillatory_tail",
-    "integrate_oscillatory_mollified",
-    "canonical_panel_nodes",
     "power_exp_tail",
     "gauss_jacobi_symmetric",
 ]
 
 _X7, _W7 = leggauss(7)
 _X15, _W15 = leggauss(15)
-_X16, _W16 = leggauss(16)
 _X22 = np.concatenate([_X15, _X7])  # both rules of the adaptive pair, one call
 
 # working-set bound of the batched adaptive engine: each integrand call sees
@@ -55,11 +49,6 @@ _CHUNK_PANELS = 1024
 _GAUSS_JACOBI_NODE_BUDGET = 4096
 _EPS = float(np.finfo(float).eps)
 
-# mollified engine: cutoff levels T, 2T, .. (T doubles per level), and the
-# largest cutoff the start T is capped by
-_MOLLIFIED_LEVELS = 4
-_MOLLIFIED_MAX_T = 2.0e5
-
 # generalized exponential integral: its power series below this |z|, its
 # continued fraction from there on (both within 1e-14 of 30-digit mpmath on
 # the imaginary axis next to the seam), the series' term count (the last
@@ -67,11 +56,6 @@ _MOLLIFIED_MAX_T = 2.0e5
 _EXPINT_SEAM = 2.0
 _EXPINT_SERIES_TERMS = 32
 _EXPINT_MAX_STEPS = 500
-
-# oscillatory tail engine: panel budget, and the panel count before the
-# first acceleration
-_TAIL_MAX_PANELS = 20_000
-_TAIL_MIN_PANELS = 64
 
 
 class NonConvergedError(ArithmeticError):
@@ -89,34 +73,6 @@ class QuadResult:
     def __post_init__(self) -> None:
         if not self.converged and self.status == "converged":
             self.status = "non_converged"
-
-
-def _panel_nodes(lefts: np.ndarray, rights: np.ndarray, xg):
-    """Nodes of a fixed rule on each panel (one row per panel), and the
-    panels' half widths."""
-    mid = 0.5 * (lefts + rights)[:, None]
-    half = 0.5 * (rights - lefts)[:, None]
-    return mid + half * xg[None, :], half[:, 0]
-
-
-def _eval_nodes(f, nodes: np.ndarray) -> np.ndarray:
-    """f on a 2-D node array, in one call on the flattened nodes."""
-    return np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-
-
-def _panel_values(f, lefts: np.ndarray, rights: np.ndarray, xg, wg):
-    """Batched fixed-rule estimates over many panels: one call to f."""
-    nodes, half = _panel_nodes(lefts, rights, xg)
-    return half * (_eval_nodes(f, nodes) @ wg)
-
-
-def canonical_panel_nodes(width: float, k0: int, k1: int):
-    """16-point Gauss nodes on panels k0 .. k1 - 1 of the grid width * k (one
-    row per panel) and the panels' half widths.  A node depends only on
-    (width, k, its index in the rule), never on the range it is built in, so
-    callers can share values computed on these nodes."""
-    cuts = width * np.arange(k0, k1 + 1)
-    return _panel_nodes(cuts[:-1], cuts[1:], _X16)
 
 
 @dataclass
@@ -372,245 +328,6 @@ def integrate_adaptive(
         max_evals=max_evals, min_panels=min_panels,
     )
     return res[0]
-
-
-def _iterated_aitken(s: np.ndarray):
-    """Repeated Aitken delta-squared on a partial-sum sequence."""
-    v = np.asarray(s, dtype=float)
-    prev = v[-1]
-    err = np.inf
-    while len(v) >= 3:
-        d1 = np.diff(v)
-        d2 = np.diff(v, 2)
-        mask = np.abs(d2) > 1e-300
-        if not mask.any():
-            break
-        nxt = (v[:-2] - d1[:-1] ** 2 / np.where(mask, d2, 1.0))[mask]
-        err = abs(nxt[-1] - prev)
-        prev = nxt[-1]
-        v = nxt
-    return float(prev), float(err)
-
-
-def _neville_to_zero(xs: np.ndarray, ys) -> np.ndarray:
-    """Neville's tableau extrapolated to x = 0: entry k is the value at 0 of
-    the polynomial through (xs[i], ys[i]), i <= k."""
-    tab = np.array(ys, dtype=float)
-    out = [tab[0]]
-    for k in range(1, len(xs)):
-        tab = tab[:-1] + (tab[:-1] - tab[1:]) * xs[:-k] / (xs[k:] - xs[:-k])
-        out.append(tab[0])
-    return np.array(out)
-
-
-def _neville_limit(xs: np.ndarray, ys, scale: float):
-    """Limit at x = 0 of the Neville tableau through (xs[i], ys[i]), xs[0]
-    nearest 0, and its error estimate.
-
-    Entry 0 is judged by the spread of ys, entry k >= 1 by its change from
-    entry k - 1, each plus (entry 0: at least) its rounding level: eps times
-    scale, the absolute size of the terms summed into ys, times the sum of
-    |Lagrange weights| at 0 that the entry applies to ys.  The entry with
-    the smallest error wins.
-    """
-    ext = _neville_to_zero(xs, ys)
-    floor = [_EPS * scale * sum(
-        abs(np.prod([x / (x - xj) for x in xs[:k + 1] if x != xj])) for xj in xs[:k + 1]
-    ) for k in range(len(xs))]
-    best, err = float(ext[0]), max(abs(ys[-1] - ys[0]), floor[0])
-    for k in range(1, len(xs)):
-        cand = float(abs(ext[k] - ext[k - 1])) + floor[k]
-        if cand < err:
-            best, err = float(ext[k]), cand
-    return best, err
-
-
-def _richardson_inverse_t(sums: np.ndarray, t0: float):
-    """Neville extrapolation of partial sums to T = oo in powers of 1/T.
-
-    Uses boundaries at doubled panel counts snapped to the 2 pi phase grid, so
-    every retained oscillatory harmonic has the same phase at all nodes and
-    the residual is an honest power series in 1/T.
-    """
-    n = len(sums)
-    m = n // 2  # sums index 2m-1 sits at T = t0 + 2 m pi
-    xs = []
-    ys = []
-    while m >= 4 and len(xs) < 12:
-        xs.append(1.0 / (t0 + 2.0 * m * math.pi))
-        ys.append(sums[2 * m - 1])
-        m //= 2
-    scale = float(np.abs(np.diff(sums, prepend=0.0)).sum())
-    return _neville_limit(np.array(xs), ys, scale)
-
-
-def _accelerate_sums(sums: np.ndarray, t0: float):
-    """Limit estimate of a partial-sum sequence by the one accelerator its
-    tail calls for (Sidi, Practical Extrapolation Methods, 2003).
-
-    If every neighbouring pair of the last 16 panel sums differs in sign,
-    the tail alternates with no non-oscillating part, and iterated Aitken
-    runs on the newest 48 sums.  Otherwise a monotone mean part remains, and
-    Richardson extrapolation in 1/T runs over period-doubled boundaries.
-    """
-    signs = np.sign(np.diff(sums[-17:]))
-    if np.all(signs[1:] * signs[:-1] < 0):
-        return _iterated_aitken(sums[-48:])
-    return _richardson_inverse_t(sums, t0)
-
-
-def _smooth_cutoff(u: np.ndarray) -> np.ndarray:
-    """C-infinity transition from 1 at u=0 to 0 at u=1 (exp bump quotient)."""
-    u = np.clip(u, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
-        b = np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
-    return a / (a + b)
-
-
-def integrate_oscillatory_mollified(
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: float = 1e-9,
-    *,
-    min_frequency: float = 1.0,
-    chunks_per_period: int = 2,
-) -> QuadResult:
-    """Improper oscillatory integral int_0^oo f by mollified truncation.
-
-    Replaces the sharp upper limit T with a smooth cutoff ramping from 1 to 0
-    over [T, 2T]; every oscillatory component of frequency omega then leaves
-    a remainder vanishing faster than any power of 1/(omega T), regardless of
-    how many incommensurate frequencies the integrand mixes.  A residual
-    non-oscillating component decaying like t^(-alpha) survives as an
-    algebraic error in powers of T^(-1/2), which a short Richardson
-    extrapolation over doubled T removes.
-
-    Every panel is one of the canonical grid width * k (canonical_panel_nodes,
-    width = pi / chunks_per_period), with the start cutoff rounded
-    up to a whole number of panels, so integrals with the same width share
-    their nodes.  T doubles from level to level, so the tail panels on
-    [T, 2T] are exactly the next level's plain panels: their integrand values
-    are kept and summed again without the cutoff, and each node is evaluated
-    once.  The error estimate is floored at the rounding level of the
-    extrapolated sums.
-    """
-    _check_tol(tol)
-    t0 = min(max(12.0 * math.pi, 55.0 / max(min_frequency, 1e-6)),
-             _MOLLIFIED_MAX_T / 2.0**_MOLLIFIED_LEVELS)
-    width = math.pi / max(1, chunks_per_period)
-    m0 = max(8, int(math.ceil(t0 / width)))  # t0 rounded up to whole panels
-    nodes, half = canonical_panel_nodes(width, 0, m0)
-    part = half * (_eval_nodes(f, nodes) @ _W16)
-    plain_total = float(part.sum())
-    abs_total = float(np.abs(part).sum())
-    n_evals = 16 * m0
-    vals = []
-    xs = []
-    for j in range(_MOLLIFIED_LEVELS):
-        k0 = m0 << j
-        big_t = width * k0
-        nodes, half = canonical_panel_nodes(width, k0, 2 * k0)
-        raw = _eval_nodes(f, nodes)
-        n_evals += 16 * k0
-        damped = raw * _smooth_cutoff((nodes - big_t) / big_t)
-        vals.append(plain_total + float((half * (damped @ _W16)).sum()))
-        xs.append(big_t**-0.5)
-        # undamped, the same panels are the next level's plain part
-        part = half * (raw @ _W16)
-        plain_total += float(part.sum())
-        abs_total += float(np.abs(part).sum())
-
-    # extrapolation to T = oo, anchored at the largest T
-    best, err = _neville_limit(np.array(xs[::-1]), vals[::-1], abs_total)
-    return QuadResult(best, err, n_evals, err < tol)
-
-
-def integrate_oscillatory_tail(
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: float,
-    *,
-    decay_exponent: float,
-    phase_offset: float = 0.0,
-    chunks_per_period: int = 2,
-) -> QuadResult:
-    """Improper integral int_0^oo f of an eventually-oscillatory integrand,
-    as a limit of inter-zero partial sums.
-
-    decay_exponent is the envelope exponent alpha with |f(t)| ~ t^(-alpha);
-    for integrands jd(t)^q t^(d-1) it equals (d-1)(q/2 - 1).  The asymptotic
-    spacing of sign changes is pi, as for every power of jd, and
-    phase_offset shifts the partition onto the asymptotic zeros.
-
-    Panels of one period pi each (aligned to phase_offset), integrated by
-    a fixed rule and summed.  At each check the partial-sum sequence is
-    accelerated by one extrapolator, chosen from the signs of the last 16
-    panel sums: iterated Aitken if every neighbouring pair differs in sign
-    (a purely alternating tail), else Richardson extrapolation in 1/T (a
-    monotone mean part remains).  Absolutely convergent tails
-    (decay_exponent > 1) may instead stop by plain truncation once the
-    analytic envelope bound C T^(1-alpha)/(alpha-1) meets the tolerance.
-    Conditionally convergent inputs always take the acceleration path.
-    Whether the integral converges at all is the caller's question: a
-    divergent one exhausts the panel budget and comes back unconverged.
-
-    The error estimate never drops below the rounding level of the running
-    sum, eps (sum_k |S_k| + |head|) over the partial sums S_k and the head
-    integral on [0, t0] (the first-order bound of recursive summation); the
-    floor moves neither the value nor the converged flag.
-    """
-    _check_tol(tol)
-    alpha = decay_exponent
-    p = math.pi
-    # first boundary lands on the asymptotic zero grid offset + (k + 1/2) p
-    k0 = math.ceil(-phase_offset / p - 0.5)
-    t0 = phase_offset + (k0 + 0.5) * p
-    while t0 <= 1e-12:
-        t0 += p
-
-    n = max(2, int(math.ceil(t0 / p * 2 * max(2, chunks_per_period))))
-    cuts = np.linspace(0.0, t0, n + 1)
-    head = float(_panel_values(f, cuts[:-1], cuts[1:], _X16, _W16).sum())
-    n_evals = 16 * n
-
-    sums: list[float] = []
-    panels: list[float] = []
-    total = 0.0
-    batch = _TAIL_MIN_PANELS
-    t = t0
-    best = None
-
-    def result(value: float, err: float, converged: bool) -> QuadResult:
-        floor = _EPS * (float(np.abs(np.asarray(sums)).sum()) + abs(head))
-        return QuadResult(head + value, max(err, floor), n_evals, converged)
-
-    while batch > 0:
-        edges = t + p * np.arange(batch + 1)
-        sub = max(1, chunks_per_period)
-        fine = np.linspace(edges[:-1], edges[1:], sub + 1, axis=1)
-        vals = _panel_values(
-            f, fine[:, :-1].ravel(), fine[:, 1:].ravel(), _X16, _W16
-        ).reshape(batch, sub).sum(axis=1)
-        n_evals += 16 * batch * sub
-        for v in vals:
-            total += float(v)
-            panels.append(float(v))
-            sums.append(total)
-        t = float(edges[-1])
-
-        # fast path: plain truncation once the analytic tail bound is met
-        if alpha > 1.0:
-            recent = np.abs(panels[-8:])
-            c_env = float(np.max(recent)) / p * t**alpha
-            tail = 2.0 * c_env * t ** (1.0 - alpha) / (alpha - 1.0)
-            if tail < tol:
-                return result(total, tail, True)
-        est, err = _accelerate_sums(np.asarray(sums), t0)
-        if math.isfinite(err) and (best is None or err < best[1]):
-            best = (est, err)
-        if err < tol:
-            return result(est, err, True)
-        batch = min(len(panels), _TAIL_MAX_PANELS - len(panels))
-    return result(*(best or (total, math.inf)), False)
 
 
 def _expint(p, z):

@@ -310,6 +310,18 @@ class TestWalkDensityCheck:
         chi2, p = fs.mc_walk_density_check(walk.WalkSpec(3, 2), 1_000_000, 50, seed=11)
         assert p > 0.001
 
+    @pytest.mark.parametrize("d,cdf", [
+        (2, lambda r: 2.0 / math.pi * np.arcsin(r / 2.0)),  # Beta(1/2, 1/2)
+        (3, lambda r: r * r / 4.0),  # Beta(1, 1)
+    ], ids=["arcsine", "uniform"])
+    def test_two_step_bin_masses(self, d, cdf):
+        # r^2 / 4 of a two-step flight is Beta((d-1)/2, (d-1)/2); at d = 2
+        # the quadrature of rho_2 stopped 1.05e-8 off, unconverged, on the
+        # last bin [1.96, 2] next to its inverse-square-root end
+        edges = np.linspace(0.0, 2.0, 51)
+        masses = fs._bin_masses(walk.WalkSpec(d, 2), edges)
+        assert np.max(np.abs(masses - np.diff(cdf(edges)))) <= 1e-14
+
     def test_recursion_density(self):
         chi2, p = fs.mc_walk_density_check(walk.WalkSpec(2, 5), 1_000_000, 50, seed=12)
         assert p > 0.001

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import gamma, roots_jacobi
 
 from polyspec import quadrature as quad
-from polyspec import specfun as sf
 
 
 class TestIntegrateAdaptive:
@@ -150,73 +149,6 @@ class TestAdaptiveBatch:
         quad.check_converged(fam[0], tol[0])
 
 
-class TestOscillatoryTail:
-    def test_dirichlet_cube(self):
-        res = quad.integrate_oscillatory_tail(
-            lambda t: sf.jd(3, t) ** 3 * t**2,
-            1e-9,
-            decay_exponent=1.0,
-            phase_offset=math.pi / 2,
-        )
-        assert res.converged
-        assert res.value == pytest.approx(math.pi / 4, abs=1e-9)
-
-    def test_divergent_integrals_come_back_unconverged(self):
-        # divergence is decided analytically (walk.classify_idq); the engine
-        # itself must only never claim a limit that does not exist
-        for power, alpha in ((4, 1.0), (2, 0.0)):  # log growth, constant envelope
-            res = quad.integrate_oscillatory_tail(
-                lambda t: sf.jd(2, t) ** power * t,
-                1e-9,
-                decay_exponent=alpha,
-                phase_offset=math.pi / 4,
-            )
-            assert not res.converged and res.status == "non_converged", power
-
-    def test_damped_against_adaptive(self):
-        f = lambda t: sf.jd(2, t) ** 2 * t * np.exp(-t)
-        res = quad.integrate_oscillatory_tail(
-            f, 1e-9, decay_exponent=2.0, phase_offset=math.pi / 4
-        )
-        oracle = quad.integrate_adaptive(f, 1e-300, 40.0, 1e-12)
-        assert res.value == pytest.approx(oracle.value, abs=1e-8)
-
-    @pytest.mark.parametrize("d,q", [(4, 4), (3, 5)])
-    def test_absolutely_convergent_vs_brute_truncation(self, d, q,
-                                                       partial_integrals_oracle):
-        f = lambda t: sf.jd(d, t) ** q * t ** (d - 1)
-        res = quad.integrate_oscillatory_tail(
-            f, 1e-9, decay_exponent=(d - 1) * (q / 2 - 1), phase_offset=(d - 1) * math.pi / 4
-        )
-        brute = partial_integrals_oracle(f, np.array([1e5]))[0]
-        assert res.converged
-        assert res.value == pytest.approx(brute, abs=1e-6)
-
-    @pytest.mark.parametrize("q,used,unused", [
-        (5, "_iterated_aitken", "_richardson_inverse_t"),  # alternating tail
-        (4, "_richardson_inverse_t", "_iterated_aitken"),  # monotone mean part
-    ])
-    def test_one_accelerator_per_tail(self, q, used, unused, monkeypatch):
-        calls = {used: 0, unused: 0}
-
-        def spy(name):
-            inner = getattr(quad, name)
-
-            def wrapped(*args):
-                calls[name] += 1
-                return inner(*args)
-
-            return wrapped
-
-        for name in calls:
-            monkeypatch.setattr(quad, name, spy(name))
-        quad.integrate_oscillatory_tail(
-            lambda t: sf.jd(3, t) ** q * t**2, 1e-9, decay_exponent=q - 2.0,
-            phase_offset=math.pi / 2, chunks_per_period=max(2, (q + 2) // 2),
-        )
-        assert calls[used] > 0 and calls[unused] == 0
-
-
 EXPINT_ORDERS = [0.5, 1.5, 2.5, 4.5, 2.0, 3.0, 4.0, 9.0]
 # |omega T| on both sides of the seam between the series and the fraction
 EXPINT_ARGS = [1e-8, 1e-3, 0.3, 1.0, quad._EXPINT_SEAM * (1 - 1e-12),
@@ -310,73 +242,3 @@ class TestGaussJacobiSymmetric:
     def test_rejects_budget(self):
         with pytest.raises(ValueError):
             quad.gauss_jacobi_symmetric(0.5, 5000)
-
-
-class TestMollified:
-    def test_single_frequency(self):
-        # int_0^inf cos(t)/ (1+t)^0.7 style check against the tail engine
-        f = lambda t: sf.jd(2, t) ** 3 * t
-        a = quad.integrate_oscillatory_tail(
-            f, 1e-10, decay_exponent=0.5, phase_offset=math.pi / 4
-        )
-        b = quad.integrate_oscillatory_mollified(f, 1e-10)
-        assert b.value == pytest.approx(a.value, abs=5e-9)
-
-    def test_each_node_evaluated_once(self):
-        # each level's tail panels on [T, 2T] are the next level's plain panels
-        seen = []
-
-        def f(t):
-            seen.append(np.array(t))
-            return sf.jd(2, t) ** 3 * t
-
-        res = quad.integrate_oscillatory_mollified(f, 1e-10)
-        nodes = np.concatenate(seen)
-        assert len(nodes) == res.n_evals
-        assert len(np.unique(nodes)) == len(nodes)
-
-    def test_panels_on_canonical_grid(self):
-        # [0, t0] with t0 rounded up to whole panels, then [T, 2T] with
-        # T = width m0 2^j: the same nodes for every integral of one width
-        seen = []
-
-        def f(t):
-            seen.append(np.array(t))
-            return sf.jd(3, t) ** 4 * t * t
-
-        res = quad.integrate_oscillatory_mollified(f, 1e-10, min_frequency=1.3,
-                                                   chunks_per_period=3)
-        width = math.pi / 3
-        m0 = math.ceil(55.0 / 1.3 / width)
-        ranges = [(0, m0)] + [(m0 << j, m0 << (j + 1)) for j in range(4)]
-        assert len(seen) == len(ranges)
-        for t, (k0, k1) in zip(seen, ranges):
-            nodes, _ = quad.canonical_panel_nodes(width, k0, k1)
-            assert np.array_equal(t, nodes.ravel())
-        assert res.n_evals == 16 * (m0 << 4)
-
-    def test_canonical_nodes_do_not_depend_on_range(self):
-        width = math.pi / 5
-        whole, _ = quad.canonical_panel_nodes(width, 0, 300)
-        part, _ = quad.canonical_panel_nodes(width, 123, 257)
-        assert np.array_equal(whole[123:257], part)
-
-    @pytest.mark.parametrize("s", [3.0, 6.0, 8.0])
-    def test_error_floor_at_rounding_level(self, s):
-        # int_0^oo cos(t) exp(-(t/s)^2) dt: every level sums the same panels,
-        # so the extrapolants agree exactly and only rounding is left: eps
-        # times the absolute panel sum, about s / sqrt(pi), whatever the value
-        res = quad.integrate_oscillatory_mollified(
-            lambda t: np.cos(t) * np.exp(-(t / s) ** 2), 1e-12)
-        exact = math.sqrt(math.pi) * s / 2.0 * math.exp(-s * s / 4.0)
-        assert abs(res.value - exact) <= res.abs_error_estimate
-        assert res.abs_error_estimate >= np.finfo(float).eps * s / 2.0
-
-
-class TestNeville:
-    def test_polynomial_extrapolated_exactly(self):
-        xs = np.array([0.1, 0.2, 0.4, 0.8])
-        ext = quad._neville_to_zero(xs, 3.0 - 2.0 * xs + 5.0 * xs**2)
-        assert ext[0] == 3.0 - 2.0 * 0.1 + 5.0 * 0.01
-        assert ext[2] == pytest.approx(3.0, abs=1e-14)
-        assert ext[3] == pytest.approx(3.0, abs=1e-14)
