@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.linalg import solve_banded
 from scipy.special import ellipkm1, gammaln
 
 from . import quadrature, specfun
@@ -274,32 +274,83 @@ _UNIT_NODES = np.unique(np.round(2.0**50 * np.concatenate([
     1.0 - np.geomspace(1e-9, 0.25, 30),
 ])) / 2.0**50)
 
+# interval lookup on the grid.  Away from the graded ends a bucket 1/1024
+# wide holds at most _BUCKET_STEPS nodes, so a point starts from the
+# interval of its bucket's left end and steps right past each node it
+# reaches; the two end buckets, about 20 nodes each, are searched.  On the
+# psi-table calls of `polyspec table` (2-core Xeon, numpy 2.4) this took
+# 9-15 ns a point, a binary search of the whole grid 32-39
+_BUCKETS = 1024
+_BUCKET_START = np.searchsorted(_UNIT_NODES[1:-1], np.arange(_BUCKETS) / _BUCKETS, "right")
+_BUCKET_STEPS = int(np.diff(_BUCKET_START)[1:].max())
+
+
+def _interval(v: np.ndarray) -> np.ndarray:
+    """Index i of the interval [node i, node i + 1) that holds each v of a
+    1-d array in [0, 1), clipped to the end intervals: the result of
+    searchsorted(_UNIT_NODES[1:-1], v, "right")."""
+    i = _BUCKET_START.take((v * _BUCKETS).astype(np.intp))
+    for _ in range(_BUCKET_STEPS):
+        i += v >= _UNIT_NODES[1:].take(i)
+    ends = np.flatnonzero((v < 1.0 / _BUCKETS) | (v >= 1.0 - 1.0 / _BUCKETS))
+    i[ends] = np.searchsorted(_UNIT_NODES[1:-1], v[ends], "right")
+    return i
+
 
 class _PsiTable:
     """psi^d_n (n >= 3) on the unit segments [k, k + 1), k < n, whose ends are
-    its kinks: one vector-valued not-a-knot cubic spline on _UNIT_NODES holds
-    segment k in column k, so no segment spans a kink, and within one the
-    next level's integrand has no derivative jumps (C^2) for the adaptive
-    engine to bisect toward.  The nodes are one batched engine call; a node
-    left unconverged with an error above 100 tol raises NonConvergedError.
+    its kinks: a not-a-knot cubic spline on _UNIT_NODES per segment, so no
+    segment spans a kink, and within one the next level's integrand has no
+    derivative jumps (C^2) for the adaptive engine to bisect toward.  The
+    nodes are one batched engine call; a node left unconverged with an error
+    above 100 tol raises NonConvergedError.
     """
 
     def __init__(self, d: int, n: int):
-        vals = _psi_step(d, n, (np.arange(n)[:, None] + _UNIT_NODES).ravel(), 1e-9)
-        coef = CubicSpline(_UNIT_NODES, vals.reshape(n, -1).T).c
-        # each column evaluated on its own segment's points: scipy evaluates
-        # every column of a vector-valued spline at every point
-        self.segments = [PPoly.construct_fast(np.ascontiguousarray(coef[..., k]), _UNIT_NODES)
-                         for k in range(n)]
+        self.n = n
+        x = _UNIT_NODES
+        # column k holds segment k at the nodes
+        y = _psi_step(d, n, (np.arange(n)[:, None] + x).ravel(), 1e-9).reshape(n, -1).T
+        h = np.diff(x)
+        dx = h[:, None]
+        slope = np.diff(y, axis=0) / dx
+        # the knot slopes of every column solve one tridiagonal system: the
+        # second derivative continuous at the interior nodes, the third at
+        # the second and the second-to-last (not-a-knot).  Rows and order of
+        # operations follow scipy's not-a-knot spline, whose coefficients
+        # these match bit for bit (the oracle in tests/test_walk.py)
+        ab = np.zeros((3, len(x)))  # upper, main and lower diagonal
+        ab[0, 1], ab[0, 2:] = x[2] - x[0], h[:-1]
+        ab[1, 0], ab[1, 1:-1], ab[1, -1] = h[1], 2 * (h[:-1] + h[1:]), h[-2]
+        ab[2, :-2], ab[2, -2] = h[1:], x[-1] - x[-3]
+        rhs = np.empty_like(y)
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        w = x[2] - x[0]
+        rhs[0] = ((h[0] + 2 * w) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / w
+        w = x[-1] - x[-3]
+        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2 * w + h[-1]) * h[-2] * slope[-1]) / w
+        s = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        # row p holds the coefficients of power 3 - p; entry
+        # k (len(_UNIT_NODES) - 1) + i belongs to interval i of segment k
+        self.coef = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]]
+                             ).transpose(0, 2, 1).reshape(4, -1)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        for k, segment in enumerate(self.segments):
-            mask = (u >= k) & (u < k + 1)
-            if mask.any():
-                out[mask] = segment(u[mask] - k)
-        return np.maximum(out, 0.0)
+        inside = (u >= 0.0) & (u < self.n)
+        v = np.where(inside, u, 0.0).ravel()
+        k = np.floor(v)
+        v = v - k
+        # the end intervals' cubics extend over the gaps within 1e-9 of a kink
+        i = _interval(v)
+        j = k.astype(np.intp) * (len(_UNIT_NODES) - 1) + i
+        v = v - _UNIT_NODES[i]
+        c0, c1, c2, c3 = self.coef
+        out = ((c0.take(j) * v + c1.take(j)) * v + c2.take(j)) * v + c3.take(j)
+        out = out.reshape(u.shape)
+        return np.maximum(np.where(inside, out, 0.0), 0.0)
 
 
 @build_once

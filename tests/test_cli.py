@@ -221,6 +221,31 @@ class TestInfrastructure:
                               check=True)
         assert proc.stdout.strip() == "False"
 
+    def test_import_leaves_out_scipy_interpolate(self):
+        # scipy.interpolate loads optimize, sparse, spatial and fft, ~0.2 s of
+        # every cold start.  The ops after the import load no further scipy
+        # module, so no import cost moves from set-up into the first solve:
+        # the first Gauss rule of a spherical op needs scipy.linalg, which
+        # walk imports for its spline fit
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from polyspec import cli\n"
+            "heavy = ['scipy.interpolate', 'scipy.optimize', 'scipy.sparse',"
+            " 'scipy.spatial', 'scipy.fft']\n"
+            "at_import = [m for m in heavy if m in sys.modules]\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rcs = [cli.main(['variance', '--geometry', 'spherical', '--d', '2',"
+            " '--q', '3', '--R', '1.0', '--freq-grid', '10,20,40']),\n"
+            "           cli.main(['density', '--d', '3', '--n', '4', '--route',"
+            " 'recursion'])]\n"
+            "late = sorted(m for m in set(sys.modules) - before if m.startswith('scipy'))\n"
+            "print(json.dumps([at_import, rcs, late]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert json.loads(proc.stdout) == [[], [0, 0], []]
+
     def test_usage_error_exit_code(self):
         proc = run_cli(["density", "--d", "3"], check=False)
         assert proc.returncode == 2

@@ -505,6 +505,52 @@ class TestPsiTable:
         assert np.ndim(one) == 0 and one == table(np.array([2.5]))[0]
 
 
+def _scipy_psi_table(d, n):
+    """The reference psi table: scipy's not-a-knot CubicSpline over the same
+    nodes and values, each point read in its own segment's column."""
+    from scipy.interpolate import CubicSpline
+
+    nodes = walk._UNIT_NODES
+    vals = walk._psi_step(d, n, (np.arange(n)[:, None] + nodes).ravel(), 1e-9)
+    spline = CubicSpline(nodes, vals.reshape(n, -1).T)
+
+    def table(u):
+        out = np.zeros_like(u)
+        for k in range(n):
+            mask = (u >= k) & (u < k + 1)
+            out[mask] = spline(u[mask] - k)[:, k]
+        return np.maximum(out, 0.0)
+
+    return table
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 5), (5, 6)])
+def test_psi_table_matches_scipy_spline(d, n):
+    rng = np.random.default_rng(7)
+    offsets = np.geomspace(1e-12, 1e-8, 9)
+    kinks = np.arange(n + 1.0)[:, None]
+    u = np.concatenate([
+        (np.arange(n)[:, None] + rng.random((n, 10_000))).ravel(),
+        # the end gaps, where the end cubics extend past the outer nodes
+        (kinks - offsets).ravel(),
+        (kinks + offsets).ravel(),
+    ])
+    ref = _scipy_psi_table(d, n)(u)
+    assert np.max(np.abs(walk._psi_level(d, n)(u) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_interval_lookup_matches_search():
+    nodes = walk._UNIT_NODES
+    edges = np.arange(walk._BUCKETS + 1) / walk._BUCKETS
+    v = np.concatenate([
+        nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 1.0),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        np.random.default_rng(3).random(100_000), np.geomspace(1e-12, 1e-8, 9),
+    ])
+    v = v[(v >= 0.0) & (v < 1.0)]
+    assert np.array_equal(walk._interval(v), np.searchsorted(nodes[1:-1], v, "right"))
+
+
 def test_psi_level_builds_once_under_threads(monkeypatch):
     real, builds = walk._PsiTable, []
 
