@@ -274,29 +274,6 @@ _UNIT_NODES = np.unique(np.round(2.0**50 * np.concatenate([
     1.0 - np.geomspace(1e-9, 0.25, 30),
 ])) / 2.0**50)
 
-# interval lookup on the grid.  Away from the graded ends a bucket 1/1024
-# wide holds at most _BUCKET_STEPS nodes, so a point starts from the
-# interval of its bucket's left end and steps right past each node it
-# reaches; the two end buckets, about 20 nodes each, are searched.  On the
-# psi-table calls of `polyspec table` (2-core Xeon, numpy 2.4) this took
-# 9-15 ns a point, a binary search of the whole grid 32-39
-_BUCKETS = 1024
-_BUCKET_START = np.searchsorted(_UNIT_NODES[1:-1], np.arange(_BUCKETS) / _BUCKETS, "right")
-_BUCKET_STEPS = int(np.diff(_BUCKET_START)[1:].max())
-
-
-def _interval(v: np.ndarray) -> np.ndarray:
-    """Index i of the interval [node i, node i + 1) that holds each v of a
-    1-d array in [0, 1), clipped to the end intervals: the result of
-    searchsorted(_UNIT_NODES[1:-1], v, "right")."""
-    i = _BUCKET_START.take((v * _BUCKETS).astype(np.intp))
-    for _ in range(_BUCKET_STEPS):
-        i += v >= _UNIT_NODES[1:].take(i)
-    ends = np.flatnonzero((v < 1.0 / _BUCKETS) | (v >= 1.0 - 1.0 / _BUCKETS))
-    i[ends] = np.searchsorted(_UNIT_NODES[1:-1], v[ends], "right")
-    return i
-
-
 class _PsiTable:
     """psi^d_n (n >= 3) on the unit segments [k, k + 1), k < n, whose ends are
     its kinks: a not-a-knot cubic spline on _UNIT_NODES per segment, so no
@@ -343,8 +320,9 @@ class _PsiTable:
         v = np.where(inside, u, 0.0).ravel()
         k = np.floor(v)
         v = v - k
-        # the end intervals' cubics extend over the gaps within 1e-9 of a kink
-        i = _interval(v)
+        # interval i of the grid holds v; the clip to the end intervals
+        # extends their cubics over the gaps within 1e-9 of a kink
+        i = np.searchsorted(_UNIT_NODES[1:-1], v, "right")
         j = k.astype(np.intp) * (len(_UNIT_NODES) - 1) + i
         v = v - _UNIT_NODES[i]
         c0, c1, c2, c3 = self.coef

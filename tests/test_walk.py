@@ -539,18 +539,6 @@ def test_psi_table_matches_scipy_spline(d, n):
     assert np.max(np.abs(walk._psi_level(d, n)(u) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_interval_lookup_matches_search():
-    nodes = walk._UNIT_NODES
-    edges = np.arange(walk._BUCKETS + 1) / walk._BUCKETS
-    v = np.concatenate([
-        nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 1.0),
-        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
-        np.random.default_rng(3).random(100_000), np.geomspace(1e-12, 1e-8, 9),
-    ])
-    v = v[(v >= 0.0) & (v < 1.0)]
-    assert np.array_equal(walk._interval(v), np.searchsorted(nodes[1:-1], v, "right"))
-
-
 def test_psi_level_builds_once_under_threads(monkeypatch):
     real, builds = walk._PsiTable, []
 
