@@ -1,20 +1,21 @@
 """Generic 1-D integration engines.
 
-Three pieces: an adaptive finite-interval integrator built on an embedded
-open Gauss pair (no endpoint evaluations, so integrable inverse-square-root
-endpoints need no special handling), the closed-form tail int_T^oo
-t^(-s) e^(i omega t) dt of one harmonic (power_exp_tail), and Gauss-Jacobi
-rules for the symmetric weight (1-s^2)^(nu-1/2).  An improper oscillatory
-integral is the adaptive integrator's head on [0, T] plus closed-form
-tails past T (walk.density_kluyver).  The adaptive integrator rejects a
-tolerance that is not positive and finite.
+Three pieces: an adaptive finite-interval integrator built on the embedded
+open Gauss-Kronrod pair K15/G7 (15 evaluations per panel give the K15 value
+and the |K15 - G7| error estimate; no endpoint evaluations, so integrable
+inverse-square-root endpoints need no special handling), the closed-form
+tail int_T^oo t^(-s) e^(i omega t) dt of one harmonic (power_exp_tail),
+and Gauss-Jacobi rules for the symmetric weight (1-s^2)^(nu-1/2).  An
+improper oscillatory integral is the adaptive integrator's head on [0, T]
+plus closed-form tails past T (walk.density_kluyver).  The adaptive
+integrator rejects a tolerance that is not positive and finite.
 
 The adaptive integrator is batched: integrate_adaptive_batch takes a family
 of K integrals (an integrand f(x, k), per-integral limits, tolerances and
 split points) and refines all of them in the same array operations, calling
-f once per chunk of panels with the nodes of both Gauss rules.  Each integral
-keeps its own refinement, budget and convergence flag, bit for bit those of
-a call on it alone; integrate_adaptive is the K = 1 case.  check_converged
+f once per chunk of panels with their Kronrod nodes.  Each integral keeps
+its own refinement, budget and convergence flag, bit for bit those of a
+call on it alone; integrate_adaptive is the K = 1 case.  check_converged
 turns an unconverged result beyond 100 tol into NonConvergedError.
 """
 
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import digamma, gamma, roots_jacobi
 
 __all__ = [
@@ -38,9 +38,33 @@ __all__ = [
     "gauss_jacobi_symmetric",
 ]
 
-_X7, _W7 = leggauss(7)
-_X15, _W15 = leggauss(15)
-_X22 = np.concatenate([_X15, _X7])  # both rules of the adaptive pair, one call
+# the adaptive engine's embedded pair on [-1, 1]: the 15-point Kronrod
+# extension of the 7-point Gauss-Legendre rule, in QUADPACK's qk15 layout
+# and digits (Piessens et al., QUADPACK, 1983): nodes x >= 0 from the
+# outermost in, their K15 weights, and the G7 weights of xgk[1::2].  K15 is
+# exact through degree 23; mirrored, its odd-indexed nodes are the G7
+# nodes, so one evaluation of the 15 nodes gives both sums.
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+])
+_XK15 = np.concatenate([-_XGK, _XGK[-2::-1]])
+_WK15 = np.concatenate([_WGK, _WGK[-2::-1]])
+_G7 = slice(1, None, 2)  # the G7 nodes within _XK15
+_WG7 = np.concatenate([_WG, _WG[-2::-1]])
+_EDGE_GAP = 1.0 - _XGK[0]  # outermost nodes' distance from the edges, in half-widths
 
 # working-set bound of the batched adaptive engine: each integrand call sees
 # at most _CHUNK_PANELS panels; it changes no result
@@ -120,12 +144,14 @@ def _weighted_sum(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _panel_pair(f, lefts, rights, owner, narrow_width):
-    """GL15 estimate and |GL15 - GL7| per panel.
+    """K15 estimate and |K15 - G7| per panel.
 
-    f gets the nodes of both rules, with the integral index of each node, in
+    f gets the 15 Kronrod nodes, with the integral index of each node, in
     one call per chunk of at most _CHUNK_PANELS panels.  A non-finite
-    estimate raises, unless its panel is so narrow that rounding pushes
-    nodes onto an integrable endpoint singularity; such a panel counts 0.
+    estimate raises, unless its panel is frozen (an integrable singularity
+    within rounding of its edge can meet the outermost node there) and its
+    G7 value is finite; such a panel counts its G7 value, with all of it as
+    its error.
     """
     fine = np.empty(len(lefts))
     coarse = np.empty(len(lefts))
@@ -133,20 +159,24 @@ def _panel_pair(f, lefts, rights, owner, narrow_width):
         sl = slice(s, s + _CHUNK_PANELS)
         mid = 0.5 * (lefts[sl] + rights[sl])
         half = 0.5 * (rights[sl] - lefts[sl])
-        nodes = mid + half * _X22[:, None]
-        vals = np.asarray(f(nodes.ravel(), np.tile(owner[sl], len(_X22))), dtype=float)
+        nodes = mid + half * _XK15[:, None]
+        # the outermost pair from its own edge: through the rounded midpoint
+        # it could round onto the edge (the next pair lies six times farther in)
+        nodes[0] = lefts[sl] + half * _EDGE_GAP
+        nodes[-1] = rights[sl] - half * _EDGE_GAP
+        vals = np.asarray(f(nodes.ravel(), np.tile(owner[sl], len(_XK15))), dtype=float)
         vals = vals.reshape(nodes.shape)
-        fine[sl] = half * _weighted_sum(vals[:15], _W15)
-        coarse[sl] = half * _weighted_sum(vals[15:], _W7)
+        fine[sl] = half * _weighted_sum(vals, _WK15)
+        coarse[sl] = half * _weighted_sum(vals[_G7], _WG7)
     with np.errstate(invalid="ignore"):
         errs = np.abs(fine - coarse)
-    bad = ~np.isfinite(fine) | ~np.isfinite(coarse)
+    bad = ~np.isfinite(fine)  # every G7 node is a K15 node
     if bad.any():
         narrow = (rights - lefts) <= narrow_width
-        if np.any(bad & ~narrow):
+        if np.any(bad & ~(narrow & np.isfinite(coarse))):
             raise ValueError("integrand returned non-finite values on a panel")
-        fine = np.where(bad, 0.0, fine)
-        errs = np.where(bad, 0.0, errs)
+        fine = np.where(bad, coarse, fine)
+        errs = np.where(bad, np.abs(coarse), errs)
     return fine, errs
 
 
@@ -191,10 +221,16 @@ def _refine(f, a, b, tol, splits, max_evals: int, min_panels: int):
     m = len(a)
     value, error = np.empty(m), np.empty(m)
     n_evals, converged = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool)
-    narrow = 1e-13 * (np.abs(a) + np.abs(b) + 1.0)  # frozen panel width
+    # frozen panel width: bisection stops at or below it, so every panel is
+    # wider than narrow / 2 and its outermost Kronrod node lies more than
+    # 1.28e-16 (|a| + |b| + 1) > 2^-53 |edge| inside it: no node rounds onto
+    # an edge.  It is as small as that allows, since |K15 - G7| at an
+    # inverse-square-root endpoint falls only as the square root of the width.
+    narrow = 6e-14 * (np.abs(a) + np.abs(b) + 1.0)
     lefts, rights, owner = _initial_panels(a, b, splits, min_panels)
     vals, errs = _panel_pair(f, lefts, rights, owner, narrow[owner])
-    spent = 22 * np.bincount(owner, minlength=m)
+    per_panel = len(_XK15)  # evaluations of one panel; a bisection costs two
+    spent = per_panel * np.bincount(owner, minlength=m)
     while True:
         counts = np.bincount(owner, minlength=m)
         act = np.flatnonzero(counts)
@@ -236,11 +272,11 @@ def _refine(f, a, b, tol, splits, max_evals: int, min_panels: int):
         csum = np.cumsum(table, axis=1)
         n_split = np.count_nonzero(csum < 0.90 * csum[:, -1:], axis=1) + 1
         n_split = np.minimum(n_split, np.minimum(
-            n_cand, np.maximum(1, (max_evals - spent[act]) // 44)))
+            n_cand, np.maximum(1, (max_evals - spent[act]) // (2 * per_panel))))
         take = np.zeros(m, dtype=np.int64)
         take[act] = n_split
         idx = order[c_sorted & (rank < take[o_sorted])]
-        spent[act] += 44 * n_split
+        spent[act] += 2 * per_panel * n_split
         keep = np.ones(len(lefts), dtype=bool)
         keep[idx] = False
         mids = 0.5 * (lefts[idx] + rights[idx])
@@ -296,8 +332,8 @@ def integrate_adaptive_batch(
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
         raise ValueError("need finite a < b")
     _check_tol(tol)
-    # the first pass alone evaluates min_panels GL15 + GL7 pairs per integral
-    if 22 * min_panels > max_evals:
+    # the first pass alone evaluates the 15 nodes on min_panels panels
+    if len(_XK15) * min_panels > max_evals:
         raise ValueError(f"{min_panels:.3g} initial panels need more than"
                          f" max_evals = {max_evals} evaluations")
     return QuadBatch(*_refine(f, a, b, tol, splits, max_evals, min_panels))
@@ -316,7 +352,7 @@ def integrate_adaptive(
     """Adaptive integration of f over the finite interval [a, b].
 
     f must accept a 1-D numpy array.  Bisection refinement of the panels with
-    the largest embedded-pair discrepancy |GL15 - GL7|; endpoints are never
+    the largest embedded-pair discrepancy |K15 - G7|; endpoints are never
     evaluated.  split_points seeds the initial partition with known interior
     kinks.  Non-convergence within the budget returns the best estimate with
     converged=False; so does an error estimate at the rounding level of the

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,27 @@ class TestIntegrateAdaptive:
             lambda r: 2.0 / (math.pi * np.sqrt(4.0 - r * r)), 0.0, 2.0, 1e-8
         )
         assert res.value == pytest.approx(1.0, abs=1e-8)
+        # converged within the 1,914 evaluations the GL15 + GL7 pair took;
+        # a frozen endpoint panel whose estimate stays above tol would spend
+        # the whole 2 M budget instead
+        assert res.converged and res.n_evals <= 1_914
+
+    def test_no_node_on_a_singular_edge(self):
+        # inverse-square-root edge at c, far from 0 so that frozen panels are
+        # a few hundred ulps wide; the pieces next to c bisect down to every
+        # width across an octave of the frozen one.  The outermost node comes
+        # within a few ulps of c but never onto it.
+        c = 1024.5
+        for piece in np.geomspace(16.0, 32.0, 25, endpoint=False):
+            reached = []
+
+            def f(x):
+                reached.append(x.max())
+                return 1.0 / np.sqrt(c - x)
+
+            quad.integrate_adaptive(f, 0.0, c, 1e-8, split_points=(c - piece,),
+                                    max_evals=30_000)
+            assert c - 4 * np.spacing(c) < max(reached) < c
 
     def test_oscillatory_dirichlet(self):
         res = quad.integrate_adaptive(
@@ -41,18 +63,80 @@ class TestIntegrateAdaptive:
         assert res.status == "non_converged"
 
     def test_refuses_first_pass_over_budget(self):
-        # min_panels GL15 + GL7 pairs exceed max_evals: refused before f runs
-        # or any panel is allocated
+        # min_panels panels of the rule's nodes exceed max_evals: refused
+        # before f runs or any panel is allocated
         def f(x):
             raise AssertionError("integrand called")
 
+        per_panel = len(quad._XK15)
+        fits = 1000 // per_panel  # 66 panels of 15 nodes
         with pytest.raises(ValueError, match="max_evals"):
             quad.integrate_adaptive(f, 0.0, 1.0, 1e-8, min_panels=10**300)
         with pytest.raises(ValueError, match="max_evals"):
-            quad.integrate_adaptive(f, 0.0, 1.0, 1e-8, min_panels=46, max_evals=1000)
-        res = quad.integrate_adaptive(lambda x: x, 0.0, 1.0, 1e-8, min_panels=45,
+            quad.integrate_adaptive(f, 0.0, 1.0, 1e-8, min_panels=fits + 1, max_evals=1000)
+        res = quad.integrate_adaptive(lambda x: x, 0.0, 1.0, 1e-8, min_panels=fits,
                                       max_evals=1000)
-        assert res.value == pytest.approx(0.5, abs=1e-12) and res.n_evals == 990
+        assert res.value == pytest.approx(0.5, abs=1e-12)
+        assert res.n_evals == fits * per_panel
+
+
+class TestKronrodRule:
+    """The adaptive engine's K15/G7 table on [-1, 1]."""
+
+    def test_k15_exact_through_degree_23(self):
+        k = np.arange(25)
+        got = np.array([math.fsum(quad._WK15 * quad._XK15**j) for j in k])
+        exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+        assert np.all(np.abs(got - exact)[:24] <= 4 * np.finfo(float).eps)
+        assert abs(got[24] - exact[24]) > 1e-10  # and no further
+
+    def test_g7_subset_is_leggauss(self):
+        x7, w7 = np.polynomial.legendre.leggauss(7)
+        assert np.max(np.abs(quad._XK15[quad._G7] - x7)) <= np.finfo(float).eps
+        assert np.max(np.abs(quad._WG7 - w7)) <= np.finfo(float).eps
+
+    def test_weights_and_symmetry(self):
+        for w in (quad._WK15, quad._WG7):
+            assert abs(math.fsum(w) - 2.0) <= 2 * np.finfo(float).eps
+            assert np.array_equal(w, w[::-1])
+        assert np.array_equal(quad._XK15, -quad._XK15[::-1])
+        assert np.all(np.diff(quad._XK15) > 0) and quad._XK15[7] == 0.0
+
+    def test_digits_against_mpmath(self):
+        # Kronrod's construction at 40 digits: the G7 nodes are the zeros of
+        # P_7, the added nodes those of the Stieltjes polynomial E_8 (even,
+        # monic, orthogonal to x, x^3, x^5, x^7 under the weight P_7), and
+        # the weights make the 15-node rule exact on 1, x, ..., x^14
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            p7 = {7: mpmath.mpf(429) / 16, 5: mpmath.mpf(-693) / 16,
+                  3: mpmath.mpf(315) / 16, 1: mpmath.mpf(-35) / 16}
+
+            def moment(j):  # int_-1^1 x^j dx
+                return mpmath.mpf(2) / (j + 1) if j % 2 == 0 else mpmath.mpf(0)
+
+            def p7_moment(j):  # int_-1^1 P_7(x) x^j dx
+                return sum(c * moment(i + j) for i, c in p7.items())
+
+            odd = (1, 3, 5, 7)
+            c = mpmath.lu_solve(
+                mpmath.matrix([[p7_moment(i + k) for i in (0, 2, 4, 6)] for k in odd]),
+                mpmath.matrix([-p7_moment(8 + k) for k in odd]),
+            )
+            e8 = lambda x: x**8 + c[3] * x**6 + c[2] * x**4 + c[1] * x**2 + c[0]
+            p7x = lambda x: sum(cf * x**i for i, cf in p7.items())
+            nodes = [mpmath.findroot(p7x if i % 2 else e8, mpmath.mpf(float(x)))
+                     for i, x in enumerate(quad._XK15)]
+
+            def weights(xs):  # the interpolatory rule on the nodes xs
+                return np.array([float(w) for w in mpmath.lu_solve(
+                    mpmath.matrix([[x**j for x in xs] for j in range(len(xs))]),
+                    mpmath.matrix([moment(j) for j in range(len(xs))]),
+                )])
+
+            assert np.array_equal(quad._XK15, [float(x) for x in nodes])
+            assert np.array_equal(quad._WK15, weights(nodes))
+            assert np.array_equal(quad._WG7, weights(nodes[1::2]))
 
 
 # members of one family: (integrand, a, b, tol, split points); the third has
@@ -131,14 +215,34 @@ class TestAdaptiveBatch:
         with pytest.raises(ValueError):
             quad.integrate_adaptive(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
 
+    def test_frozen_panel_keeps_its_g7_value(self):
+        # rounding puts an outer Kronrod node on a singular panel edge: a
+        # frozen panel counts its G7 value with all of it as error, never 0
+        outer = lambda x, k: np.where(np.abs(x - 2.0) == np.abs(x - 2.0).min(), np.inf, 1.0)
+        w = 1e-13
+        args = (np.array([2.0 - w]), np.array([2.0]), np.array([0]))
+        value, err = quad._panel_pair(outer, *args, np.array([w]))
+        assert value[0] == pytest.approx(w, rel=1e-12) and err[0] == value[0]
+        with pytest.raises(ValueError):  # not frozen
+            quad._panel_pair(outer, *args, np.array([w / 4]))
+        centre = lambda x, k: np.where(x == np.median(x), np.inf, 1.0)  # a G7 node
+        with pytest.raises(ValueError):
+            quad._panel_pair(centre, *args, np.array([w]))
+
     def test_check_converged(self):
         exhausted = quad.integrate_adaptive(
             lambda r: 1.0 / np.sqrt(np.abs(r)), 1e-300, 1.0, 1e-14, max_evals=500
         )
         with pytest.raises(quad.NonConvergedError):
             quad.check_converged(exhausted, 1e-14)
-        # within 100 tol of its target an unconverged result passes
-        quad.check_converged(exhausted, exhausted.abs_error_estimate / 100.0)
+        # within 100 tol of its target an unconverged result passes, up to the
+        # boundary itself (a tol whose product by 100 is exact) and no further
+        tol = 2.0**-20
+        at = dataclasses.replace(exhausted, abs_error_estimate=100.0 * tol)
+        quad.check_converged(at, tol)
+        past = dataclasses.replace(at, abs_error_estimate=np.nextafter(100.0 * tol, np.inf))
+        with pytest.raises(quad.NonConvergedError):
+            quad.check_converged(past, tol)
         funcs, a, b, tol, splits = zip(*_FAMILY)
         fam = quad.integrate_adaptive_batch(
             _family_integrand(funcs), a, b, tol,
