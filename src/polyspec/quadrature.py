@@ -13,9 +13,12 @@ integrator rejects a tolerance that is not positive and finite.
 The adaptive integrator is batched: integrate_adaptive_batch takes a family
 of K integrals (an integrand f(x, k), per-integral limits, tolerances and
 split points) and refines all of them in the same array operations, calling
-f once per chunk of panels with their Kronrod nodes.  Each integral keeps
-its own refinement, budget and convergence flag, bit for bit those of a
-call on it alone; integrate_adaptive is the K = 1 case.  check_converged
+f once per chunk of panels with their Kronrod nodes.  Split points are the
+only input to the first pass: it takes one panel per piece between an
+integral's limits and its split points, and a first pass that alone needs
+more than max_evals evaluations is refused before f runs.  Each integral
+keeps its own refinement, budget and convergence flag, bit for bit those of
+a call on it alone; integrate_adaptive is the K = 1 case.  check_converged
 turns an unconverged result beyond 100 tol into NonConvergedError.
 """
 
@@ -180,10 +183,10 @@ def _panel_pair(f, lefts, rights, owner, narrow_width):
     return fine, errs
 
 
-def _initial_panels(a, b, splits, min_panels: int):
-    """Each integral's interval cut at its interior split points, every piece
-    into equal panels (about min_panels over the whole interval).  Returns
-    (lefts, rights, owner), grouped by owner in increasing x."""
+def _initial_panels(a, b, splits):
+    """Each integral's interval cut at its interior split points, one panel
+    per piece.  Returns (lefts, rights, owner), grouped by owner in
+    increasing x."""
     m = len(a)
     rows = np.repeat(np.arange(m), splits.shape[1])
     pts = splits.ravel()
@@ -196,20 +199,10 @@ def _initial_panels(a, b, splits, min_panels: int):
     fresh[1:] = (owner[1:] != owner[:-1]) | (pts[1:] != pts[:-1])
     owner, pts = owner[fresh], pts[fresh]
     piece = owner[:-1] == owner[1:]
-    lo, hi, piece_owner = pts[:-1][piece], pts[1:][piece], owner[:-1][piece]
-    count = np.maximum(
-        1, np.ceil(min_panels * (hi - lo) / (b - a)[piece_owner])
-    ).astype(np.int64)
-    # np.linspace's arithmetic: edge i at i * (hi - lo) / count + lo, last at hi
-    which = np.repeat(np.arange(len(lo)), count)
-    i = np.arange(len(which)) - np.repeat(np.cumsum(count) - count, count)
-    step = ((hi - lo) / count)[which]
-    lefts = i * step + lo[which]
-    rights = np.where(i + 1 == count[which], hi[which], (i + 1) * step + lo[which])
-    return lefts, rights, piece_owner[which]
+    return pts[:-1][piece], pts[1:][piece], owner[:-1][piece]
 
 
-def _refine(f, a, b, tol, splits, max_evals: int, min_panels: int):
+def _refine(f, a, b, tol, splits, max_evals: int):
     """Refine a family of integrals together; returns (value, error,
     n_evals, converged), one entry per integral.
 
@@ -227,10 +220,13 @@ def _refine(f, a, b, tol, splits, max_evals: int, min_panels: int):
     # an edge.  It is as small as that allows, since |K15 - G7| at an
     # inverse-square-root endpoint falls only as the square root of the width.
     narrow = 6e-14 * (np.abs(a) + np.abs(b) + 1.0)
-    lefts, rights, owner = _initial_panels(a, b, splits, min_panels)
-    vals, errs = _panel_pair(f, lefts, rights, owner, narrow[owner])
+    lefts, rights, owner = _initial_panels(a, b, splits)
     per_panel = len(_XK15)  # evaluations of one panel; a bisection costs two
     spent = per_panel * np.bincount(owner, minlength=m)
+    if np.any(spent > max_evals):  # the first pass alone, refused before f runs
+        raise ValueError(f"{np.max(spent) // per_panel} initial panels need more than"
+                         f" max_evals = {max_evals} evaluations")
+    vals, errs = _panel_pair(f, lefts, rights, owner, narrow[owner])
     while True:
         counts = np.bincount(owner, minlength=m)
         act = np.flatnonzero(counts)
@@ -307,17 +303,19 @@ def integrate_adaptive_batch(
     *,
     split_points=None,
     max_evals: int = 2_000_000,
-    min_panels: int = 1,
 ) -> QuadBatch:
     """Adaptive integration of a family of K integrals over finite intervals.
 
     f(x, k) gets flat arrays of nodes x and of the index k of the integral
     each node belongs to.  a, b and tol broadcast to one value per integral;
-    split_points is a (K, S) array of known interior kinks per integral,
-    rows padded with NaN (points outside (a_k, b_k) are ignored).  Each
-    integral is refined exactly as it would be alone, with its own budget of
-    max_evals evaluations, so its value, n_evals and converged flag do not
-    depend on the rest of the family or on its position in it.
+    split_points is a (K, S) array of interior points per integral (known
+    kinks, or edges of panels the caller wants), rows padded with NaN
+    (points outside (a_k, b_k) are ignored); the first pass takes one panel
+    per piece between them.  Each integral is refined exactly as it would
+    be alone, with its own budget of max_evals evaluations, so its value,
+    n_evals and converged flag do not depend on the rest of the family or
+    on its position in it.  A first pass whose pieces need more than
+    max_evals evaluations raises ValueError before f runs.
     """
     splits = np.zeros((1, 0)) if split_points is None else np.asarray(split_points, dtype=float)
     if splits.ndim != 2:
@@ -332,11 +330,7 @@ def integrate_adaptive_batch(
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
         raise ValueError("need finite a < b")
     _check_tol(tol)
-    # the first pass alone evaluates the 15 nodes on min_panels panels
-    if len(_XK15) * min_panels > max_evals:
-        raise ValueError(f"{min_panels:.3g} initial panels need more than"
-                         f" max_evals = {max_evals} evaluations")
-    return QuadBatch(*_refine(f, a, b, tol, splits, max_evals, min_panels))
+    return QuadBatch(*_refine(f, a, b, tol, splits, max_evals))
 
 
 def integrate_adaptive(
@@ -346,22 +340,22 @@ def integrate_adaptive(
     tol: float = 1e-10,
     *,
     max_evals: int = 2_000_000,
-    min_panels: int = 1,
     split_points=(),
 ) -> QuadResult:
     """Adaptive integration of f over the finite interval [a, b].
 
     f must accept a 1-D numpy array.  Bisection refinement of the panels with
     the largest embedded-pair discrepancy |K15 - G7|; endpoints are never
-    evaluated.  split_points seeds the initial partition with known interior
-    kinks.  Non-convergence within the budget returns the best estimate with
+    evaluated.  The first pass takes one panel per piece between a, the
+    split_points (known interior kinks or chosen panel edges) and b.
+    Non-convergence within the budget returns the best estimate with
     converged=False; so does an error estimate at the rounding level of the
     sum, eps sum |panel estimates|, which ends the refinement of a tol below
     it.  This is integrate_adaptive_batch with one integral.
     """
     res = integrate_adaptive_batch(
-        lambda x, k: f(x), a, b, tol, split_points=[list(split_points)],
-        max_evals=max_evals, min_panels=min_panels,
+        lambda x, k: f(x), a, b, tol, split_points=np.reshape(split_points, (1, -1)),
+        max_evals=max_evals,
     )
     return res[0]
 

@@ -5,7 +5,11 @@ Hermite polynomials (probabilists' convention), normalized Gegenbauer
 polynomials, and the Bessel main term of their large-degree approximation.
 
 The kernel jd takes ``scipy.special.spherical_jn`` at odd d (half-integer
-order), several times faster than ``jv`` there.  At even d it splits at a
+order), several times faster than ``jv`` there.  At d = 5..13 that reads a
+mean 2.6-6.0 eps high (relative, against 40-digit mpmath) below about
+t = max(1, (d - 3)/2), so below that seam every odd d >= 5 sums the power
+series instead (_series_terms): its mean relative error measured within
+0.5 eps on every unit band for d = 5..41.  At even d it splits at a
 per-order seam: 40 up to d = 8, 40.05 at d = 10, 88 at d = 26, 436 at d = 42.
 
 - Below the seam: the Cephes ``j0`` / ``j1`` for d = 2, 4, about 30 times
@@ -52,9 +56,16 @@ __all__ = [
 # of Hankel's expansion, which takes over past it
 _CEPHES_MAX = 40.0
 _HANKEL_TERMS = 14
-# points per pass: on whole arrays (calls of up to 112,128 points in the
-# `sweep` benchmark) the temporaries added 1 MB of peak RSS and 10% of solve time
+# points per pass: on 15,360 points, the largest call of the `sweep` benchmark
+# (1,024 engine panels of 15 nodes), 8,192-point chunks took a median 0.97 ms
+# against 1.16 ms on the whole array (2 cores, numpy 2.4)
 _HANKEL_CHUNK = 8192
+# odd-d power series: the seam is lowered to where sum |terms| reaches this
+# multiple of |jd| (the alternating sum's condition; past 4 the rounding of its
+# terms biased the sum by up to 1.1 eps at d = 21 and 27), and the terms
+# stop where the first omitted one is below 2^-60 at the seam
+_SERIES_COND = 4.0
+_SERIES_TAIL = 2.0**-60
 
 
 def _validate_dim(d: int) -> float:
@@ -106,6 +117,35 @@ def _hankel_terms(nu: float):
     return seam, tuple(a), p, q
 
 
+@build_once
+def _series_terms(d: int):
+    """Seam and Horner coefficients (in t^2, highest power first) of the
+    power series jd(t) = sum_k (-t^2/4)^k / (k! (nu + 1)_k) (DLMF 10.2.2)
+    at odd d >= 5.
+
+    The seam is max(1, n), n = (d - 3)/2, lowered to where the condition
+    sum |terms| / |jd| (increasing in t) reaches _SERIES_COND, which first
+    happens at d = 11; below it |jd| >= 1 / _SERIES_COND.  Each coefficient
+    is rounded once, from a quotient of exact integers.  The sum stops
+    before the first term below _SERIES_TAIL at max(1, n); the terms shrink
+    from there on, so the truncation error below the seam is under 2^-60,
+    less than eps / 64 relative to jd.
+    """
+    top = max(1, (d - 3) // 2)
+    # 4^k k! (nu + 1)_k = 2^k k! d (d + 2) ... (d + 2k - 2), in exact integers
+    dens = [1]
+    while True:
+        k = len(dens)
+        den = dens[-1] * 2 * k * (d + 2 * k - 2)
+        if top ** (2 * k) / den < _SERIES_TAIL:
+            break
+        dens.append(den)
+    coef = np.array([(-1) ** k / dens[k] for k in reversed(range(len(dens)))])
+    grid = np.linspace(0.0, top, 1025)
+    cond = np.polyval(np.abs(coef), grid**2) / np.polyval(coef, grid**2)
+    return float(grid[cond <= _SERIES_COND].max()), coef
+
+
 def _hankel(n: int, x: np.ndarray) -> np.ndarray:
     """J_n on a 1-D array past the seam of _hankel_terms(n).
 
@@ -136,10 +176,17 @@ def _jd_arr(d: int, r: np.ndarray) -> np.ndarray:
     # exactly 1 at r = 0 and keeps r^-n finite where the Bessel value underflows
     tiny = r < 1e-6
     x = np.where(tiny, 1.0, r)
-    if d % 2:
+    if d == 3:
+        vals = spherical_jn(0, x)  # sin x / x, unbiased
+    elif d % 2:
         # nu = n + 1/2 and J_nu(x) = sqrt(2x/pi) j_n(x) fold the prefactor to (2n+1)!!
         n = (d - 3) // 2
-        vals = math.prod(range(1, 2 * n + 2, 2)) * spherical_jn(n, x) / x**n
+        seam, coef = _series_terms(d)
+        low = x < seam
+        vals = np.empty_like(x)
+        vals[low] = np.polyval(coef, x[low] ** 2)
+        far = x[~low]
+        vals[~low] = math.prod(range(1, 2 * n + 2, 2)) * spherical_jn(n, far) / far**n
     else:
         n = d // 2 - 1
         far = x > _hankel_terms(n)[0]

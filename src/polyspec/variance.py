@@ -19,7 +19,7 @@ from scipy.special import roots_hermitenorm
 
 from . import specfun, walk
 from .geometry import BallSpec, Geometry, make_weight
-from .quadrature import check_converged, integrate_adaptive
+from .quadrature import _XK15, check_converged, integrate_adaptive
 
 __all__ = [
     "FieldSpec",
@@ -118,26 +118,24 @@ def regime_of(spec: PolyspectrumSpec) -> Regime:
 def _exact_quadrature(spec: PolyspectrumSpec, f, freq: float,
                       tol: float) -> VarianceEstimate:
     """q! int_0^end f(r) dr over the ball's pair distances by
-    oscillation-resolving adaptive quadrature: at least 8 panels per period
-    of a kernel at frequency freq."""
+    oscillation-resolving adaptive quadrature: its first pass is
+    max(8, ceil(end / width)) equal panels of at most width = pi / (4 freq),
+    8 per period of a kernel at frequency freq, passed to the engine as
+    split points.  More panels than the 6e6-evaluation budget covers are
+    refused before any edge is built."""
     qfac = math.factorial(spec.q)
     end = spec.ball.support_end
     max_evals = 6_000_000
-    # panels of width pi / (4 freq); 4 freq overflows past a frequency of
-    # about 4.5e307, and end / width past end * freq ~ 1.4e308: a count no
-    # float holds, far over any budget
+    # 4 freq overflows past a frequency of about 4.5e307, and end / width
+    # past end * freq ~ 1.4e308: a count no float holds, far over any budget
     width = math.pi / (4.0 * freq)
     panels = end / width if width > 0.0 else math.inf
-    if math.isinf(panels):
-        raise ValueError(f"exact quadrature at frequency {freq:g}: its initial panels"
-                         f" outnumber any float, far more than max_evals = {max_evals}")
-    min_panels = max(8, int(math.ceil(panels)))
-    if spec.field.geometry == Geometry.SPHERICAL:
-        # an even panel count keeps the partition symmetric about pi/2, so
-        # the parity cancellation is realized numerically as well
-        min_panels += min_panels % 2
+    if panels > max_evals // len(_XK15):
+        raise ValueError(f"exact quadrature at frequency {freq:g}: {panels:.3g} initial"
+                         f" panels need more than max_evals = {max_evals} evaluations")
+    edges = np.linspace(0.0, end, max(8, math.ceil(panels)) + 1)[1:-1]
     try:
-        res = integrate_adaptive(f, 0.0, end, tol / qfac, min_panels=min_panels,
+        res = integrate_adaptive(f, 0.0, end, tol / qfac, split_points=edges,
                                  max_evals=max_evals)
     except ValueError as exc:
         raise ValueError(f"exact quadrature at frequency {freq:g}: {exc}") from None

@@ -95,10 +95,6 @@ class WalkSpec:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"step count must be an integer >= 1, got {self.n}")
 
-    @property
-    def nu(self) -> float:
-        return 0.5 * self.d - 1.0
-
 
 @dataclass
 class DensityCurve:

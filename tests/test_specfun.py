@@ -126,6 +126,19 @@ class TestJd:
         envelope = jd_amplitude(d) * far ** (-0.5 * (d - 1))
         assert np.all(np.abs(sf.jd(d, far) - ref_far) <= 2e-15 * envelope)
 
+    @pytest.mark.parametrize("d", [5, 7, 9, 11, 13, 21])
+    def test_odd_d_unbiased_below_series_seam(self, d):
+        # spherical_jn(n, t) / t^n read a mean 2.6-6.0 eps relative high here
+        # (4.9 eps on (1e-3, 0.1) at d = 5), which q-th powers carry into I_q^d
+        seam = sf._series_terms(d)[0]
+        edges = [1e-3, 0.1, *np.arange(1.0, seam), seam]
+        rng = np.random.default_rng(d)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            t = rng.uniform(lo, hi, 80)
+            ref = np.array([jd_mpmath(d, r) for r in t])
+            bias = np.mean((sf.jd(d, t) - ref) / np.abs(ref))
+            assert abs(bias) <= np.finfo(float).eps, (lo, hi)
+
     @pytest.mark.parametrize("d", [*range(2, 11), 40])
     def test_scalar_and_0d_match_arrays(self, d):
         for r in (50.0, 1e4):

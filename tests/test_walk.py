@@ -761,11 +761,10 @@ class TestIdq:
         res = walk.idq(4, 100, IdqRoute.DIRECT_INTEGRAL)
         assert abs(res.value - LARGE_Q_REFERENCES[(4, 100)]) <= res.error
 
-    @pytest.mark.xfail(strict=True, reason="odd-d jd is biased by about 4 eps relative"
-                       " below t = 1; raised to the q-th power it puts I_q^d about"
-                       " 4 q eps off, past the head's bar")
     @pytest.mark.parametrize("d,q", [(5, 60), (5, 100), (5, 151), (7, 60), (9, 30)])
     def test_large_q_bars_cover_references(self, d, q):
+        # spherical_jn put odd-d jd about 4 eps high below t = max(1, (d - 3)/2),
+        # and I_q^d about 4 q eps off, past the head's bar
         res = walk.idq(d, q, IdqRoute.DIRECT_INTEGRAL)
         assert abs(res.value - LARGE_Q_REFERENCES[(d, q)]) <= res.error
 
