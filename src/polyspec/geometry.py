@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln, roots_jacobi
+from scipy.special import binom, gammaln, roots_jacobi
 
 # integrate_adaptive is not called here; perfbench's tracer wraps the name
 from .quadrature import integrate_adaptive  # noqa: F401
@@ -90,47 +90,47 @@ def ball_volume(d: int, R: float) -> float:
     return omega(d - 1) * R**d / d
 
 
-def _betainc_half(a: float, x, x_c) -> np.ndarray:
-    """I_x(a, 1/2) given both x and x_c = 1 - x, one betainc per point: from
-    x where x <= 1/2, else as 1 - I_(x_c)(1/2, a), so that neither side
-    loses the digits of its complement."""
-    x, x_c = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(x_c, dtype=float))
-    low = x <= 0.5
-    out = np.empty(x.shape)
-    out[low] = betainc(a, 0.5, x[low])
-    out[~low] = 1.0 - betainc(0.5, a, x_c[~low])
+def _sin_power_integral(m: int, x, v) -> np.ndarray:
+    """F_m(x) = int_x^1 (1 - t^2)^((m-1)/2) dt = int_0^arccos(x) sin^m for
+    x in [-1, 1], given x and v = 1 - x, vectorized.
+
+    Below x = 1/2 it is the quarter int_0^(pi/2) cos^m less int_0^arcsin(x)
+    cos^m, both from _cos_power_integrals.  From 1/2 on, where that
+    difference cancels, it is the tangency series 2^k v^(k+1) sum_j
+    binom(k, j) (-v/2)^j / (k + j + 1), k = (m - 1)/2.  It ends at j = k for
+    odd m; for even m its terms fall by at least v/2 <= 1/4 each past j = k,
+    and 27 more reach the last bit of the sum (24 do for every even m <= 80).
+    """
+    x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    out, low = np.empty(x.shape), x < 0.5
+    # sin = 1, cos = 0 appended gives the quarter as the last value
+    sin_phi, cos_phi = np.append(x[low], 1.0), np.append(np.sqrt(v[low] * (1.0 + x[low])), 0.0)
+    *_, (_, j) = _cos_power_integrals(m % 2, m, sin_phi, cos_phi)
+    out[low] = j[-1] - j[:-1]
+    k, w, i = 0.5 * (m - 1), v[~low], np.arange((m + 1) // 2 if m % 2 else m // 2 + 27)
+    out[~low] = (2.0 * w) ** k * w * np.polyval((binom(k, i) / (k + i + 1))[::-1], -0.5 * w)
     return out
 
 
 def weight_euclidean(d: int, R: float, r):
     """omega_{d-1} times the lens volume of two radius-R balls at distance r.
 
-    The lens, two caps of height R - r/2, is ball_volume(d, R) times
-    I_(1-u^2)((d+1)/2, 1/2), u = r / 2R; identically 0 for r >= 2R.
+    The lens is two caps, each omega_{d-2} R^d F_d(u) / (d - 1) with
+    u = r / 2R (_sin_power_integral); identically 0 for r >= 2R.
     """
     BallSpec(Geometry.EUCLIDEAN, d, R)  # validates d and R
     arr = np.asarray(r, dtype=float)
     u = np.minimum(0.5 * np.abs(arr) / R, 1.0)
-    lens = ball_volume(d, R) * _betainc_half((d + 1) / 2.0, (1.0 - u) * (1.0 + u), u * u)
-    out = omega(d - 1) * lens
+    out = 2.0 * omega(d - 1) * omega(d - 2) * R**d / (d - 1) * _sin_power_integral(d, u, 1.0 - u)
     return float(out) if arr.ndim == 0 else out
 
 
-def _sin_power_integral(m: int, phi) -> np.ndarray:
-    """int_0^phi sin(psi)^m dpsi for phi in [0, pi], vectorized in phi."""
-    phi = np.clip(np.asarray(phi, dtype=float), 0.0, math.pi)
-    if m == 0:
-        return phi
-    k = (m + 1) / 2.0
-    total = math.exp(betaln(k, 0.5))  # int_0^pi sin^m
-    half = 0.5 * total * _betainc_half(k, np.sin(phi) ** 2, np.cos(phi) ** 2)
-    return np.where(phi <= 0.5 * math.pi, half, total - half)
-
-
 def cap_volume(d: int, R: float) -> float:
-    """Volume of a geodesic cap of radius R on S^d: omega_{d-1} int_0^R sin^(d-1)."""
+    """Volume of a geodesic cap of radius R on S^d: omega_{d-1} int_0^R sin^(d-1),
+    which is F_(d-1)(cos R) with 1 - cos R = 2 sin^2(R/2) (_sin_power_integral)."""
     BallSpec(Geometry.SPHERICAL, d, R)  # validates d and R
-    return omega(d - 1) * float(_sin_power_integral(d - 1, R))
+    v = 2.0 * math.sin(0.5 * R) ** 2
+    return omega(d - 1) * float(_sin_power_integral(d - 1, math.cos(R), v))
 
 
 def _cos_power_integrals(m0: int, m1: int, sin_phi, cos_phi):

@@ -2,11 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta, betainc
 
 from polyspec import geometry as geo
 from polyspec.quadrature import check_converged, integrate_adaptive_batch
 
 _X16, _W16 = np.polynomial.legendre.leggauss(16)
+
+
+def sin_power_integral(m: int, phi) -> np.ndarray:
+    """int_0^phi sin^m for phi in [0, pi] and m >= 0, by scipy's incomplete Beta.
+
+    With x = cos^2 phi it is B((m+1)/2, 1/2) (1 - sign(cos phi) I_x(1/2, (m+1)/2)) / 2:
+    I_x(1/2, a) grows like |cos phi| from x = 0, so phi next to pi/2 keeps its
+    digits.  At m = 0 that is arccos(cos phi), which loses small phi, so m = 0
+    returns phi itself.
+    """
+    if m == 0:
+        return np.asarray(phi, dtype=float)
+    c = np.cos(np.asarray(phi, dtype=float))
+    a = 0.5 * (m + 1)
+    return 0.5 * beta(a, 0.5) * (1.0 - np.sign(c) * betainc(0.5, a, c * c))
 
 
 def latitude_weight(d: int, R: float, r, tol: float) -> np.ndarray:
@@ -28,7 +44,7 @@ def latitude_weight(d: int, R: float, r, tol: float) -> np.ndarray:
         ct, st = np.cos(theta), np.sin(theta)
         arg = (math.cos(R) - ct * cos_r[k]) / np.maximum(st * sin_r[k], 1e-300)
         phi = np.arccos(np.clip(arg, -1.0, 1.0))
-        return st ** (d - 1) * geo.omega(d - 2) * geo._sin_power_integral(d - 2, phi)
+        return st ** (d - 1) * geo.omega(d - 2) * sin_power_integral(d - 2, phi)
 
     # the zone enters or leaves the second cap directly (theta = |r - R|,
     # r + R) or by wrapping past the far pole (theta = 2 pi - r - R)
