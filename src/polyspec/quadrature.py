@@ -16,10 +16,12 @@ split points) and refines all of them in the same array operations, calling
 f once per chunk of panels with their Kronrod nodes.  Split points are the
 only input to the first pass: it takes one panel per piece between an
 integral's limits and its split points, and a first pass that alone needs
-more than max_evals evaluations is refused before f runs.  Each integral
-keeps its own refinement, budget and convergence flag, bit for bit those of
-a call on it alone; integrate_adaptive is the K = 1 case.  check_converged
-turns an unconverged result beyond 100 tol into NonConvergedError.
+more than max_evals evaluations is refused before f runs.  Each step, an
+integral bisects every panel whose error is at least half its mean panel
+error.  Each integral keeps its own refinement, budget and convergence
+flag, bit for bit those of a call on it alone; integrate_adaptive is the
+K = 1 case.  check_converged turns an unconverged result beyond 100 tol
+into NonConvergedError.
 """
 
 from __future__ import annotations
@@ -206,14 +208,15 @@ def _refine(f, a, b, tol, splits, max_evals: int):
     """Refine a family of integrals together; returns (value, error,
     n_evals, converged), one entry per integral.
 
-    Every step, each integral still open bisects the panels that carry 90%
-    of its own error (largest first, within its own budget); the panel
-    arrays stay grouped by integral, in the order a single integral would
-    keep them, so each result is independent of its neighbours.
+    Every step, each integral still open bisects every candidate panel whose
+    error is at least half its mean candidate error (near its budget only
+    the largest of them that fit).  Panels stay in creation order: kept
+    panels, then new left halves, then new right halves.  Every
+    per-integral sum is a sequential bincount in that order, so each result
+    is bit for bit independent of its neighbours.
     """
     m = len(a)
-    value, error = np.empty(m), np.empty(m)
-    n_evals, converged = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool)
+    value, error, converged = np.empty(m), np.empty(m), np.zeros(m, dtype=bool)
     # frozen panel width: bisection stops at or below it, so every panel is
     # wider than narrow / 2 and its outermost Kronrod node lies more than
     # 1.28e-16 (|a| + |b| + 1) > 2^-53 |edge| inside it: no node rounds onto
@@ -227,65 +230,50 @@ def _refine(f, a, b, tol, splits, max_evals: int):
         raise ValueError(f"{np.max(spent) // per_panel} initial panels need more than"
                          f" max_evals = {max_evals} evaluations")
     vals, errs = _panel_pair(f, lefts, rights, owner, narrow[owner])
+    live = np.ones(m, dtype=bool)
     while True:
-        counts = np.bincount(owner, minlength=m)
-        act = np.flatnonzero(counts)
-        starts = np.cumsum(counts[act]) - counts[act]
-        total = np.add.reduceat(vals, starts)
-        total_err = np.add.reduceat(errs, starts)
+        total = np.bincount(owner, vals, minlength=m)
+        total_err = np.bincount(owner, errs, minlength=m)
         # panels at rounding width are frozen: their residual is irreducible
         cand = (rights - lefts > narrow[owner]) & (errs > 0)
-        n_cand = np.bincount(owner[cand], minlength=m)[act]
-        ok = total_err <= tol[act]
+        n_cand = np.bincount(owner[cand], minlength=m)
+        ok = total_err <= tol
         # so is an error at the rounding level of the sum, eps sum |panels|:
         # a tol below it stops there, unconverged, not at the budget
-        rounded = total_err <= _EPS * np.add.reduceat(np.abs(vals), starts)
-        done = ok | rounded | (spent[act] >= max_evals) | (n_cand == 0)
-        fin = act[done]
-        value[fin] = total[done]
-        error[fin] = total_err[done]
-        n_evals[fin] = spent[fin]
-        converged[fin] = ok[done]
-        if done.all():
-            return value, error, n_evals, converged
-        if done.any():
-            live = ~np.isin(owner, fin)
-            lefts, rights, owner = lefts[live], rights[live], owner[live]
-            vals, errs, cand = vals[live], errs[live], cand[live]
-            act, n_cand = act[~done], n_cand[~done]
-        # per integral: candidates first, by decreasing error (stable)
-        order = np.lexsort((-errs, ~cand, owner))
-        row = np.empty(m, dtype=np.int64)
-        row[act] = np.arange(len(act))
-        o_sorted = owner[order]
-        n_panels = np.bincount(o_sorted, minlength=m)
-        rank = np.arange(len(order)) - (np.cumsum(n_panels) - n_panels)[o_sorted]
-        c_sorted = cand[order]
-        # cumulative errors row by row (a sequential sum within each row, so
-        # no integral's split count depends on another's errors)
-        table = np.zeros((len(act), int(n_cand.max())))
-        table[row[o_sorted[c_sorted]], rank[c_sorted]] = errs[order][c_sorted]
-        csum = np.cumsum(table, axis=1)
-        n_split = np.count_nonzero(csum < 0.90 * csum[:, -1:], axis=1) + 1
-        n_split = np.minimum(n_split, np.minimum(
-            n_cand, np.maximum(1, (max_evals - spent[act]) // (2 * per_panel))))
-        take = np.zeros(m, dtype=np.int64)
-        take[act] = n_split
-        idx = order[c_sorted & (rank < take[o_sorted])]
-        spent[act] += 2 * per_panel * n_split
-        keep = np.ones(len(lefts), dtype=bool)
-        keep[idx] = False
+        rounded = total_err <= _EPS * np.bincount(owner, np.abs(vals), minlength=m)
+        done = live & (ok | rounded | (spent >= max_evals) | (n_cand == 0))
+        value[done], error[done], converged[done] = total[done], total_err[done], ok[done]
+        live &= ~done
+        if not live.any():
+            return value, error, spent, converged
+        # half the mean: the largest candidate is never below the mean, so at
+        # least one panel splits even where rounding lifts the mean of equal
+        # errors above every one of them
+        mean = np.bincount(owner[cand], errs[cand], minlength=m) / np.maximum(n_cand, 1)
+        split = cand & (errs >= 0.5 * mean[owner]) & live[owner]
+        n_split = np.bincount(owner[split], minlength=m)
+        cap = np.maximum(1, (max_evals - spent) // (2 * per_panel))
+        capped = split & (n_split > cap)[owner]
+        if capped.any():  # near the budget: only the cap largest, by error
+            idx = np.flatnonzero(capped)
+            idx = idx[np.lexsort((-errs[idx], owner[idx]))]
+            n_over = np.bincount(owner[idx], minlength=m)
+            rank = np.arange(len(idx)) - (np.cumsum(n_over) - n_over)[owner[idx]]
+            split[idx[rank >= cap[owner[idx]]]] = False
+            n_split = np.minimum(n_split, cap)
+        spent += 2 * per_panel * n_split
+        keep = live[owner] & ~split
+        idx = np.flatnonzero(split)
         mids = 0.5 * (lefts[idx] + rights[idx])
         new_l = np.concatenate([lefts[idx], mids])
         new_r = np.concatenate([mids, rights[idx]])
         new_o = np.concatenate([owner[idx], owner[idx]])
         sub_v, sub_e = _panel_pair(f, new_l, new_r, new_o, narrow[new_o])
-        regroup = np.argsort(np.concatenate([owner[keep], new_o]), kind="stable")
-        lefts = np.concatenate([lefts[keep], new_l])[regroup]
-        rights = np.concatenate([rights[keep], new_r])[regroup]
-        owner = np.concatenate([owner[keep], new_o])[regroup]
-        vals = np.concatenate([vals[keep], sub_v])[regroup]
-        errs = np.concatenate([errs[keep], sub_e])[regroup]
+        lefts = np.concatenate([lefts[keep], new_l])
+        rights = np.concatenate([rights[keep], new_r])
+        owner = np.concatenate([owner[keep], new_o])
+        vals = np.concatenate([vals[keep], sub_v])
+        errs = np.concatenate([errs[keep], sub_e])
 
 
 def _check_tol(tol) -> None:
@@ -344,10 +332,11 @@ def integrate_adaptive(
 ) -> QuadResult:
     """Adaptive integration of f over the finite interval [a, b].
 
-    f must accept a 1-D numpy array.  Bisection refinement of the panels with
-    the largest embedded-pair discrepancy |K15 - G7|; endpoints are never
-    evaluated.  The first pass takes one panel per piece between a, the
-    split_points (known interior kinks or chosen panel edges) and b.
+    f must accept a 1-D numpy array.  Bisection refinement of the panels
+    whose embedded-pair discrepancy |K15 - G7| is at least half its mean;
+    endpoints are never evaluated.  The first pass takes one panel per
+    piece between a, the split_points (known interior kinks or chosen panel
+    edges) and b.
     Non-convergence within the budget returns the best estimate with
     converged=False; so does an error estimate at the rounding level of the
     sum, eps sum |panel estimates|, which ends the refinement of a tol below

@@ -159,18 +159,16 @@ def variance_exact_euclidean(spec: PolyspectrumSpec, tol: float = 1e-9) -> Varia
     return _exact_quadrature(spec, f, lam, tol)
 
 
-def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9,
-                             shortcut_parity: bool = True) -> VarianceEstimate:
+def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9) -> VarianceEstimate:
     """q! int_0^pi G(cos r)^q sin(r)^(d-1) W(r) dr at degree ell.
 
     Whole-sphere odd-odd specs vanish identically by the degree parity of
-    the covariance polynomial; that regime short-circuits to exactly 0
-    unless shortcut_parity is disabled for diagnostics.
+    the covariance polynomial; that regime short-circuits to exactly 0.
     """
     if spec.field.geometry != Geometry.SPHERICAL:
         raise ValueError("spherical spec required")
     regime = regime_of(spec)
-    if regime is Regime.PARITY_ZERO and shortcut_parity:
+    if regime is Regime.PARITY_ZERO:
         return VarianceEstimate(spec, 0.0, Method.EXACT_QUADRATURE, 0.0, regime)
     d, q = spec.field.d, spec.q
     gspec = specfun.GegenbauerSpec(d, spec.field.ell)

@@ -56,6 +56,10 @@ MAX_RECURSION_STEPS = 8
 SINGULAR_WARNING_RADIUS = 1e-3
 # walks drawn by the Monte Carlo density route
 MC_DENSITY_SAMPLES = 1_000_000
+# rounding bar of the closed forms, per unit |value|: against 40-digit
+# mpmath, I_3^d (d = 2..10) is at most 2.6 eps off, I_5^2 3.3 eps and rho_2
+# on (0, 2) 4.5 eps (d = 2..10); 16 eps leaves a margin of 3.5
+_CLOSED_FORM_BAR = 16.0 * quadrature._EPS
 
 # interior points where the density is infinite: the planar three-step walk
 # at unit radius is the only one (larger n smooths it away)
@@ -124,15 +128,16 @@ def _norm_factor(d: int) -> float:
 def rho2_closed(d: int, r):
     """Radius density of the two-step flight on (0, 2), zero outside.
 
-    (2 / (pi binom(2nu, nu))) r^(2nu) (4 - r^2)^(nu - 1/2); the central
-    binomial of half-integer order goes through log-gamma.
+    (2 / (pi binom(2nu, nu))) r^(2nu) ((2 - r)(2 + r))^(nu - 1/2): 2 - r is
+    exact next to r = 2, where 4 - r^2 would lose digits to the rounding of
+    r^2.  The central binomial of half-integer order goes through log-gamma.
     """
     nu = specfun._validate_dim(d)
     arr = np.asarray(r, dtype=float)
     binom = math.exp(gammaln(2 * nu + 1) - 2 * gammaln(nu + 1))
     inside = (arr > 0) & (arr < 2)
     x = np.where(inside, arr, 1.0)
-    vals = 2.0 / (math.pi * binom) * x ** (2 * nu) * (4.0 - x * x) ** (nu - 0.5)
+    vals = 2.0 / (math.pi * binom) * x ** (2 * nu) * ((2.0 - x) * (2.0 + x)) ** (nu - 0.5)
     out = np.where(inside, vals, 0.0)
     return float(out) if arr.ndim == 0 else out
 
@@ -642,7 +647,8 @@ def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
     Routes: DirectIntegral is (nu!)^2 4^nu density_kluyver at q - 1 steps
     and r = 1, its bar that factor times the density's plus 4 eps |value|;
     RecursionEndpoint uses (nu!)^2 4^nu psi^d_{q-1}(1); ClosedForm covers
-    q = 3 and (2, 5).
+    q = 3 and (2, 5).  Closed-form values, q = 3 by recursion too, carry
+    the rounding bar _CLOSED_FORM_BAR |value|.
     Divergent classifications return no value regardless of route; they
     are decided analytically by classify_idq, never numerically.  A direct
     integral left unconverged beyond 100 tol raises NonConvergedError.
@@ -652,12 +658,13 @@ def idq(d: int, q: int, route: IdqRoute | str = IdqRoute.DIRECT_INTEGRAL,
     if cls is Classification.DIVERGENT:
         return IdqResult(d, q, cls, None, None, route)
     if route is IdqRoute.CLOSED_FORM:
-        return IdqResult(d, q, cls, idq_closed_form(d, q), 0.0, route)
+        val = idq_closed_form(d, q)
+        return IdqResult(d, q, cls, val, _CLOSED_FORM_BAR * abs(val), route)
     fac = _norm_factor(d)
     if route is IdqRoute.RECURSION_ENDPOINT:
         if q == 3:
             val = fac * float(_psi2(d, np.asarray(1.0)))
-            return IdqResult(d, q, cls, val, 1e-15 * abs(val), route)
+            return IdqResult(d, q, cls, val, _CLOSED_FORM_BAR * abs(val), route)
         if q - 1 > MAX_RECURSION_STEPS:
             raise ValueError("recursion endpoint limited to q <= cap + 1")
         rho = density_recursion(WalkSpec(d, q - 1), 1.0)
@@ -711,7 +718,7 @@ def density_on_grid(spec: WalkSpec, grid: np.ndarray, route: DensityRoute,
         if spec.n != 2:
             raise ValueError("closed form applies to n = 2 only")
         vals = rho2_closed(spec.d, grid)
-        errs = np.full_like(grid, 1e-15) * np.abs(vals)
+        errs = _CLOSED_FORM_BAR * np.abs(vals)
     elif route is DensityRoute.KLUYVER:
         vals, errs = np.empty_like(grid), np.empty_like(grid)
         for i, r in enumerate(grid):

@@ -12,6 +12,7 @@ from polyspec import specfun as sf
 from polyspec import variance as va
 from polyspec import walk
 from polyspec.geometry import Geometry
+from polyspec.quadrature import integrate_adaptive
 from polyspec.walk import Classification, IdqRoute, WalkSpec
 
 E, S = Geometry.EUCLIDEAN, Geometry.SPHERICAL
@@ -173,9 +174,13 @@ def test_criterion_06_d2q4_log_regime():
 
 
 def test_criterion_07_spherical_parity():
-    raw11 = va.variance_exact_spherical(
-        va.PolyspectrumSpec(va.FieldSpec(S, 2, 11), 3, math.pi),
-        shortcut_parity=False,
+    # the odd-odd integrand G(cos r)^3 sin(r) W(r) itself, on the exact
+    # route's first pass of 8 panels per period at L = 11.5
+    gspec = sf.GegenbauerSpec(2, 11)
+    w = geo.make_weight(geo.BallSpec(S, 2, math.pi))
+    raw11 = math.factorial(3) * integrate_adaptive(
+        lambda r: sf.gegenbauer(gspec, np.cos(r)) ** 3 * np.sin(r) * w(r),
+        0.0, math.pi, 1e-9 / 6, split_points=np.linspace(0.0, math.pi, 47)[1:-1],
     ).value
     v12 = va.variance_exact_spherical(
         va.PolyspectrumSpec(va.FieldSpec(S, 2, 12), 3, math.pi)

@@ -281,6 +281,65 @@ class TestAdaptiveBatch:
         quad.check_converged(fam[0], tol[0])
 
 
+def _scripted_errors(monkeypatch, error_of):
+    """Replace the panel rule: every panel has value 0 and the error
+    error_of(lefts, rights); returns the list of (lefts, rights) per call."""
+    calls = []
+
+    def pair(f, lefts, rights, owner, narrow_width):
+        calls.append((lefts.copy(), rights.copy()))
+        return np.zeros(len(lefts)), error_of(lefts, rights)
+
+    monkeypatch.setattr(quad, "_panel_pair", pair)
+    return calls
+
+
+class TestSplitRule:
+    """Each step bisects every panel whose error is at least half its
+    integral's mean, within the budget."""
+
+    def test_splits_only_panels_above_half_the_mean(self, monkeypatch):
+        # one panel at 1.0 and 20 at 0.01: the mean is 0.057, so only the
+        # first splits (a rule that splits until 90% of the error is covered
+        # takes 9).  Halves report no error, so the second step converges.
+        width = 1.0 / 21
+        calls = _scripted_errors(monkeypatch, lambda lo, hi: np.where(
+            hi - lo < 0.75 * width, 0.0, np.where(lo == 0.0, 1.0, 0.01)))
+        res = quad.integrate_adaptive(lambda x: x, 0.0, 1.0, 0.5,
+                                      split_points=np.arange(1, 21) * width)
+        assert res.converged and res.abs_error_estimate == pytest.approx(0.2)
+        assert len(calls) == 2 and len(calls[0][0]) == 21
+        lefts, rights = calls[1]
+        assert np.array_equal(lefts, [0.0, 0.5 * width])
+        assert np.array_equal(rights, [0.5 * width, width])
+        assert res.n_evals == 23 * len(quad._XK15)
+
+    def test_equal_errors_make_progress(self, monkeypatch):
+        # three panels at 0.1 have a rounded mean above 0.1: a threshold of
+        # the whole mean would split none of them, and never stop
+        assert np.mean([0.1, 0.1, 0.1]) > 0.1
+        calls = _scripted_errors(monkeypatch, lambda lo, hi: np.full(len(lo), 0.1))
+        res = quad.integrate_adaptive(lambda x: x, 0.0, 1.0, 1e-3,
+                                      split_points=(1 / 3, 2 / 3), max_evals=3_000)
+        assert [len(lo) for lo, _ in calls[:4]] == [3, 6, 12, 24]
+        assert all(len(lo) >= 2 for lo, _ in calls[1:])
+        assert not res.converged and 3_000 <= res.n_evals < 3_000 + 30
+
+    def test_budget_takes_largest_first(self, monkeypatch):
+        # ten panels whose errors grow with x, all above half the mean: 135
+        # evaluations left allow 4 bisections, so the 4 rightmost split; then
+        # 15 left allow none, and the largest panel splits alone
+        calls = _scripted_errors(monkeypatch, lambda lo, hi: 1.0 + lo)
+        res = quad.integrate_adaptive(lambda x: x, 0.0, 1.0, 1e-9, max_evals=285,
+                                      split_points=np.arange(1, 10) / 10)
+        assert not res.converged
+        assert 285 <= res.n_evals < 285 + 30
+        assert res.n_evals == (10 + 2 * 4 + 2) * len(quad._XK15)
+        assert [len(lo) for lo, _ in calls] == [10, 8, 2]
+        assert np.allclose(np.sort(calls[1][0])[::2], [0.6, 0.7, 0.8, 0.9])
+        assert np.allclose(calls[2][0], [0.95, 0.975])
+
+
 EXPINT_ORDERS = [0.5, 1.5, 2.5, 4.5, 2.0, 3.0, 4.0, 9.0]
 # |omega T| on both sides of the seam between the series and the fraction
 EXPINT_ARGS = [1e-8, 1e-3, 0.3, 1.0, quad._EXPINT_SEAM * (1 - 1e-12),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polyspec import specfun
 from polyspec import variance as va
 from polyspec import walk
 from polyspec.geometry import BallSpec, Geometry, WeightFunction, cap_volume, make_weight, omega
@@ -86,11 +87,16 @@ class TestExactSpherical:
         assert v.value == 0.0 and v.regime is va.Regime.PARITY_ZERO
 
     def test_parity_raw_quadrature_tiny(self):
-        raw = va.variance_exact_spherical(
-            sphere(2, 11, 3, math.pi), shortcut_parity=False
-        )
+        # the odd-odd integrand G(cos r)^3 sin(r) W(r) itself, on the exact
+        # route's first pass of 8 panels per period at L = 11.5
+        gspec = specfun.GegenbauerSpec(2, 11)
+        w = make_weight(sphere(2, 11, 3, math.pi).ball)
+        raw = math.factorial(3) * integrate_adaptive(
+            lambda r: specfun.gegenbauer(gspec, np.cos(r)) ** 3 * np.sin(r) * w(r),
+            0.0, math.pi, 1e-9 / 6, split_points=np.linspace(0.0, math.pi, 47)[1:-1],
+        ).value
         scale = math.factorial(3) * omega(1) * omega(2)
-        assert abs(raw.value) <= 1e-12 * scale
+        assert abs(raw) <= 1e-12 * scale
 
     def test_even_degree_full_sphere_constant(self):
         v = va.variance_exact_spherical(sphere(2, 12, 3, math.pi))

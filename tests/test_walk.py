@@ -24,6 +24,20 @@ class TestRho2Closed:
             2.0 / (math.pi * math.sqrt(3.0)), rel=1e-14
         )
 
+    def test_closed_route_bars_cover_mpmath(self):
+        # next to r = 2, 4 - r^2 lost up to 228 eps to the rounding of r^2
+        mpmath = pytest.importorskip("mpmath")
+        grid = np.concatenate([np.linspace(0.0, 2.0, 1001), 2.0 - np.geomspace(1e-12, 1.0, 60)])
+        for d in range(2, 11):
+            curve = walk.density_on_grid(WalkSpec(d, 2), grid, DensityRoute.CLOSED_FORM2)
+            with mpmath.workdps(40):
+                nu = mpmath.mpf(d) / 2 - 1
+                scale = 2 * mpmath.gamma(nu + 1) ** 2 / (mpmath.pi * mpmath.gamma(2 * nu + 1))
+                for r, value, err in zip(grid, *curve):
+                    rm = mpmath.mpf(float(r))
+                    ref = scale * rm ** (2 * nu) * (4 - rm**2) ** (nu - 0.5) if 0 < r < 2 else 0
+                    assert abs(value - ref) <= err, (d, r)
+
     def test_outside_support(self):
         assert walk.rho2_closed(2, 2.5) == 0.0
         assert walk.rho2_closed(4, -0.1) == 0.0
@@ -278,9 +292,10 @@ def test_recursion_endpoint_against_direct(d):
 
 def test_psi_levels_work_count(monkeypatch):
     """The psi levels `polyspec table` reads take one engine call each,
-    converge in every integral and, together, take fewer than 3 M integrand
-    evaluations (PCHIP tables took 26 M; 4.9 M while the planar psi_4 nodes
-    at r ~ 1e-9 ran out their budgets on the rounding noise of 1.0 - u)."""
+    converge in every integral and, together, take fewer than 1.75 M
+    integrand evaluations (1.69 M; PCHIP tables took 26 M; 4.9 M while the
+    planar psi_4 nodes at r ~ 1e-9 ran out their budgets on the rounding
+    noise of 1.0 - u)."""
     engine = quadrature.integrate_adaptive_batch
     evals = []
 
@@ -296,7 +311,7 @@ def test_psi_levels_work_count(monkeypatch):
         walk._psi_level(d, 6)
     # d = 2 tabulates n = 4, 5, 6 (n = 3 is exact); d >= 3 tabulates n = 3 to 6
     assert len(evals) == 3 + 4 * 4
-    assert sum(evals) < 3_000_000
+    assert sum(evals) < 1_750_000
 
 
 class TestDensityKluyver:
@@ -781,6 +796,23 @@ class TestIdq:
     def test_closed_route_rejected_outside_coverage(self):
         with pytest.raises(ValueError):
             walk.idq(3, 5, IdqRoute.CLOSED_FORM)
+
+    def test_closed_form_bars_cover_mpmath(self):
+        # the closed forms are a few eps off a 40-digit reference (I_5^2 by
+        # 3.3 eps), so a bar of 0.0 or of 1e-15 |value| does not cover them
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            refs = {(2, 5): mpmath.sqrt(5) / (40 * mpmath.pi**4) * mpmath.fprod(
+                mpmath.gamma(mpmath.mpf(f) / 15) for f in (1, 2, 4, 8))}
+            for d in range(2, 11):
+                nu = mpmath.mpf(d) / 2 - 1
+                refs[d, 3] = (2 / (mpmath.pi * mpmath.sqrt(3)) * 12**nu
+                              * mpmath.gamma(nu + 1) ** 4 / mpmath.gamma(2 * nu + 1))
+            for (d, q), ref in refs.items():
+                routes = [IdqRoute.CLOSED_FORM] + [IdqRoute.RECURSION_ENDPOINT] * (q == 3)
+                for route in routes:
+                    res = walk.idq(d, q, route)
+                    assert abs(res.value - ref) <= res.error, (d, q, route)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_route_consistency_up_to_q7(self, d):
