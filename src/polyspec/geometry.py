@@ -113,16 +113,9 @@ def _sin_power_integral(m: int, x, v) -> np.ndarray:
 
 
 def weight_euclidean(d: int, R: float, r):
-    """omega_{d-1} times the lens volume of two radius-R balls at distance r.
-
-    The lens is two caps, each omega_{d-2} R^d F_d(u) / (d - 1) with
-    u = r / 2R (_sin_power_integral); identically 0 for r >= 2R.
-    """
-    BallSpec(Geometry.EUCLIDEAN, d, R)  # validates d and R
-    arr = np.asarray(r, dtype=float)
-    u = np.minimum(0.5 * np.abs(arr) / R, 1.0)
-    out = 2.0 * omega(d - 1) * omega(d - 2) * R**d / (d - 1) * _sin_power_integral(d, u, 1.0 - u)
-    return float(out) if arr.ndim == 0 else out
+    """omega_{d-1} times the lens volume of two radius-R balls at distance r,
+    in closed form (make_weight)."""
+    return make_weight(BallSpec(Geometry.EUCLIDEAN, d, R))(r)  # validates d and R
 
 
 def cap_volume(d: int, R: float) -> float:
@@ -187,7 +180,7 @@ def _cap_weight(spec: BallSpec) -> WeightFunction:
     d, R = spec.d, spec.R
     if R >= math.pi:
         const = omega(d - 1) * omega(d)
-        return WeightFunction(spec, lambda r: np.full_like(r, const), math.pi * const)
+        return WeightFunction(spec, lambda r: np.full_like(r, const), math.pi * const, 0.0)
     c = abs(math.cos(R) / math.sin(R))
     K = omega(d - 1) * omega(d - 2) * math.sin(R) ** (d - 1) / (d - 1)
     cap = cap_volume(d, R)
@@ -206,7 +199,7 @@ def _cap_weight(spec: BallSpec) -> WeightFunction:
              * (1.0 + c * np.sinh(v)))
     f = 4.0 * np.arctan(np.sinh(v)) / np.cosh(v) * inner ** (0.5 * (d - 1))
     moment = K * (0.5 * v_end) ** (0.5 * (d + 1)) * float(wx @ f)
-    return WeightFunction(spec, ev, math.pi * w_pi + moment)
+    return WeightFunction(spec, ev, math.pi * w_pi + moment, r_end)
 
 
 def weight_spherical(d: int, R: float, r):
@@ -221,11 +214,13 @@ def weight_spherical(d: int, R: float, r):
 @dataclass
 class WeightFunction:
     """Pair-distance weight of a ball or cap, vectorized over distances,
-    with its exact integral int_0^support_end W(r) dr."""
+    with its exact integral int_0^support_end W(r) dr and the kink from
+    which W is constant (nan where none is known)."""
 
     spec: BallSpec
     _eval: Callable[[np.ndarray], np.ndarray]
     integral: float
+    kink: float = math.nan
 
     def __call__(self, r):
         arr = np.asarray(r, dtype=float)
@@ -244,11 +239,18 @@ class WeightFunction:
 def make_weight(spec: BallSpec) -> WeightFunction:
     """Build the weight function for a ball spec, in closed form.
 
-    A Euclidean ball's integral is _ball_weight_integral; a cap's is pi W(pi)
-    plus a fixed Gauss-Jacobi moment (see _cap_weight).
+    A cap's is _cap_weight.  A ball's is omega_{d-1} times a lens of two
+    caps, each omega_{d-2} R^d F_d(u) / (d - 1) with u = r / 2R
+    (_sin_power_integral), 0 from its kink r = 2R on, with the integral
+    _ball_weight_integral.
     """
-    d, R = spec.d, spec.R
     if spec.geometry == Geometry.SPHERICAL:
         return _cap_weight(spec)
-    return WeightFunction(spec, lambda r: weight_euclidean(d, R, r),
-                          _ball_weight_integral(d, R))
+    d, R = spec.d, spec.R
+    const = 2.0 * omega(d - 1) * omega(d - 2) * R**d / (d - 1)
+
+    def ev(r: np.ndarray) -> np.ndarray:
+        u = np.minimum(0.5 * np.abs(r) / R, 1.0)
+        return const * _sin_power_integral(d, u, 1.0 - u)
+
+    return WeightFunction(spec, ev, _ball_weight_integral(d, R), 2.0 * R)

@@ -16,12 +16,13 @@ split points) and refines all of them in the same array operations, calling
 f once per chunk of panels with their Kronrod nodes.  Split points are the
 only input to the first pass: it takes one panel per piece between an
 integral's limits and its split points, and a first pass that alone needs
-more than max_evals evaluations is refused before f runs.  Each step, an
-integral bisects every panel whose error is at least half its mean panel
-error.  Each integral keeps its own refinement, budget and convergence
-flag, bit for bit those of a call on it alone; integrate_adaptive is the
-K = 1 case.  check_converged turns an unconverged result beyond 100 tol
-into NonConvergedError.
+more than max_evals evaluations is refused before f runs (period_splits
+gives an oscillatory integrand one per period).  Each step, an integral
+bisects every panel whose error is at least half its mean panel error.
+Each integral keeps its own refinement, budget and convergence flag, bit
+for bit those of a call on it alone; integrate_adaptive is the K = 1
+case.  check_converged turns an unconverged result beyond 100 tol into
+NonConvergedError.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "NonConvergedError",
     "integrate_adaptive",
     "integrate_adaptive_batch",
+    "period_splits",
     "check_converged",
     "power_exp_tail",
     "gauss_jacobi_symmetric",
@@ -347,6 +349,19 @@ def integrate_adaptive(
         max_evals=max_evals,
     )
     return res[0]
+
+
+def period_splits(a: float, b: float, omega: float, max_evals: int = 2_000_000) -> np.ndarray:
+    """Split points a + k 2 pi / omega, k = 1, 2, .., through b: one panel
+    per period of an integrand's fastest harmonic omega.  More panels than
+    max_evals covers, an overflow to inf among them, raise ValueError
+    before any point is built."""
+    period = 2.0 * np.pi / omega
+    count = (b - a) / period if period > 0.0 else np.inf
+    if not count <= max_evals // len(_XK15):
+        raise ValueError(f"{count:.3g} initial panels need more than"
+                         f" max_evals = {max_evals} evaluations")
+    return a + period * np.arange(1.0, np.ceil(count) + 1.0)
 
 
 def _expint(p, z):

@@ -3,9 +3,10 @@
 For a unit-variance Gaussian wave with radial covariance kernel rho(r), the
 Hermite moment identity E[H_q(X) H_q(Y)] = q! E[XY]^q turns the variance of
 int_D H_q(field) into a single radial integral of q! rho^q against the
-domain's pair-distance weight.  Exact evaluation resolves the oscillations
-with a frequency-matched panel size; the high-frequency predictors carry
-fully explicit leading constants tied to the wave-moment integrals.
+domain's pair-distance weight.  Exact evaluation starts on one panel per
+period of rho^q's fastest harmonic, split at the weight's kink; the
+high-frequency predictors carry explicit constants tied to the wave-moment
+integrals.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy.special import roots_hermitenorm
 
 from . import specfun, walk
 from .geometry import BallSpec, Geometry, make_weight
-from .quadrature import _XK15, check_converged, integrate_adaptive
+from .quadrature import check_converged, integrate_adaptive, period_splits
 
 __all__ = [
     "FieldSpec",
@@ -115,28 +116,20 @@ def regime_of(spec: PolyspectrumSpec) -> Regime:
     return Regime.GENERIC
 
 
-def _exact_quadrature(spec: PolyspectrumSpec, f, freq: float,
+def _exact_quadrature(spec: PolyspectrumSpec, kernel, measure, freq: float,
                       tol: float) -> VarianceEstimate:
-    """q! int_0^end f(r) dr over the ball's pair distances by
-    oscillation-resolving adaptive quadrature: its first pass is
-    max(8, ceil(end / width)) equal panels of at most width = pi / (4 freq),
-    8 per period of a kernel at frequency freq, passed to the engine as
-    split points.  More panels than the 6e6-evaluation budget covers are
-    refused before any edge is built."""
-    qfac = math.factorial(spec.q)
-    end = spec.ball.support_end
+    """q! int_0^end kernel(r)^q W(r) measure(r) dr by adaptive quadrature,
+    W the ball's pair weight.  The first pass is one panel per period of
+    the fastest harmonic, q freq (period_splits, which refuses more panels
+    than the 6e6-evaluation budget covers), split again at W's kink."""
+    q, w = spec.q, make_weight(spec.ball)
+    qfac = math.factorial(q)
+    end = w.support_end
     max_evals = 6_000_000
-    # 4 freq overflows past a frequency of about 4.5e307, and end / width
-    # past end * freq ~ 1.4e308: a count no float holds, far over any budget
-    width = math.pi / (4.0 * freq)
-    panels = end / width if width > 0.0 else math.inf
-    if panels > max_evals // len(_XK15):
-        raise ValueError(f"exact quadrature at frequency {freq:g}: {panels:.3g} initial"
-                         f" panels need more than max_evals = {max_evals} evaluations")
-    edges = np.linspace(0.0, end, max(8, math.ceil(panels)) + 1)[1:-1]
     try:
-        res = integrate_adaptive(f, 0.0, end, tol / qfac, split_points=edges,
-                                 max_evals=max_evals)
+        splits = np.append(period_splits(0.0, end, q * freq, max_evals), w.kink)
+        res = integrate_adaptive(lambda r: kernel(r) ** q * w(r) * measure(r), 0.0, end,
+                                 tol / qfac, split_points=splits, max_evals=max_evals)
     except ValueError as exc:
         raise ValueError(f"exact quadrature at frequency {freq:g}: {exc}") from None
     check_converged(res, tol / qfac, "variance quadrature")
@@ -150,17 +143,13 @@ def variance_exact_euclidean(spec: PolyspectrumSpec, tol: float = 1e-9) -> Varia
     """q! int_0^2R jd(lambda r)^q W(r) r^(d-1) dr."""
     if spec.field.geometry != Geometry.EUCLIDEAN:
         raise ValueError("Euclidean spec required")
-    d, q, lam = spec.field.d, spec.q, spec.field.freq
-    w = make_weight(spec.ball)
-
-    def f(r: np.ndarray) -> np.ndarray:
-        return specfun.jd(d, lam * r) ** q * w(r) * r ** (d - 1)
-
-    return _exact_quadrature(spec, f, lam, tol)
+    d, lam = spec.field.d, spec.field.freq
+    return _exact_quadrature(spec, lambda r: specfun.jd(d, lam * r),
+                             lambda r: r ** (d - 1), lam, tol)
 
 
 def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9) -> VarianceEstimate:
-    """q! int_0^pi G(cos r)^q sin(r)^(d-1) W(r) dr at degree ell.
+    """q! int_0^pi G(cos r)^q W(r) sin(r)^(d-1) dr at degree ell.
 
     Whole-sphere odd-odd specs vanish identically by the degree parity of
     the covariance polynomial; that regime short-circuits to exactly 0.
@@ -170,18 +159,10 @@ def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9) -> Varia
     regime = regime_of(spec)
     if regime is Regime.PARITY_ZERO:
         return VarianceEstimate(spec, 0.0, Method.EXACT_QUADRATURE, 0.0, regime)
-    d, q = spec.field.d, spec.q
+    d = spec.field.d
     gspec = specfun.GegenbauerSpec(d, spec.field.ell)
-    w = make_weight(spec.ball)
-
-    def f(r: np.ndarray) -> np.ndarray:
-        return (
-            specfun.gegenbauer(gspec, np.cos(r)) ** q
-            * np.sin(r) ** (d - 1)
-            * w(r)
-        )
-
-    return _exact_quadrature(spec, f, gspec.L, tol)
+    return _exact_quadrature(spec, lambda r: specfun.gegenbauer(gspec, np.cos(r)),
+                             lambda r: np.sin(r) ** (d - 1), gspec.L, tol)
 
 
 def variance_asymptotic(spec: PolyspectrumSpec) -> VarianceEstimate:

@@ -583,8 +583,6 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
         while exact and tail_err > 0.25 * tol * fac and big_t < seam:
             big_t *= 2.0
             tail, tail_err = _kluyver_tail(d, n, r, big_t)
-    # the head starts on panels one period of its fastest harmonic wide
-    width = 2.0 * math.pi / (n + r)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         kernel = specfun.jd(d, t)
@@ -592,8 +590,9 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
         inner = kernel if r == 1.0 else specfun.jd(d, t * r)
         return (t * r) ** (2.0 * nu + 1.0) * inner * kernel ** n
 
+    # the head starts on one panel per period of its fastest harmonic, n + r
     head = integrate_adaptive(integrand, 0.0, big_t, 0.5 * tol * fac,
-                              split_points=width * np.arange(1.0, math.ceil(big_t / width) + 1.0))
+                              split_points=quadrature.period_splits(0.0, big_t, n + r))
     err = (head.abs_error_estimate + tail_err + quadrature._EPS * abs(head.value)) / fac
     return QuadResult((head.value + tail) / fac, err, head.n_evals + tail_evals, err < tol)
 

@@ -174,8 +174,8 @@ def test_criterion_06_d2q4_log_regime():
 
 
 def test_criterion_07_spherical_parity():
-    # the odd-odd integrand G(cos r)^3 sin(r) W(r) itself, on the exact
-    # route's first pass of 8 panels per period at L = 11.5
+    # the odd-odd integrand G(cos r)^3 sin(r) W(r) itself, on a first
+    # pass of 46 equal panels, 8 per period at L = 11.5
     gspec = sf.GegenbauerSpec(2, 11)
     w = geo.make_weight(geo.BallSpec(S, 2, math.pi))
     raw11 = math.factorial(3) * integrate_adaptive(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_legendre
 
 from polyspec import specfun
 from polyspec import variance as va
@@ -18,6 +19,61 @@ def euclid(d, lam, q, R):
 
 def sphere(d, ell, q, R):
     return va.PolyspectrumSpec(va.FieldSpec(S, d, ell), q, R)
+
+
+_X20, _W20 = np.polynomial.legendre.leggauss(20)
+
+
+def s2_cap_weight(R, r):
+    """W(r) of a radius-R cap of S^2 by Gauss-Bonnet: omega_1 times the lens
+    area 2 pi - 2 gamma - 4 beta cos R (two arcs of geodesic curvature
+    cot R, each turning 2 beta, exterior angle gamma at each corner) up to
+    r* = min(2R, 2 pi - 2R), and from there on omega_1 max(0, 2 |cap| -
+    4 pi), the overlap of two caps that cover the sphere."""
+    r_star = min(2 * R, 2 * math.pi - 2 * R)
+    rr = np.minimum(r, r_star)
+    cos_beta = math.cos(R) * (1 - np.cos(rr)) / (math.sin(R) * np.sin(rr))
+    cos_gamma = (np.cos(rr) - math.cos(R) ** 2) / math.sin(R) ** 2
+    area = (2 * math.pi - 2 * np.arccos(np.clip(cos_gamma, -1, 1))
+            - 4 * np.arccos(np.clip(cos_beta, -1, 1)) * math.cos(R))
+    return 2 * math.pi * np.where(r < r_star, area, max(0.0, -4 * math.pi * math.cos(R)))
+
+
+def kink_split_gauss_legendre(f, kink, b, panels=128):
+    """int_0^b f by composite 20-point Gauss-Legendre split at kink, the
+    panels left of it graded geometrically into it (a cap weight meets its
+    constant there like (r* - r)^(3/2))."""
+    h = kink / panels
+    edges = np.concatenate([np.linspace(0.0, kink - h, panels),
+                            kink - h * 2.0 ** -np.arange(1, 40),
+                            np.linspace(kink, b, panels + 1)])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _X20
+    return float(np.sum(0.5 * (hi - lo) * _W20 * f(nodes)))
+
+
+def test_ladder_work_count(monkeypatch):
+    """The benchmark's variance ladders at their unjittered rungs converge
+    in fewer than 200,000 engine evaluations together at tol 1e-8 (186,330
+    with one first-pass panel per period of q freq; 420,555 with 8 per
+    period of freq)."""
+    engine, evals = va.integrate_adaptive, []
+
+    def counting(*args, **kwargs):
+        res = engine(*args, **kwargs)
+        evals.append(res.n_evals)
+        assert res.converged
+        return res
+
+    monkeypatch.setattr(va, "integrate_adaptive", counting)
+    for d, q in ((2, 3), (2, 4), (3, 4)):
+        for lam in (25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0):
+            va.variance_exact_euclidean(euclid(d, lam, q, 1.0), 1e-8)
+    for d, q, R in ((2, 3, 1.0), (3, 3, 0.7), (2, 2, 1.5)):
+        for ell in (10, 20, 40, 80, 160):
+            va.variance_exact_spherical(sphere(d, ell, q, R), 1e-8)
+    assert len(evals) == 36
+    assert sum(evals) < 200_000
 
 
 class TestSpecValidation:
@@ -87,8 +143,8 @@ class TestExactSpherical:
         assert v.value == 0.0 and v.regime is va.Regime.PARITY_ZERO
 
     def test_parity_raw_quadrature_tiny(self):
-        # the odd-odd integrand G(cos r)^3 sin(r) W(r) itself, on the exact
-        # route's first pass of 8 panels per period at L = 11.5
+        # the odd-odd integrand G(cos r)^3 sin(r) W(r) itself, on a first
+        # pass of 46 equal panels, 8 per period at L = 11.5
         gspec = specfun.GegenbauerSpec(2, 11)
         w = make_weight(sphere(2, 11, 3, math.pi).ball)
         raw = math.factorial(3) * integrate_adaptive(
@@ -141,6 +197,18 @@ class TestExactSpherical:
             ball, lambda r: latitude_oracle(d, R, r, tol_w), math.nan))
         ref = va.variance_exact_spherical(spec, tol=1e-13)
         assert abs(v.value - ref.value) <= v.error
+
+
+    @pytest.mark.parametrize("q, R, ell", [(2, 1.5, 19), (3, 2.0, 10), (2, 2.5, 19)])
+    def test_error_bar_covers_reference_past_kink(self, q, R, ell):
+        # W is not smooth at r* = min(2R, 2 pi - 2R), inside (0, pi) on these
+        # caps; with no first-pass split there the bars at tol 1e-8 missed
+        # this reference by 1.06x, 17x and 3.7x
+        v = va.variance_exact_spherical(sphere(2, ell, q, R), tol=1e-8)
+        ref = math.factorial(q) * kink_split_gauss_legendre(
+            lambda r: eval_legendre(ell, np.cos(r)) ** q * np.sin(r) * s2_cap_weight(R, r),
+            min(2 * R, 2 * math.pi - 2 * R), math.pi)
+        assert abs(v.value - ref) <= v.error
 
 
 class TestAsymptotic:
