@@ -215,12 +215,12 @@ def weight_spherical(d: int, R: float, r):
 class WeightFunction:
     """Pair-distance weight of a ball or cap, vectorized over distances,
     with its exact integral int_0^support_end W(r) dr and the kink from
-    which W is constant (nan where none is known)."""
+    which W is constant."""
 
     spec: BallSpec
     _eval: Callable[[np.ndarray], np.ndarray]
     integral: float
-    kink: float = math.nan
+    kink: float
 
     def __call__(self, r):
         arr = np.asarray(r, dtype=float)

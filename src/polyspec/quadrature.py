@@ -79,6 +79,7 @@ _CHUNK_PANELS = 1024
 
 _GAUSS_JACOBI_NODE_BUDGET = 4096
 _EPS = float(np.finfo(float).eps)
+_MAX_EVALS = 2_000_000  # the engine's default budget
 
 # generalized exponential integral: its power series below this |z|, its
 # continued fraction from there on (both within 1e-14 of 30-digit mpmath on
@@ -292,7 +293,7 @@ def integrate_adaptive_batch(
     tol=1e-10,
     *,
     split_points=None,
-    max_evals: int = 2_000_000,
+    max_evals: int = _MAX_EVALS,
 ) -> QuadBatch:
     """Adaptive integration of a family of K integrals over finite intervals.
 
@@ -329,7 +330,7 @@ def integrate_adaptive(
     b: float,
     tol: float = 1e-10,
     *,
-    max_evals: int = 2_000_000,
+    max_evals: int = _MAX_EVALS,
     split_points=(),
 ) -> QuadResult:
     """Adaptive integration of f over the finite interval [a, b].
@@ -351,7 +352,7 @@ def integrate_adaptive(
     return res[0]
 
 
-def period_splits(a: float, b: float, omega: float, max_evals: int = 2_000_000) -> np.ndarray:
+def period_splits(a: float, b: float, omega: float, max_evals: int) -> np.ndarray:
     """Split points a + k 2 pi / omega, k = 1, 2, .., through b: one panel
     per period of an integrand's fastest harmonic omega.  More panels than
     max_evals covers, an overflow to inf among them, raise ValueError

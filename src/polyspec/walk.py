@@ -590,9 +590,10 @@ def density_kluyver(spec: WalkSpec, r: float, tol: float = 1e-8) -> QuadResult:
         inner = kernel if r == 1.0 else specfun.jd(d, t * r)
         return (t * r) ** (2.0 * nu + 1.0) * inner * kernel ** n
 
-    # the head starts on one panel per period of its fastest harmonic, n + r
-    head = integrate_adaptive(integrand, 0.0, big_t, 0.5 * tol * fac,
-                              split_points=quadrature.period_splits(0.0, big_t, n + r))
+    # the head starts on one panel per period of its fastest harmonic, n + r,
+    # refused past the engine's default budget, which it runs on
+    splits = quadrature.period_splits(0.0, big_t, n + r, quadrature._MAX_EVALS)
+    head = integrate_adaptive(integrand, 0.0, big_t, 0.5 * tol * fac, split_points=splits)
     err = (head.abs_error_estimate + tail_err + quadrature._EPS * abs(head.value)) / fac
     return QuadResult((head.value + tail) / fac, err, head.n_evals + tail_evals, err < tol)
 

@@ -180,7 +180,6 @@ class TestExactSpherical:
             pred = va.variance_asymptotic(spec)
             assert v.value >= 0.5 * pred.value, spec
 
-
     @pytest.mark.parametrize("d, q, R, ell", [
         (2, 2, 1.5, 40), (2, 3, 1.0, 20), (2, 3, 1.0, 80), (2, 5, 1.0, 40),
         (5, 3, 1.5, 30), (3, 3, 0.7, 40), (3, 5, 0.7, 40),
@@ -194,10 +193,10 @@ class TestExactSpherical:
         v = va.variance_exact_spherical(spec, tol=1e-11)
         tol_w = 1e-13 * cap_volume(d, R)
         monkeypatch.setattr(va, "make_weight", lambda ball: WeightFunction(
-            ball, lambda r: latitude_oracle(d, R, r, tol_w), math.nan))
+            ball, lambda r: latitude_oracle(d, R, r, tol_w), math.nan,
+            min(2 * R, 2 * math.pi - 2 * R)))
         ref = va.variance_exact_spherical(spec, tol=1e-13)
         assert abs(v.value - ref.value) <= v.error
-
 
     @pytest.mark.parametrize("q, R, ell", [(2, 1.5, 19), (3, 2.0, 10), (2, 2.5, 19)])
     def test_error_bar_covers_reference_past_kink(self, q, R, ell):
