@@ -2,7 +2,8 @@
 
 Output is CSV (fixed header, 17 significant digits, "inf" sentinel for
 divergent values) or JSON (one top-level object with "inputs", "results"
-and "meta"); a run is fully determined by its flags and the seed.
+and "meta"); a run is fully determined by its flags and the seed, with BLAS
+on one thread unless OPENBLAS_NUM_THREADS says otherwise (see the README).
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 linear algebra
 failure.
@@ -13,8 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+
+# before numpy and scipy load OpenBLAS, whose workers cost more than they save
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -1,4 +1,8 @@
 import math
+import os
+
+# run BLAS as the CLI does: on one thread, set before numpy loads OpenBLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -11,15 +12,28 @@ import pytest
 from polyspec import cli
 
 
-def run_cli(args, check=True):
+def run_cli(args, check=True, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "polyspec.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
     return proc
+
+
+def blas_env(threads):
+    """This process's environment with OPENBLAS_NUM_THREADS removed (None) or set.
+
+    conftest sets it for the tests, and a child inherits it, so a child that
+    must see the variable unset needs it dropped here.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
 
 
 def load_schema():
@@ -178,6 +192,16 @@ class TestVarianceCommand:
         assert (len(calls) == 0) == (geometry == "euclidean")
         assert outs[0] == outs[1]
 
+    def test_mc_cholesky_route_independent_of_blas_threads(self):
+        # the d = 3 ball draws through the pivoted Cholesky factor, whose gemv
+        # steps round differently on more than one OpenBLAS thread: the CLI's
+        # own default and an explicit 1 must print the same bytes
+        argv = ["variance", "--geometry", "euclidean", "--d", "3", "--q", "3",
+                "--R", "1.0", "--freq", "6", "--method", "mc",
+                "--trials", "1000", "--resolution", "10", "--seed", "7"]
+        default = run_cli(argv, env=blas_env(None)).stdout
+        assert default == run_cli(argv, env=blas_env("1")).stdout
+
     def test_indefinite_covariance_exit_code(self, monkeypatch, capsys):
         # [[1, 2], [2, 1]] has eigenvalue -1: no factor reproduces it
         def indefinite(spec, points, cols):
@@ -245,6 +269,21 @@ class TestInfrastructure:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True)
         assert json.loads(proc.stdout) == [[], [0, 0], []]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task to count threads")
+    def test_import_starts_no_blas_worker(self):
+        # numpy's and scipy's OpenBLAS copies each start a worker thread unless
+        # told one thread; a value the caller set is kept
+        code = ("import os, polyspec.cli; print(len(os.listdir('/proc/self/task')),"
+                " os.environ['OPENBLAS_NUM_THREADS'])")
+
+        def child(threads):
+            return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, check=True, env=blas_env(threads)).stdout.split()
+
+        assert child(None) == ["1", "1"]
+        assert child("2")[1] == "2"
 
     def test_usage_error_exit_code(self):
         proc = run_cli(["density", "--d", "3"], check=False)
