@@ -65,7 +65,9 @@ class BallSpec:
 
     @property
     def support_end(self) -> float:
-        return 2.0 * self.R if self.geometry == Geometry.EUCLIDEAN else math.pi
+        """Where the pair weight ends: 2R, and at most pi on the sphere."""
+        end = 2.0 * self.R
+        return end if self.geometry == Geometry.EUCLIDEAN else min(math.pi, end)
 
 
 def omega(d: int) -> float:

@@ -15,6 +15,7 @@ the same density machinery and yields an independent second route.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -176,6 +177,11 @@ def _psi3_planar(u, one_minus_u=None) -> np.ndarray:
     return np.where(inside, k / (math.pi**2 * np.sqrt(den)), 0.0)
 
 
+# c of the planar psi_3's log spike at u = 1, psi_3(u) ~ -c ln|1 - u|: the
+# limit 1/pi^2 of _psi3_planar's prefactor times the 3/2 of K's ln((1 - u)^-3)
+_PLANAR_LOG_SPIKE = 1.5 / math.pi**2
+
+
 def _step_pref(d: int) -> float:
     """(nu!)^2 4^nu / (pi (2nu)!), the prefactor of one recursion step."""
     return _norm_factor(d) / (math.pi * math.exp(gammaln(d - 1.0)))
@@ -212,8 +218,11 @@ def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
     added when the previous level is psi_2 (n = 3), which is ~1/u at u = 0 in
     every dimension.  The step from the exact planar psi_3 hands it the
     offset 1 - u computed without cancellation, since psi_3 is log-infinite
-    at u = 1.  An integral left unconverged with an error above 100 tol
-    raises NonConvergedError.
+    at u = 1, ~ -c ln|1 - u| with c = _PLANAR_LOG_SPIKE.  That step
+    integrates psi_3 + c ln|u^2 - 1|, bounded at u = 1, and subtracts the
+    closed form c int_0^pi ln|r (r + 2 cos(phi))| dphi = c pi (ln r +
+    arccosh(max(r/2, 1))).  An integral left unconverged with an error
+    above 100 tol raises NonConvergedError.
     """
     prev = _psi_level(d, n - 1)
     power = float(d - 2)  # 2 nu
@@ -241,7 +250,7 @@ def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
             -4.0 * r * np.sin(0.5 * (phi + phi1[k])) * np.sin(0.5 * (phi - phi1[k])),
             r * ((r - 2.0) + 4.0 * np.cos(0.5 * phi) ** 2),
         )
-        return prev(u, -sq / (1.0 + u))
+        return prev(u, -sq / (1.0 + u)) + _PLANAR_LOG_SPIKE * np.log(np.abs(sq))
 
     # the argument grazes the 1/u blow-up of psi_2 at phi = pi when r is near
     # 1; the resulting peak of width |1 - r| hides between quadrature nodes,
@@ -262,7 +271,10 @@ def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
         integrand, 0.0, math.pi, tol, split_points=splits, max_evals=400_000
     )
     quadrature.check_converged(res, tol, f"psi recursion step (d={d}, n={n})")
-    return _step_pref(d) * res.value
+    if (d, n) != (2, 4):
+        return _step_pref(d) * res.value
+    spike = math.pi * (np.log(rs) + np.arccosh(np.maximum(0.5 * rs, 1.0)))
+    return _step_pref(d) * (res.value - _PLANAR_LOG_SPIKE * spike)
 
 
 # the grid of one unit segment of a psi table: Chebyshev-type interior nodes
@@ -275,51 +287,80 @@ _UNIT_NODES = np.unique(np.round(2.0**50 * np.concatenate([
     1.0 - np.geomspace(1e-9, 0.25, 30),
 ])) / 2.0**50)
 
+
+def _spline_coef(y: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline through each column of y at _UNIT_NODES,
+    laid out as _PsiTable.coef with one segment per column."""
+    x = _UNIT_NODES
+    h = np.diff(x)
+    dx = h[:, None]
+    slope = np.diff(y, axis=0) / dx
+    # the knot slopes of every column solve one tridiagonal system: the
+    # second derivative continuous at the interior nodes, the third at
+    # the second and the second-to-last (not-a-knot).  Rows and order of
+    # operations follow scipy's not-a-knot spline, whose coefficients
+    # these match bit for bit (the oracle in tests/test_walk.py)
+    ab = np.zeros((3, len(x)))  # upper, main and lower diagonal
+    ab[0, 1], ab[0, 2:] = x[2] - x[0], h[:-1]
+    ab[1, 0], ab[1, 1:-1], ab[1, -1] = h[1], 2 * (h[:-1] + h[1:]), h[-2]
+    ab[2, :-2], ab[2, -2] = h[1:], x[-1] - x[-3]
+    rhs = np.empty_like(y)
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    w = x[2] - x[0]
+    rhs[0] = ((h[0] + 2 * w) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / w
+    w = x[-1] - x[-3]
+    rhs[-1] = (h[-1] ** 2 * slope[-2] + (2 * w + h[-1]) * h[-2] * slope[-1]) / w
+    s = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]]
+                    ).transpose(0, 2, 1).reshape(4, -1)
+
+
 class _PsiTable:
     """psi^d_n (n >= 3) on the unit segments [k, k + 1), k < n, whose ends are
     its kinks: a not-a-knot cubic spline on _UNIT_NODES per segment, so no
     segment spans a kink, and within one the next level's integrand has no
-    derivative jumps (C^2) for the adaptive engine to bisect toward.  The
-    nodes are one batched engine call; a node left unconverged with an error
-    above 100 tol raises NonConvergedError.
+    derivative jumps (C^2) for the adaptive engine to bisect toward.
+
+    Segments are fit on first read: a read fits the missing leading segments
+    [0, floor(max u) + 1) under the table's lock, their nodes in one batched
+    engine call, which reads the level below and so may fit its segments
+    under its own lock (locks go from level n to n - 1 only).  Node
+    integrals and spline columns are independent, so a table fit in pieces
+    equals one fit at once bit for bit.  A node left unconverged with an
+    error above 100 tol raises NonConvergedError.
     """
 
     def __init__(self, d: int, n: int):
-        self.n = n
-        x = _UNIT_NODES
-        # column k holds segment k at the nodes
-        y = _psi_step(d, n, (np.arange(n)[:, None] + x).ravel(), 1e-9).reshape(n, -1).T
-        h = np.diff(x)
-        dx = h[:, None]
-        slope = np.diff(y, axis=0) / dx
-        # the knot slopes of every column solve one tridiagonal system: the
-        # second derivative continuous at the interior nodes, the third at
-        # the second and the second-to-last (not-a-knot).  Rows and order of
-        # operations follow scipy's not-a-knot spline, whose coefficients
-        # these match bit for bit (the oracle in tests/test_walk.py)
-        ab = np.zeros((3, len(x)))  # upper, main and lower diagonal
-        ab[0, 1], ab[0, 2:] = x[2] - x[0], h[:-1]
-        ab[1, 0], ab[1, 1:-1], ab[1, -1] = h[1], 2 * (h[:-1] + h[1:]), h[-2]
-        ab[2, :-2], ab[2, -2] = h[1:], x[-1] - x[-3]
-        rhs = np.empty_like(y)
-        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        w = x[2] - x[0]
-        rhs[0] = ((h[0] + 2 * w) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / w
-        w = x[-1] - x[-3]
-        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2 * w + h[-1]) * h[-2] * slope[-1]) / w
-        s = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.d, self.n = d, n
         # row p holds the coefficients of power 3 - p; entry
         # k (len(_UNIT_NODES) - 1) + i belongs to interval i of segment k
-        self.coef = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]]
-                             ).transpose(0, 2, 1).reshape(4, -1)
+        self.coef = np.zeros((4, n * (len(_UNIT_NODES) - 1)))
+        self._fit = 0  # segments [0, _fit) hold their coefficients
+        self._lock = threading.Lock()
+
+    def _fit_segments(self, top: int) -> None:
+        """Fit segments [_fit, top), unless another thread fit them first."""
+        with self._lock:
+            lo = self._fit
+            if top <= lo:
+                return
+            rs = (np.arange(lo, top)[:, None] + _UNIT_NODES).ravel()
+            # column k holds segment lo + k at the nodes
+            y = _psi_step(self.d, self.n, rs, 1e-9).reshape(top - lo, -1).T
+            m = len(_UNIT_NODES) - 1
+            self.coef[:, lo * m:top * m] = _spline_coef(y)
+            self._fit = top  # set last: a reader that sees it sees the coefficients
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         inside = (u >= 0.0) & (u < self.n)
         v = np.where(inside, u, 0.0).ravel()
         k = np.floor(v)
+        top = int(np.max(k, where=inside.ravel(), initial=-1.0)) + 1
+        if top > self._fit:
+            self._fit_segments(top)
         v = v - k
         # interval i of the grid holds v; the clip to the end intervals
         # extends their cubics over the gaps within 1e-9 of a kink
@@ -334,7 +375,7 @@ class _PsiTable:
 
 @build_once
 def _psi_level(d: int, n: int):
-    """Callable psi^d_n, cached; a table asks for the level below as it builds.
+    """Callable psi^d_n, cached; a table is built empty and fit as it is read.
 
     The planar 3-step level is the exact density, so the planar tables
     start from n = 4.

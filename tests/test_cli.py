@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from polyspec import cli
+from polyspec import cli, quadrature, walk
 
 
 def run_cli(args, check=True, env=None):
@@ -230,6 +230,24 @@ class TestTableCommand:
         assert classif[("2", "4")] == "Divergent"
         assert classif[("3", "3")] == "Conditional"
         assert classif[("6", "8")] == "Absolute"
+
+    def test_table_work_count(self, monkeypatch, capsys):
+        """`polyspec table` from cold psi tables takes fewer than 1.1 M
+        batch-engine evaluations (1,076,805; 1,714,695 while every psi level
+        was fit over its whole support and the planar psi_4 step bisected
+        toward the log spike of psi_3)."""
+        engine, evals = quadrature.integrate_adaptive_batch, []
+
+        def counting(*args, **kwargs):
+            res = engine(*args, **kwargs)
+            evals.append(int(res.n_evals.sum()))
+            return res
+
+        monkeypatch.setattr(quadrature, "integrate_adaptive_batch", counting)
+        walk._psi_level.cache_clear()
+        assert cli.main(["table"]) == 0
+        capsys.readouterr()
+        assert sum(evals) < 1_100_000
 
     def test_table_deterministic(self):
         a = run_cli(["table"]).stdout

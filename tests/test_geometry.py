@@ -268,4 +268,6 @@ class TestBallSpecValidation:
 
     def test_support_end(self):
         assert BallSpec(Geometry.EUCLIDEAN, 2, 1.5).support_end == 3.0
-        assert BallSpec(Geometry.SPHERICAL, 2, 1.5).support_end == math.pi
+        # a cap's weight is 0 past 2R when R < pi/2
+        assert BallSpec(Geometry.SPHERICAL, 2, 1.5).support_end == 3.0
+        assert BallSpec(Geometry.SPHERICAL, 2, 2.0).support_end == math.pi

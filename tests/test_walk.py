@@ -229,6 +229,33 @@ def test_planar_psi4_tiny_radii_against_mpmath():
         2.0 * psi4_planar_mpmath(2.0), abs=1e-10)
 
 
+def test_planar_psi4_log_spike_closed_form_against_mpmath():
+    # the log part c ln|u^2 - 1| of psi_3 comes out in closed form: c pi ln r
+    # up to r = 2, plus c pi arccosh(r / 2) above; both sides and the seam
+    rs = np.array([0.5, 1.5, 1.999, 2.0, 2.001, 2.5, 3.5])
+    got = walk._psi_step(2, 4, rs, 1e-9)
+    for r, value in zip(rs, got):
+        assert value == pytest.approx(psi4_planar_mpmath(r), abs=2e-10), r
+
+
+def test_planar_psi4_step_work_count(monkeypatch):
+    """The (2, 4) step on its table nodes converges in fewer than 130,000
+    evaluations (120,420; 381,300 while the engine bisected toward the log
+    spike of psi_3 at u = 1)."""
+    engine, evals = quadrature.integrate_adaptive_batch, []
+
+    def counting(*args, **kwargs):
+        res = engine(*args, **kwargs)
+        evals.append(int(res.n_evals.sum()))
+        assert res.converged.all()
+        return res
+
+    walk._psi_level(2, 3)  # the exact level, no engine call
+    monkeypatch.setattr(quadrature, "integrate_adaptive_batch", counting)
+    walk._psi_step(2, 4, (np.arange(4)[:, None] + walk._UNIT_NODES).ravel(), 1e-9)
+    assert len(evals) == 1 and evals[0] < 130_000
+
+
 def rayleigh_treloar(n: int, r):
     """The exact d = 3 random-flight density (Rayleigh 1919, Treloar 1946):
     rho_n(r) = r / (2^(n-1) (n-2)!) sum_k (-1)^k C(n, k) (n - 2k - r)_+^(n-2)."""
@@ -291,11 +318,12 @@ def test_recursion_endpoint_against_direct(d):
 
 
 def test_psi_levels_work_count(monkeypatch):
-    """The psi levels `polyspec table` reads take one engine call each,
-    converge in every integral and, together, take fewer than 1.75 M
-    integrand evaluations (1.69 M; PCHIP tables took 26 M; 4.9 M while the
-    planar psi_4 nodes at r ~ 1e-9 ran out their budgets on the rounding
-    noise of 1.0 - u)."""
+    """The psi levels `polyspec table` reads, each read over its whole
+    support, take one engine call each, converge in every integral and,
+    together, take fewer than 1.45 M integrand evaluations (1.43 M; 1.69 M
+    before the planar psi_4 step took psi_3's log spike in closed form;
+    PCHIP tables took 26 M; 4.9 M while the planar psi_4 nodes at r ~ 1e-9
+    ran out their budgets on the rounding noise of 1.0 - u)."""
     engine = quadrature.integrate_adaptive_batch
     evals = []
 
@@ -308,10 +336,12 @@ def test_psi_levels_work_count(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_adaptive_batch", counting)
     walk._psi_level.cache_clear()
     for d in range(2, 7):
-        walk._psi_level(d, 6)
+        # bottom up, so each fit finds the level below it fit already
+        for n in range(3, 7):
+            walk._psi_level(d, n)(np.linspace(0.0, n, 10 * n + 1))
     # d = 2 tabulates n = 4, 5, 6 (n = 3 is exact); d >= 3 tabulates n = 3 to 6
     assert len(evals) == 3 + 4 * 4
-    assert sum(evals) < 1_750_000
+    assert sum(evals) < 1_450_000
 
 
 class TestDensityKluyver:
@@ -426,7 +456,7 @@ def _race(fn, *args):
 
     with ThreadPoolExecutor(2) as pool:
         futures = [pool.submit(run) for _ in range(2)]
-        return [f.result() for f in futures]
+        return [f.result(timeout=300) for f in futures]
 
 
 @pytest.fixture(scope="module")
@@ -556,19 +586,40 @@ def test_psi_table_matches_scipy_spline(d, n):
 
 
 def test_psi_level_builds_once_under_threads(monkeypatch):
-    real, builds = walk._PsiTable, []
+    # two threads read one level together: each segment of it, and of the
+    # level below that its fit reads, is fit exactly once
+    step, fits = walk._psi_step, []
 
-    def counting(*args, **kwargs):
-        builds.append(args[:2])
-        time.sleep(0.05)  # keep the build open while the other thread asks
-        return real(*args, **kwargs)
+    def counting(d, n, rs, tol):
+        fits.extend((n, int(k)) for k in np.unique(np.floor(rs)))
+        time.sleep(0.05)  # keep the fit open while the other thread reads
+        return step(d, n, rs, tol)
 
-    monkeypatch.setattr(walk, "_PsiTable", counting)
+    monkeypatch.setattr(walk, "_psi_step", counting)
     walk._psi_level.cache_clear()
-    a, b = _race(walk._psi_level, 3, 4)
-    # the level-4 table asks for level 3 while it builds
-    assert builds == [(3, 4), (3, 3)]
-    assert a is b
+    u = np.linspace(0.0, 4.0, 41)
+    (tab_a, a), (tab_b, b) = _race(lambda: (walk._psi_level(3, 4), walk._psi_level(3, 4)(u)))
+    assert sorted(fits) == [(3, k) for k in range(3)] + [(4, k) for k in range(4)]
+    assert tab_a is tab_b and np.array_equal(a, b)
+
+
+def test_psi_table_fit_in_pieces_matches_fit_at_once():
+    # segments are fit on first read; reads that fit them piece by piece,
+    # here and in the level below, give the coefficients of one whole read
+    u = np.linspace(0.0, 5.0, 51)
+    walk._psi_level.cache_clear()
+    pieces = walk._psi_level(2, 5)
+    assert pieces._fit == 0
+    pieces(np.array([0.3]))
+    assert pieces._fit == 1
+    pieces(np.array([2.5, 1.2]))
+    assert pieces._fit == 3
+    pieces(u)
+    walk._psi_level.cache_clear()
+    whole = walk._psi_level(2, 5)
+    whole(u)
+    assert np.array_equal(pieces.coef, whole.coef)
+    assert np.array_equal(pieces(u), whole(u))
 
 
 class TestRouteAgreement:
