@@ -219,23 +219,17 @@ def psi4_planar_mpmath(r: float) -> float:
 
 def test_planar_psi4_tiny_radii_against_mpmath():
     # 1.0 - u left the log spike of p_3 as rounding noise: 1.6e-6 off at
-    # r = 1e-9, each node running out its budget unconverged
-    rs = np.array([1e-9, 1.95e-9, 1e-8, 5e-8, 1e-7, 1e-3, 0.5])
+    # r = 1e-9, each node running out its budget unconverged.  The spike's
+    # log part comes out in closed form, c pi ln r up to r = 2 plus c pi
+    # arccosh(r / 2) above: radii on both sides of r = 2 and at it
+    rs = np.array([1e-9, 1.95e-9, 1e-8, 5e-8, 1e-7, 1e-3, 0.5, 1.5, 1.999, 2.0, 2.001,
+                   2.5, 3.5])
     got = walk._psi_step(2, 4, rs, 1e-9)
     for r, value in zip(rs, got):
         assert value == pytest.approx(psi4_planar_mpmath(r), abs=2e-10), r
     # r (r + 2 cos(phi)) cancels into u = 1 at phi = pi: 2.0e-7 off at r = 2
     assert walk.density_recursion(WalkSpec(2, 4), 2.0) == pytest.approx(
         2.0 * psi4_planar_mpmath(2.0), abs=1e-10)
-
-
-def test_planar_psi4_log_spike_closed_form_against_mpmath():
-    # the log part c ln|u^2 - 1| of psi_3 comes out in closed form: c pi ln r
-    # up to r = 2, plus c pi arccosh(r / 2) above; both sides and the seam
-    rs = np.array([0.5, 1.5, 1.999, 2.0, 2.001, 2.5, 3.5])
-    got = walk._psi_step(2, 4, rs, 1e-9)
-    for r, value in zip(rs, got):
-        assert value == pytest.approx(psi4_planar_mpmath(r), abs=2e-10), r
 
 
 def test_planar_psi4_step_work_count(monkeypatch):
