@@ -244,7 +244,6 @@ def test_planar_psi4_step_work_count(monkeypatch):
         assert res.converged.all()
         return res
 
-    walk._psi_level(2, 3)  # the exact level, no engine call
     monkeypatch.setattr(quadrature, "integrate_adaptive_batch", counting)
     walk._psi_step(2, 4, (np.arange(4)[:, None] + walk._UNIT_NODES).ravel(), 1e-9)
     assert len(evals) == 1 and evals[0] < 130_000
