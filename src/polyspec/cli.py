@@ -106,33 +106,31 @@ def _cmd_constant(args, started: float) -> int:
     return 0
 
 
-def _variance_row(args, freq: float):
-    geo = geometry.Geometry(args.geometry)
-    fs_spec = variance.FieldSpec(geo, args.d, freq)
-    spec = variance.PolyspectrumSpec(fs_spec, args.q, args.R)
-    pred = variance.variance_asymptotic(spec)
-    if args.method == "asym":
-        value, err_lo, err_hi = pred.value, 0.0, 0.0
-    elif args.method == "exact":
-        est = (variance.variance_exact_euclidean(spec, args.tol)
-               if geo == geometry.Geometry.EUCLIDEAN
-               else variance.variance_exact_spherical(spec, args.tol))
-        value, err_lo, err_hi = est.value, est.error, est.error
-    else:
-        dom = fieldsim.build_domain(geo, args.d, args.R, args.resolution)
-        mc = fieldsim.mc_polyspectrum_variance(spec, args.seed, dom, args.trials)
-        value = mc.estimate
-        err_lo, err_hi = mc.estimate - mc.ci95[0], mc.ci95[1] - mc.estimate
-    ratio = value / pred.value if pred.value else None
-    return [freq, value, args.method, err_lo, err_hi, pred.regime.value, ratio]
-
-
 def _cmd_variance(args, started: float) -> int:
     if (args.freq is None) == (args.freq_grid is None):
         raise argparse.ArgumentTypeError("provide exactly one of --freq / --freq-grid")
     freqs = ([args.freq] if args.freq is not None
              else [float(f) for f in args.freq_grid.split(",")])
-    rows = [_variance_row(args, f) for f in freqs]
+    geo = geometry.Geometry(args.geometry)
+    specs = [variance.PolyspectrumSpec(variance.FieldSpec(geo, args.d, f), args.q, args.R)
+             for f in freqs]
+    preds = [variance.variance_asymptotic(spec) for spec in specs]
+    if args.method == "asym":
+        bars = [(pred.value, 0.0, 0.0) for pred in preds]
+    elif args.method == "exact":  # the whole grid is one ladder: one engine call
+        exact = (variance.variance_exact_euclidean(specs, args.tol)
+                 if geo == geometry.Geometry.EUCLIDEAN
+                 else variance.variance_exact_spherical(specs, args.tol))
+        bars = [(est.value, est.error, est.error) for est in exact]
+    else:
+        dom = fieldsim.build_domain(geo, args.d, args.R, args.resolution)
+        bars = []
+        for spec in specs:
+            mc = fieldsim.mc_polyspectrum_variance(spec, args.seed, dom, args.trials)
+            bars.append((mc.estimate, mc.estimate - mc.ci95[0], mc.ci95[1] - mc.estimate))
+    rows = [[freq, value, args.method, err_lo, err_hi, pred.regime.value,
+             value / pred.value if pred.value else None]
+            for freq, (value, err_lo, err_hi), pred in zip(freqs, bars, preds)]
     inputs = {"geometry": args.geometry, "d": args.d, "q": args.q, "R": args.R,
               "freqs": freqs, "method": args.method, "trials": args.trials,
               "resolution": args.resolution}
@@ -153,17 +151,22 @@ def _cmd_table(args, started: float) -> int:
             abs(direct.value - closed), abs(rec.value - closed),
         ])
     for d in range(2, 7):
-        for q in range(2, 9):
+        # q from 8 down, printed upward: the first recursion read of each
+        # psi level reaches its furthest segment, so the level is fit in one
+        # engine call, not extended a segment at a time as q rises
+        block = []
+        for q in range(8, 1, -1):
             cls = walk.classify_idq(d, q)
             if cls is walk.Classification.DIVERGENT:
-                rows.append(["classification", d, q, cls.value,
-                             None, None, None, None, None])
+                block.append(["classification", d, q, cls.value,
+                              None, None, None, None, None])
                 continue
             direct = walk.idq(d, q, walk.IdqRoute.DIRECT_INTEGRAL, 1e-9)
             rec = walk.idq(d, q, walk.IdqRoute.RECURSION_ENDPOINT)
-            rows.append(["classification", d, q, cls.value, None,
-                         direct.value, rec.value, None,
-                         abs(direct.value - rec.value)])
+            block.append(["classification", d, q, cls.value, None,
+                          direct.value, rec.value, None,
+                          abs(direct.value - rec.value)])
+        rows += block[::-1]
     _emit(args, ["kind", "d", "q", "classification", "closed", "direct",
                  "recursion", "delta_direct", "delta_recursion"],
           rows, {}, started)

@@ -4,9 +4,9 @@ For a unit-variance Gaussian wave with radial covariance kernel rho(r), the
 Hermite moment identity E[H_q(X) H_q(Y)] = q! E[XY]^q turns the variance of
 int_D H_q(field) into a single radial integral of q! rho^q against the
 domain's pair-distance weight.  Exact evaluation starts on one panel per
-period of rho^q's fastest harmonic, split at the weight's kink; the
-high-frequency predictors carry explicit constants tied to the wave-moment
-integrals.
+period of rho^q's fastest harmonic, split at the weight's kink, and a
+frequency ladder is one batched engine call; the high-frequency predictors
+carry explicit constants tied to the wave-moment integrals.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from enum import Enum
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-from . import specfun, walk
+from . import quadrature, specfun, walk
 from .geometry import BallSpec, Geometry, make_weight
-from .quadrature import check_converged, integrate_adaptive, period_splits
+# integrate_adaptive is not called here; perfbench's tracer wraps the name
+from .quadrature import check_converged, integrate_adaptive, period_splits  # noqa: F401
 
 __all__ = [
     "FieldSpec",
@@ -116,53 +117,97 @@ def regime_of(spec: PolyspectrumSpec) -> Regime:
     return Regime.GENERIC
 
 
-def _exact_quadrature(spec: PolyspectrumSpec, kernel, measure, freq: float,
-                      tol: float) -> VarianceEstimate:
-    """q! int_0^end kernel(r)^q W(r) measure(r) dr by adaptive quadrature,
-    W the ball's pair weight.  The first pass is one panel per period of
-    the fastest harmonic, q freq (period_splits, which refuses more panels
-    than the 6e6-evaluation budget covers), split again at W's kink."""
-    q, w = spec.q, make_weight(spec.ball)
+def _exact_quadrature(specs: list[PolyspectrumSpec], kernel, measure, freqs,
+                      tol: float) -> list[VarianceEstimate]:
+    """q! int_0^end kernel(r, k)^q W(r) measure(r) dr for each rung k of a
+    ladder, W the ball's pair weight, in one batched adaptive quadrature
+    that refines each rung exactly as it would alone.  A rung's first pass
+    is one panel per period of its fastest harmonic, q freqs[k]
+    (period_splits, which refuses more panels than the 6e6-evaluation
+    budget covers), split again at W's kink."""
+    q, w = specs[0].q, make_weight(specs[0].ball)
     qfac = math.factorial(q)
     end = w.support_end
     max_evals = 6_000_000
+    rows = []
+    for freq in freqs:
+        try:
+            rows.append(np.append(period_splits(0.0, end, q * freq, max_evals), w.kink))
+        except ValueError as exc:
+            raise ValueError(f"exact quadrature at frequency {freq:g}: {exc}") from None
+    splits = np.full((len(rows), max(map(len, rows))), np.nan)
+    for k, row in enumerate(rows):
+        splits[k, :len(row)] = row
     try:
-        splits = np.append(period_splits(0.0, end, q * freq, max_evals), w.kink)
-        res = integrate_adaptive(lambda r: kernel(r) ** q * w(r) * measure(r), 0.0, end,
-                                 tol / qfac, split_points=splits, max_evals=max_evals)
+        res = quadrature.integrate_adaptive_batch(
+            lambda r, k: kernel(r, k) ** q * w(r) * measure(r), 0.0, end, tol / qfac,
+            split_points=splits, max_evals=max_evals)
     except ValueError as exc:
-        raise ValueError(f"exact quadrature at frequency {freq:g}: {exc}") from None
+        label = ", ".join(f"{freq:g}" for freq in freqs)
+        raise ValueError(f"exact quadrature at frequency {label}: {exc}") from None
     check_converged(res, tol / qfac, "variance quadrature")
-    return VarianceEstimate(
-        spec, qfac * res.value, Method.EXACT_QUADRATURE,
-        qfac * res.abs_error_estimate, regime_of(spec),
-    )
+    return [VarianceEstimate(spec, qfac * res[k].value, Method.EXACT_QUADRATURE,
+                             qfac * res[k].abs_error_estimate, regime_of(spec))
+            for k, spec in enumerate(specs)]
 
 
-def variance_exact_euclidean(spec: PolyspectrumSpec, tol: float = 1e-9) -> VarianceEstimate:
-    """q! int_0^2R jd(lambda r)^q W(r) r^(d-1) dr."""
-    if spec.field.geometry != Geometry.EUCLIDEAN:
-        raise ValueError("Euclidean spec required")
-    d, lam = spec.field.d, spec.field.freq
-    return _exact_quadrature(spec, lambda r: specfun.jd(d, lam * r),
-                             lambda r: r ** (d - 1), lam, tol)
+def _ladder(specs, geometry: Geometry, what: str) -> list[PolyspectrumSpec]:
+    """specs as a list of rungs, one spec as a one-rung ladder.  Raises
+    ValueError unless there is a rung, every rung has the geometry, and the
+    rungs differ only in frequency."""
+    ladder = [specs] if isinstance(specs, PolyspectrumSpec) else list(specs)
+    if not ladder or any(s.field.geometry != geometry for s in ladder):
+        raise ValueError(f"{what} spec required")
+    if len({(s.field.d, s.q, s.R) for s in ladder}) > 1:
+        raise ValueError("ladder rungs must differ only in frequency")
+    return ladder
 
 
-def variance_exact_spherical(spec: PolyspectrumSpec, tol: float = 1e-9) -> VarianceEstimate:
+def variance_exact_euclidean(specs, tol: float = 1e-9):
+    """q! int_0^2R jd(lambda r)^q W(r) r^(d-1) dr.
+
+    specs is one PolyspectrumSpec, answered with one VarianceEstimate, or a
+    ladder of specs that differ only in wavenumber, answered with a list in
+    its order, all rungs in one engine call.
+    """
+    ladder = _ladder(specs, Geometry.EUCLIDEAN, "Euclidean")
+    d = ladder[0].field.d
+    freqs = [s.field.freq for s in ladder]
+    lams = np.array(freqs)
+    out = _exact_quadrature(ladder, lambda r, k: specfun.jd(d, lams[k] * r),
+                            lambda r: r ** (d - 1), freqs, tol)
+    return out[0] if isinstance(specs, PolyspectrumSpec) else out
+
+
+def variance_exact_spherical(specs, tol: float = 1e-9):
     """q! int_0^pi G(cos r)^q W(r) sin(r)^(d-1) dr at degree ell.
 
-    Whole-sphere odd-odd specs vanish identically by the degree parity of
-    the covariance polynomial; that regime short-circuits to exactly 0.
+    specs is one PolyspectrumSpec or a ladder of them, as in
+    variance_exact_euclidean.  Whole-sphere odd-odd rungs vanish identically
+    by the degree parity of the covariance polynomial; they short-circuit
+    to exactly 0 and stay out of the engine call, which the other rungs
+    share (none is made when no rung is left).
     """
-    if spec.field.geometry != Geometry.SPHERICAL:
-        raise ValueError("spherical spec required")
-    regime = regime_of(spec)
-    if regime is Regime.PARITY_ZERO:
-        return VarianceEstimate(spec, 0.0, Method.EXACT_QUADRATURE, 0.0, regime)
-    d = spec.field.d
-    gspec = specfun.GegenbauerSpec(d, spec.field.ell)
-    return _exact_quadrature(spec, lambda r: specfun.gegenbauer(gspec, np.cos(r)),
-                             lambda r: np.sin(r) ** (d - 1), gspec.L, tol)
+    ladder = _ladder(specs, Geometry.SPHERICAL, "spherical")
+    live = [s for s in ladder if regime_of(s) is not Regime.PARITY_ZERO]
+    found = iter(())
+    if live:
+        d = ladder[0].field.d
+        gspecs = [specfun.GegenbauerSpec(d, s.field.ell) for s in live]
+
+        def kernel(r, k):
+            g = np.empty_like(r)
+            for j, gspec in enumerate(gspecs):
+                at = k == j
+                if at.any():
+                    g[at] = specfun.gegenbauer(gspec, np.cos(r[at]))
+            return g
+
+        found = iter(_exact_quadrature(live, kernel, lambda r: np.sin(r) ** (d - 1),
+                                       [g.L for g in gspecs], tol))
+    out = [VarianceEstimate(s, 0.0, Method.EXACT_QUADRATURE, 0.0, Regime.PARITY_ZERO)
+           if regime_of(s) is Regime.PARITY_ZERO else next(found) for s in ladder]
+    return out[0] if isinstance(specs, PolyspectrumSpec) else out
 
 
 def variance_asymptotic(spec: PolyspectrumSpec) -> VarianceEstimate:

@@ -325,8 +325,9 @@ class _PsiTable:
 
     Segments are fit on first read: a read fits the missing leading segments
     [0, floor(max u) + 1) under the table's lock, their nodes in one batched
-    engine call, which reads the level below and so may fit its segments
-    under its own lock (locks go from level n to n - 1 only).  Node
+    engine call.  That call reads the level below up to segment top, so the
+    level below fits its segments [0, top + 1) first, under its own lock
+    (locks go from level n to n - 1 only).  Node
     integrals and spline columns are independent, so a table fit in pieces
     equals one fit at once bit for bit.  A node left unconverged with an
     error above 100 tol raises NonConvergedError.
@@ -346,6 +347,12 @@ class _PsiTable:
             lo = self._fit
             if top <= lo:
                 return
+            # the step reads the level below up to u = 1 + max r, in its
+            # segment top: fit that first, so the two fits run one after the
+            # other, not one inside the other's engine call holding its arrays
+            below = _psi_level(self.d, self.n - 1)
+            if isinstance(below, _PsiTable):
+                below._fit_segments(min(top + 1, below.n))
             rs = (np.arange(lo, top)[:, None] + _UNIT_NODES).ravel()
             # column k holds segment lo + k at the nodes
             y = _psi_step(self.d, self.n, rs, 1e-9).reshape(top - lo, -1).T
@@ -356,11 +363,13 @@ class _PsiTable:
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         inside = (u >= 0.0) & (u < self.n)
-        v = np.where(inside, u, 0.0).ravel()
-        k = np.floor(v)
-        top = int(np.max(k, where=inside.ravel(), initial=-1.0)) + 1
+        # fit before forming this read's arrays: a fit reads the level below,
+        # which may fit in turn, and each level's arrays would be held meanwhile
+        top = int(np.floor(np.max(u, where=inside, initial=-1.0))) + 1
         if top > self._fit:
             self._fit_segments(top)
+        v = np.where(inside, u, 0.0).ravel()
+        k = np.floor(v)
         v = v - k
         # interval i of the grid holds v; the clip to the end intervals
         # extends their cubics over the gaps within 1e-9 of a kink

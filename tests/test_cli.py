@@ -147,6 +147,31 @@ class TestVarianceCommand:
         assert fields[5] == "ParityZero"
         assert abs(float(fields[1])) < 1e-12
 
+    @pytest.mark.parametrize("argv, calls", [
+        (["--geometry", "euclidean", "--d", "2", "--q", "4", "--R", "1.0",
+          "--freq-grid", "25,50,100,200,400,800,1600"], 1),
+        (["--geometry", "spherical", "--d", "3", "--q", "2", "--R", "0.7",
+          "--freq-grid", "10,20,40,80,160,5,7"], 1),
+        # every rung vanishes by parity: no engine call, not an empty one
+        (["--geometry", "spherical", "--d", "2", "--q", "3", "--R", str(math.pi),
+          "--freq-grid", "11,13,15"], 0),
+    ], ids=["planar", "cap", "all-parity-zero"])
+    def test_grid_engine_calls(self, argv, calls, monkeypatch, capsys):
+        # these regimes' predictions are closed forms, so every engine call
+        # counted is the exact ladder's
+        engine, counted = quadrature.integrate_adaptive_batch, []
+
+        def counting(*args, **kwargs):
+            res = engine(*args, **kwargs)
+            counted.append(len(res))
+            return res
+
+        monkeypatch.setattr(quadrature, "integrate_adaptive_batch", counting)
+        assert cli.main(["variance"] + argv) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == len(argv[-1].split(","))
+        assert counted == [len(rows)] * calls
+
     def test_grid_ratio_tends_to_one(self):
         proc = run_cli(
             ["variance", "--geometry", "euclidean", "--d", "2", "--q", "3",
@@ -235,11 +260,18 @@ class TestTableCommand:
         """`polyspec table` from cold psi tables takes fewer than 1.1 M
         batch-engine evaluations (1,076,805; 1,714,695 while every psi level
         was fit over its whole support and the planar psi_4 step bisected
-        toward the log spike of psi_3)."""
-        engine, evals = quadrature.integrate_adaptive_batch, []
+        toward the log spike of psi_3), in at most 79 engine calls (98 while
+        the classification rows ran q upward, extending each psi level by
+        one segment per q).  Engine calls nest at most two deep, the
+        recursion endpoint's step around the fit of the table it reads: a
+        level below is fit before the step that reads it, not inside it."""
+        engine, evals, running, depths = quadrature.integrate_adaptive_batch, [], [], []
 
         def counting(*args, **kwargs):
+            running.append(None)
+            depths.append(len(running))
             res = engine(*args, **kwargs)
+            running.pop()
             evals.append(int(res.n_evals.sum()))
             return res
 
@@ -248,6 +280,8 @@ class TestTableCommand:
         assert cli.main(["table"]) == 0
         capsys.readouterr()
         assert sum(evals) < 1_100_000
+        assert len(evals) <= 79
+        assert max(depths) <= 2
 
     def test_table_deterministic(self):
         a = run_cli(["table"]).stdout

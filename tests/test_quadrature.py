@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma, roots_jacobi
+from scipy.special import digamma, gamma, roots_jacobi
 
 from polyspec import quadrature as quad
 
@@ -352,6 +352,71 @@ def expint_mpmath(p: float, z: complex) -> complex:
         return complex(mpmath.expint(p, mpmath.mpc(z.real, z.imag)))
 
 
+def expint_step_by_step(p, z):
+    """_expint as one numpy step per series term and per fraction step: the
+    loop the blocked version must reproduce bit for bit."""
+    p, z = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(z, dtype=complex))
+    out = np.empty(z.shape, dtype=complex)
+    err = np.empty(z.shape)
+    small = np.abs(z) < quad._EXPINT_SEAM
+    if small.any():
+        ps, zs = p[small], z[small]
+        log_z = np.log(zs)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            lead = np.where(ps == np.rint(ps), 0.0, gamma(1.0 - ps) * np.exp((ps - 1.0) * log_z))
+        total, scale = lead, np.abs(lead) * (1.0 + np.abs((ps - 1.0) * log_z))
+        log_part = digamma(ps) - log_z
+        term = np.ones(zs.shape, dtype=complex)
+        for k in range(quad._EXPINT_SERIES_TERMS):
+            if k:
+                term = term * -zs / k
+            den = 1.0 - ps + k
+            pole = den == 0.0
+            part = np.where(pole, term * log_part, -term / np.where(pole, 1.0, den))
+            total = total + part
+            scale = scale + np.abs(part)
+        out[small], err[small] = total, quad._EPS * scale
+    big = ~small
+    if big.any():
+        pb, zb = p[big], z[big]
+        b = zb + pb
+        c = np.full(zb.shape, 1.0 / np.finfo(float).tiny, dtype=complex)
+        d = 1.0 / b
+        h = d
+        done = np.zeros(zb.shape, dtype=bool)
+        for steps in range(1, quad._EXPINT_MAX_STEPS + 1):
+            a = -steps * (pb - 1.0 + steps)
+            b = b + 2.0
+            d = 1.0 / (a * d + b)
+            c = b + a / c
+            delta = c * d
+            h = h * delta
+            change = np.abs(delta - 1.0)
+            done |= change < quad._EPS
+            if done.all():
+                break
+        out[big] = h * np.exp(-zb)
+        err[big] = np.abs(out[big]) * (change + quad._EPS * steps)
+    return out, err
+
+
+def random_expint_family(rng):
+    """1-39 entries: on the imaginary axis with p in [-23.5, 30) (p <= 0
+    from the seam on), or in the right half-plane with p > 0; |z| from 0.1
+    to about 1e3, a third of the orders integers (the series' pole term)."""
+    n = int(rng.integers(1, 40))
+    mag = 10.0 ** rng.uniform(-1.0, 3.0, n)
+    if rng.random() < 0.5:
+        p = rng.uniform(-23.5, 30.0, n)
+        z = 1j * rng.choice([-1.0, 1.0], n) * np.where(p <= 0.0, quad._EXPINT_SEAM + mag, mag)
+    else:
+        p = rng.uniform(0.05, 30.0, n)
+        z = mag * np.exp(1j * rng.uniform(-0.5 * np.pi, 0.5 * np.pi, n))
+    ints = rng.random(n) < 1 / 3
+    p[ints] = np.maximum(np.rint(p[ints]), 1.0)
+    return p, z
+
+
 class TestPowerExpTail:
     @pytest.mark.parametrize("p", EXPINT_ORDERS)
     def test_expint_against_mpmath(self, p):
@@ -369,6 +434,31 @@ class TestPowerExpTail:
         got, bound = quad._expint(p, z)
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
         assert np.all(np.abs(got - ref) <= bound)
+
+    def test_expint_matches_step_by_step_loop(self):
+        # the series block and the blocked fraction keep every rounding of
+        # the loop they replace
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            p, z = random_expint_family(rng)
+            got, ref = quad._expint(p, z), expint_step_by_step(p, z)
+            for x, y in zip(got, ref):
+                assert np.array_equal(x.view(np.int64), y.view(np.int64)), (p, z)
+
+    @pytest.mark.parametrize("budget", [5, 16, 17, 33])
+    def test_expint_budget_matches_step_by_step_loop(self, budget, monkeypatch):
+        # budgets shorter than, equal to and just past one block, and past two
+        rng = np.random.default_rng(budget)
+        families = [random_expint_family(rng) for _ in range(40)]
+        unbounded = [expint_step_by_step(p, z)[0] for p, z in families]
+        monkeypatch.setattr(quad, "_EXPINT_MAX_STEPS", budget)
+        at_budget = 0
+        for (p, z), full in zip(families, unbounded):
+            got, ref = quad._expint(p, z), expint_step_by_step(p, z)
+            for x, y in zip(got, ref):
+                assert np.array_equal(x.view(np.int64), y.view(np.int64)), (p, z)
+            at_budget += not np.array_equal(ref[0], full)  # the budget stopped it
+        assert at_budget > 0
 
     def test_tail_is_scaled_expint(self):
         s, omega, t = 2.5, -3.0, 40.0

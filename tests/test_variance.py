@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
-from polyspec import specfun
+from polyspec import quadrature, specfun
 from polyspec import variance as va
 from polyspec import walk
 from polyspec.geometry import BallSpec, Geometry, WeightFunction, cap_volume, make_weight, omega
@@ -53,28 +53,61 @@ def kink_split_gauss_legendre(f, kink, b, panels=128):
 
 
 def test_ladder_work_count(monkeypatch):
-    """The benchmark's variance ladders at their unjittered rungs converge
-    in fewer than 180,000 engine evaluations together at tol 1e-8 (179,445
-    with the caps of R < pi/2 integrated up to 2R, where their weight
-    ends; 186,330 up to pi; 420,555 with 8 first-pass panels per period
-    of freq, not one per period of q freq)."""
-    engine, evals = va.integrate_adaptive, []
+    """The benchmark's variance ladders at their unjittered rungs take one
+    batch-engine call each and converge in fewer than 180,000 engine
+    evaluations together at tol 1e-8 (179,445 with the caps of R < pi/2
+    integrated up to 2R, where their weight ends; 186,330 up to pi; 420,555
+    with 8 first-pass panels per period of freq, not one per period of
+    q freq)."""
+    engine, evals = quadrature.integrate_adaptive_batch, []
 
     def counting(*args, **kwargs):
         res = engine(*args, **kwargs)
-        evals.append(res.n_evals)
-        assert res.converged
+        evals.append(int(res.n_evals.sum()))
+        assert res.converged.all()
         return res
 
-    monkeypatch.setattr(va, "integrate_adaptive", counting)
+    monkeypatch.setattr(quadrature, "integrate_adaptive_batch", counting)
     for d, q in ((2, 3), (2, 4), (3, 4)):
-        for lam in (25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0):
-            va.variance_exact_euclidean(euclid(d, lam, q, 1.0), 1e-8)
+        va.variance_exact_euclidean(
+            [euclid(d, lam, q, 1.0) for lam in (25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)],
+            1e-8)
     for d, q, R in ((2, 3, 1.0), (3, 3, 0.7), (2, 2, 1.5)):
-        for ell in (10, 20, 40, 80, 160):
-            va.variance_exact_spherical(sphere(d, ell, q, R), 1e-8)
-    assert len(evals) == 36
+        va.variance_exact_spherical([sphere(d, ell, q, R) for ell in (10, 20, 40, 80, 160)], 1e-8)
+    assert len(evals) == 6
     assert sum(evals) < 180_000
+
+
+@pytest.mark.parametrize("geometry, d, q, R, freqs", [
+    (E, 2, 3, 1.0, (25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)),
+    (E, 3, 4, 1.0, (7.5, 31.0, 260.0)),
+    (S, 3, 3, 0.7, (10, 20, 40, 80, 160)),
+    (S, 2, 3, math.pi, (10, 11, 20, 21, 40, 41)),
+    (S, 2, 2, math.pi, (3, 8, 15)),
+], ids=["planar", "d3", "cap", "whole-sphere-odd-q", "whole-sphere-q2"])
+def test_ladder_rungs_match_one_rung_calls(geometry, d, q, R, freqs):
+    """Each rung of a ladder has the value and bar of its one-rung call bit
+    for bit; whole-sphere odd-q rungs at odd degrees are exactly 0 in both."""
+    exact = va.variance_exact_euclidean if geometry == E else va.variance_exact_spherical
+    specs = [va.PolyspectrumSpec(va.FieldSpec(geometry, d, f), q, R) for f in freqs]
+    ladder = exact(specs, 1e-8)
+    assert [est.spec for est in ladder] == specs
+    for spec, est in zip(specs, ladder):
+        alone = exact(spec, 1e-8)
+        assert (est.value, est.error, est.regime) == (alone.value, alone.error, alone.regime)
+        if est.regime is va.Regime.PARITY_ZERO:
+            assert est.value == est.error == 0.0
+        else:
+            assert est.value > 0.0 and est.error > 0.0
+
+
+def test_ladder_rejects_mixed_rungs():
+    with pytest.raises(ValueError, match="only in frequency"):
+        va.variance_exact_euclidean([euclid(2, 10.0, 3, 1.0), euclid(2, 20.0, 3, 0.5)])
+    with pytest.raises(ValueError, match="spherical spec required"):
+        va.variance_exact_spherical([sphere(2, 10, 3, 1.0), euclid(2, 10.0, 3, 1.0)])
+    with pytest.raises(ValueError, match="Euclidean spec required"):
+        va.variance_exact_euclidean([])
 
 
 class TestSpecValidation:
