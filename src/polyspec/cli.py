@@ -114,7 +114,7 @@ def _cmd_variance(args, started: float) -> int:
     geo = geometry.Geometry(args.geometry)
     specs = [variance.PolyspectrumSpec(variance.FieldSpec(geo, args.d, f), args.q, args.R)
              for f in freqs]
-    preds = [variance.variance_asymptotic(spec) for spec in specs]
+    preds = variance.variance_asymptotic(specs)
     if args.method == "asym":
         bars = [(pred.value, 0.0, 0.0) for pred in preds]
     elif args.method == "exact":  # the whole grid is one ladder: one engine call
@@ -129,7 +129,7 @@ def _cmd_variance(args, started: float) -> int:
             mc = fieldsim.mc_polyspectrum_variance(spec, args.seed, dom, args.trials)
             bars.append((mc.estimate, mc.estimate - mc.ci95[0], mc.ci95[1] - mc.estimate))
     rows = [[freq, value, args.method, err_lo, err_hi, pred.regime.value,
-             value / pred.value if pred.value else None]
+             value / pred.value if pred.value and math.isfinite(pred.value) else None]
             for freq, (value, err_lo, err_hi), pred in zip(freqs, bars, preds)]
     inputs = {"geometry": args.geometry, "d": args.d, "q": args.q, "R": args.R,
               "freqs": freqs, "method": args.method, "trials": args.trials,

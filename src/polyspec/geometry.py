@@ -34,7 +34,6 @@ __all__ = [
     "omega",
     "ball_volume",
     "cap_volume",
-    "weight_euclidean",
     "weight_spherical",
     "make_weight",
 ]
@@ -112,12 +111,6 @@ def _sin_power_integral(m: int, x, v) -> np.ndarray:
     k, w, i = 0.5 * (m - 1), v[~low], np.arange((m + 1) // 2 if m % 2 else m // 2 + 27)
     out[~low] = (2.0 * w) ** k * w * np.polyval((binom(k, i) / (k + i + 1))[::-1], -0.5 * w)
     return out
-
-
-def weight_euclidean(d: int, R: float, r):
-    """omega_{d-1} times the lens volume of two radius-R balls at distance r,
-    in closed form (make_weight)."""
-    return make_weight(BallSpec(Geometry.EUCLIDEAN, d, R))(r)  # validates d and R
 
 
 def cap_volume(d: int, R: float) -> float:

@@ -151,44 +151,35 @@ def _exact_quadrature(specs: list[PolyspectrumSpec], kernel, measure, freqs,
             for k, spec in enumerate(specs)]
 
 
-def _ladder(specs, geometry: Geometry, what: str) -> list[PolyspectrumSpec]:
-    """specs as a list of rungs, one spec as a one-rung ladder.  Raises
-    ValueError unless there is a rung, every rung has the geometry, and the
-    rungs differ only in frequency."""
-    ladder = [specs] if isinstance(specs, PolyspectrumSpec) else list(specs)
-    if not ladder or any(s.field.geometry != geometry for s in ladder):
+def _ladder(specs, what: str, geometry: Geometry | None = None) -> list[PolyspectrumSpec]:
+    """specs as a list of rungs; ValueError unless there is one, all have
+    the geometry (when given), and they differ only in frequency."""
+    ladder = list(specs)
+    if not ladder or geometry and any(s.field.geometry != geometry for s in ladder):
         raise ValueError(f"{what} spec required")
-    if len({(s.field.d, s.q, s.R) for s in ladder}) > 1:
+    if len({(s.field.geometry, s.field.d, s.q, s.R) for s in ladder}) > 1:
         raise ValueError("ladder rungs must differ only in frequency")
     return ladder
 
 
-def variance_exact_euclidean(specs, tol: float = 1e-9):
-    """q! int_0^2R jd(lambda r)^q W(r) r^(d-1) dr.
-
-    specs is one PolyspectrumSpec, answered with one VarianceEstimate, or a
-    ladder of specs that differ only in wavenumber, answered with a list in
-    its order, all rungs in one engine call.
-    """
-    ladder = _ladder(specs, Geometry.EUCLIDEAN, "Euclidean")
+def variance_exact_euclidean(specs, tol: float = 1e-9) -> list[VarianceEstimate]:
+    """q! int_0^2R jd(lambda r)^q W(r) r^(d-1) dr for each rung of a ladder
+    of specs, in its order, all rungs in one engine call."""
+    ladder = _ladder(specs, "Euclidean", Geometry.EUCLIDEAN)
     d = ladder[0].field.d
     freqs = [s.field.freq for s in ladder]
     lams = np.array(freqs)
-    out = _exact_quadrature(ladder, lambda r, k: specfun.jd(d, lams[k] * r),
-                            lambda r: r ** (d - 1), freqs, tol)
-    return out[0] if isinstance(specs, PolyspectrumSpec) else out
+    return _exact_quadrature(ladder, lambda r, k: specfun.jd(d, lams[k] * r),
+                             lambda r: r ** (d - 1), freqs, tol)
 
 
-def variance_exact_spherical(specs, tol: float = 1e-9):
-    """q! int_0^pi G(cos r)^q W(r) sin(r)^(d-1) dr at degree ell.
-
-    specs is one PolyspectrumSpec or a ladder of them, as in
-    variance_exact_euclidean.  Whole-sphere odd-odd rungs vanish identically
-    by the degree parity of the covariance polynomial; they short-circuit
-    to exactly 0 and stay out of the engine call, which the other rungs
-    share (none is made when no rung is left).
-    """
-    ladder = _ladder(specs, Geometry.SPHERICAL, "spherical")
+def variance_exact_spherical(specs, tol: float = 1e-9) -> list[VarianceEstimate]:
+    """q! int_0^pi G(cos r)^q W(r) sin(r)^(d-1) dr at degree ell, for each
+    rung of a ladder as in variance_exact_euclidean.  Whole-sphere odd-odd
+    rungs vanish identically by the degree parity of the covariance
+    polynomial; they short-circuit to exactly 0 and stay out of the engine
+    call, which the other rungs share (none is made when no rung is left)."""
+    ladder = _ladder(specs, "spherical", Geometry.SPHERICAL)
     live = [s for s in ladder if regime_of(s) is not Regime.PARITY_ZERO]
     found = iter(())
     if live:
@@ -205,13 +196,22 @@ def variance_exact_spherical(specs, tol: float = 1e-9):
 
         found = iter(_exact_quadrature(live, kernel, lambda r: np.sin(r) ** (d - 1),
                                        [g.L for g in gspecs], tol))
-    out = [VarianceEstimate(s, 0.0, Method.EXACT_QUADRATURE, 0.0, Regime.PARITY_ZERO)
-           if regime_of(s) is Regime.PARITY_ZERO else next(found) for s in ladder]
-    return out[0] if isinstance(specs, PolyspectrumSpec) else out
+    return [VarianceEstimate(s, 0.0, Method.EXACT_QUADRATURE, 0.0, Regime.PARITY_ZERO)
+            if regime_of(s) is Regime.PARITY_ZERO else next(found) for s in ladder]
 
 
-def variance_asymptotic(spec: PolyspectrumSpec) -> VarianceEstimate:
-    """Leading-order variance prediction with explicit constants.
+def _pow(f: float, e: int) -> float:
+    """f ** e, inf past the float range (where a float power raises
+    OverflowError; it underflows to 0.0 without one)."""
+    try:
+        return f ** e
+    except OverflowError:
+        return math.inf
+
+
+def variance_asymptotic(specs) -> list[VarianceEstimate]:
+    """Leading-order variance predictions with explicit constants for each
+    rung of a ladder, in its order; the weight and I_q^d are built once.
 
     Generic (q >= 3 away from (2,4)): q! I_q^d W(0) f^-d with f the
     wavenumber (Euclidean) or the degree (spherical).  On caps the
@@ -229,32 +229,34 @@ def variance_asymptotic(spec: PolyspectrumSpec) -> VarianceEstimate:
     D2Q4: the quartic envelope averages to 3/8 and the surviving 1/r mean
     part integrates to a logarithm: 4! (3/(2 pi^2)) W(0) log(f) f^-2, with
     W(0) + W(pi) in place of W(0) on caps (both poles contribute).
+
+    Where a power of f leaves the float range the prediction is +-inf: f^-d
+    or f^(1-d) overflows, or f^2 underflows to 0 (there log f < 0).
     """
-    d, q = spec.field.d, spec.q
-    spherical = spec.field.geometry == Geometry.SPHERICAL
-    regime = regime_of(spec)
-    w = make_weight(spec.ball)
+    ladder = _ladder(specs, "polyspectrum")
+    d, q = ladder[0].field.d, ladder[0].q
+    spherical = ladder[0].field.geometry == Geometry.SPHERICAL
+    regimes = [regime_of(s) for s in ladder]
+    w = make_weight(ladder[0].ball)
+    w_pi = w(math.pi) if spherical else 0.0
     qfac = math.factorial(q)
-    if regime is Regime.PARITY_ZERO:
-        return VarianceEstimate(spec, 0.0, Method.ASYMPTOTIC, None, regime)
-    if regime is Regime.Q2:
-        f = spec.field.big_l if spherical else spec.field.freq
-        envelope = walk._norm_factor(d) / math.pi
-        value = qfac * envelope * w.integral * f ** (1 - d)
-        return VarianceEstimate(spec, value, Method.ASYMPTOTIC, None, regime)
-    if regime is Regime.D2Q4:
-        f = spec.field.freq
-        w_ends = w.at_zero + (w(math.pi) if spherical else 0.0)
-        value = qfac * (3.0 / (2.0 * math.pi**2)) * w_ends * math.log(f) / f**2
-        return VarianceEstimate(spec, value, Method.ASYMPTOTIC, None, regime)
-    f = spec.field.freq
-    idq_val = walk.idq_value(d, q, 1e-10)
-    weight_term = w.at_zero
-    if spherical:
-        sign = -1.0 if (q % 2 == 1 and spec.field.ell % 2 == 1) else 1.0
-        weight_term += sign * w(math.pi)
-    value = qfac * idq_val * weight_term * f ** (-d)
-    return VarianceEstimate(spec, value, Method.ASYMPTOTIC, None, regime)
+    idq_val = walk.idq_value(d, q, 1e-10) if Regime.GENERIC in regimes else None
+    out = []
+    for spec, regime in zip(ladder, regimes):
+        f = spec.field.big_l if spherical and regime is Regime.Q2 else spec.field.freq
+        if regime is Regime.PARITY_ZERO:
+            value = 0.0
+        elif regime is Regime.Q2:
+            value = qfac * (walk._norm_factor(d) / math.pi) * w.integral * _pow(f, 1 - d)
+        elif regime is Regime.D2Q4:
+            num = qfac * (3.0 / (2.0 * math.pi**2)) * (w.at_zero + w_pi) * math.log(f)
+            value = num / f2 if (f2 := _pow(f, 2)) else -math.inf
+        else:
+            sign = -1.0 if (q % 2 == 1 and spec.field.ell % 2 == 1) else 1.0
+            weight_term = w.at_zero + sign * w_pi if spherical else w.at_zero
+            value = qfac * idq_val * weight_term * _pow(f, -d)
+        out.append(VarianceEstimate(spec, value, Method.ASYMPTOTIC, None, regime))
+    return out
 
 
 def hermite_covariance_identity_check(q: int, rho: float) -> float:

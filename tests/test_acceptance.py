@@ -127,8 +127,8 @@ def test_criterion_04_generic_regime():
         ratios = {}
         for lam in (100.0, 200.0, 400.0):
             spec = va.PolyspectrumSpec(va.FieldSpec(E, d, lam), q, 1.0)
-            v = va.variance_exact_euclidean(spec)
-            pred = va.variance_asymptotic(spec)
+            v = va.variance_exact_euclidean([spec])[0]
+            pred = va.variance_asymptotic([spec])[0]
             ratios[lam] = v.value / pred.value
         ok = ok and 0.85 <= ratios[200.0] <= 1.15
         ok = ok and abs(ratios[400.0] - 1.0) < abs(ratios[100.0] - 1.0)
@@ -141,11 +141,11 @@ def test_criterion_05_q2_regime():
     details = []
     for d in (2, 3):
         v100 = va.variance_exact_euclidean(
-            va.PolyspectrumSpec(va.FieldSpec(E, d, 100.0), 2, 1.0)
-        ).value
+            [va.PolyspectrumSpec(va.FieldSpec(E, d, 100.0), 2, 1.0)]
+        )[0].value
         v200 = va.variance_exact_euclidean(
-            va.PolyspectrumSpec(va.FieldSpec(E, d, 200.0), 2, 1.0)
-        ).value
+            [va.PolyspectrumSpec(va.FieldSpec(E, d, 200.0), 2, 1.0)]
+        )[0].value
         ratio = v200 / v100
         target = 2.0 ** (1 - d)
         ok = ok and abs(ratio / target - 1.0) <= 0.10
@@ -157,9 +157,9 @@ def test_criterion_06_d2q4_log_regime():
     vals = {}
     for lam in (100.0, 400.0, 1600.0):
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, lam), 4, 1.0)
-        v = va.variance_exact_euclidean(spec, 1e-10)
+        v = va.variance_exact_euclidean([spec], 1e-10)[0]
         vals[lam] = lam**2 * v.value / math.log(lam)
-    const = 24.0 * (3.0 / (2.0 * math.pi**2)) * geo.weight_euclidean(2, 1.0, 0.0)
+    const = 24.0 * (3.0 / (2.0 * math.pi**2)) * geo.make_weight(geo.BallSpec(E, 2, 1.0))(0.0)
     ok = (
         abs(vals[400.0] / vals[100.0] - 1.0) <= 0.15
         and abs(vals[1600.0] / vals[400.0] - 1.0) <= 0.15
@@ -183,8 +183,8 @@ def test_criterion_07_spherical_parity():
         0.0, math.pi, 1e-9 / 6, split_points=np.linspace(0.0, math.pi, 47)[1:-1],
     ).value
     v12 = va.variance_exact_spherical(
-        va.PolyspectrumSpec(va.FieldSpec(S, 2, 12), 3, math.pi)
-    ).value
+        [va.PolyspectrumSpec(va.FieldSpec(S, 2, 12), 3, math.pi)]
+    )[0].value
     ok = abs(raw11) <= 1e-10 * v12
     pred12 = (
         2.0 * math.factorial(3) * geo.omega(1) * geo.omega(2)
@@ -202,8 +202,8 @@ def test_criterion_07_spherical_parity():
 def test_criterion_08_cross_geometry_constant():
     spec_s = va.PolyspectrumSpec(va.FieldSpec(S, 2, 300), 3, 1.0)
     spec_e = va.PolyspectrumSpec(va.FieldSpec(E, 2, 300.0), 3, 1.0)
-    v_s = va.variance_exact_spherical(spec_s).value
-    v_e = va.variance_exact_euclidean(spec_e).value
+    v_s = va.variance_exact_spherical([spec_s])[0].value
+    v_e = va.variance_exact_euclidean([spec_e])[0].value
     c_s = 300.0**2 * v_s / va.make_weight(spec_s.ball).at_zero
     c_e = 300.0**2 * v_e / va.make_weight(spec_e.ball).at_zero
     ok = abs(c_s / c_e - 1.0) <= 0.10
@@ -218,7 +218,7 @@ def test_criterion_09_monte_carlo_consistency():
     spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 20.0), 3, 1.0)
     dom = fs.build_domain(E, 2, 1.0, 24)
     mc = fs.mc_polyspectrum_variance(spec, 4242, dom, 2000)
-    exact = va.variance_exact_euclidean(spec).value
+    exact = va.variance_exact_euclidean([spec])[0].value
     ok = mc.ci95[0] <= exact <= mc.ci95[1]
     detail = f"euclidean CI ({mc.ci95[0]:.5f}, {mc.ci95[1]:.5f}) covers {exact:.5f}"
 
@@ -236,7 +236,7 @@ def test_criterion_09_monte_carlo_consistency():
     # exact value and at least 7 of the 10 intervals must cover it
     spec_s = va.PolyspectrumSpec(va.FieldSpec(S, 2, 15), 2, 1.0)
     dom_s = fs.build_domain(S, 2, 1.0, 20)
-    exact_s = va.variance_exact_spherical(spec_s).value
+    exact_s = va.variance_exact_spherical([spec_s])[0].value
     runs = [fs.mc_polyspectrum_variance(spec_s, seed, dom_s, 2000)
             for seed in range(77, 87)]
     ests_s = np.array([m.estimate for m in runs])
@@ -289,9 +289,8 @@ def test_criterion_12_odd_q_hyperspherical_harmonics():
         ratios = []
         for ell in ells:
             spec = va.PolyspectrumSpec(va.FieldSpec(S, d, ell), q, 1.0)
-            ratios.append(
-                va.variance_exact_spherical(spec).value / va.variance_asymptotic(spec).value
-            )
+            ratios.append(va.variance_exact_spherical([spec])[0].value
+                          / va.variance_asymptotic([spec])[0].value)
         gaps = [1.0 - r for r in ratios]
         halving = gaps[-2] / gaps[-1]
         step = 2.0 * ratios[-1] - ratios[-2]  # Richardson step in 1/ell

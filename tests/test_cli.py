@@ -147,18 +147,23 @@ class TestVarianceCommand:
         assert fields[5] == "ParityZero"
         assert abs(float(fields[1])) < 1e-12
 
-    @pytest.mark.parametrize("argv, calls", [
+    @pytest.mark.parametrize("argv, sizes", [
         (["--geometry", "euclidean", "--d", "2", "--q", "4", "--R", "1.0",
-          "--freq-grid", "25,50,100,200,400,800,1600"], 1),
+          "--freq-grid", "25,50,100,200,400,800,1600"], [7]),
         (["--geometry", "spherical", "--d", "3", "--q", "2", "--R", "0.7",
-          "--freq-grid", "10,20,40,80,160,5,7"], 1),
+          "--freq-grid", "10,20,40,80,160,5,7"], [7]),
         # every rung vanishes by parity: no engine call, not an empty one
         (["--geometry", "spherical", "--d", "2", "--q", "3", "--R", str(math.pi),
-          "--freq-grid", "11,13,15"], 0),
-    ], ids=["planar", "cap", "all-parity-zero"])
-    def test_grid_engine_calls(self, argv, calls, monkeypatch, capsys):
-        # these regimes' predictions are closed forms, so every engine call
-        # counted is the exact ladder's
+          "--freq-grid", "11,13,15"], []),
+        # the predictions read I_4^3 by its direct integral, one head
+        # integral for the whole grid (8 calls while each rung made its own)
+        (["--geometry", "euclidean", "--d", "3", "--q", "4", "--R", "1.0",
+          "--freq-grid", "25,50,100,200,400,800,1600"], [1, 7]),
+    ], ids=["planar", "cap", "all-parity-zero", "generic"])
+    def test_grid_engine_calls(self, argv, sizes, monkeypatch, capsys):
+        # the batch size of each engine call: the exact ladder takes every
+        # live rung in one call, and the predictions make one only where
+        # I_q^d has no closed form, once per grid
         engine, counted = quadrature.integrate_adaptive_batch, []
 
         def counting(*args, **kwargs):
@@ -170,7 +175,45 @@ class TestVarianceCommand:
         assert cli.main(["variance"] + argv) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert len(rows) == len(argv[-1].split(","))
-        assert counted == [len(rows)] * calls
+        assert counted == sizes
+
+    def test_grid_builds_one_weight_per_ladder(self, monkeypatch, capsys):
+        # one weight for the exact ladder and one for its predictions (6 on
+        # this grid while the predictions went rung by rung)
+        built, make_weight = [], cli.variance.make_weight
+        monkeypatch.setattr(cli.variance, "make_weight",
+                            lambda ball: built.append(ball) or make_weight(ball))
+        assert cli.main(["variance", "--geometry", "spherical", "--d", "3", "--q", "3",
+                         "--R", "0.7", "--freq-grid", "10,20,40,80,160",
+                         "--method", "exact"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 6
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("d, q, freq, regime, sentinel", [
+        (2, 3, "1e-300", "Generic", "inf"),  # f ** -d overflowed
+        (3, 2, "1e-200", "Q2", "inf"),  # f ** (1 - d) overflowed
+        (2, 4, "1e-300", "D2Q4", "-inf"),  # log(f) / f ** 2 divided by 0
+    ], ids=["generic", "q2", "d2q4"])
+    def test_prediction_past_float_range(self, d, q, freq, regime, sentinel, capsys):
+        # each run exited 3 with a numerical failure while the prediction's
+        # power of freq raised; now the prediction is +-inf, the exact value
+        # prints without a ratio and the asymptotic one as the sentinel
+        argv = ["variance", "--geometry", "euclidean", "--d", str(d), "--q", str(q),
+                "--R", "1", "--freq", freq]
+        assert cli.main(argv + ["--method", "exact"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert 0 < float(row[1]) < math.inf and row[5:] == [regime, ""]
+        assert cli.main(argv + ["--method", "asym"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[1] == sentinel and row[5:] == [regime, ""]
+
+    def test_d2q4_prediction_past_float_range_above(self, capsys):
+        # f ** 2 overflowed at wavenumbers above 1.3e154 (exit 3); log(f) / inf
+        # is 0, which has no ratio
+        assert cli.main(["variance", "--geometry", "euclidean", "--d", "2", "--q", "4",
+                         "--R", "1", "--freq", "1e200", "--method", "asym"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[1] == "0" and row[5:] == ["D2Q4", ""]
 
     def test_grid_ratio_tends_to_one(self):
         proc = run_cli(

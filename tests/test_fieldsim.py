@@ -234,7 +234,7 @@ class TestMCPolyspectrumVariance:
         spec = va.PolyspectrumSpec(va.FieldSpec(E, 2, 8.0), 3, 1.0)
         dom = fs.build_domain(E, 2, 1.0, 12)
         mc = fs.mc_polyspectrum_variance(spec, 99, dom, 1500)
-        exact = va.variance_exact_euclidean(spec)
+        exact = va.variance_exact_euclidean([spec])[0]
         assert mc.ci95[0] <= exact.value <= mc.ci95[1]
         assert mc.ci95[0] <= mc.estimate <= mc.ci95[1]
 
@@ -258,7 +258,7 @@ class TestMCPolyspectrumVariance:
         # at least 7 of the 10 intervals covering it (criterion 9's rule)
         spec = va.PolyspectrumSpec(va.FieldSpec(S, 2, ell), 5, 1.0)
         dom = fs.build_domain(S, 2, 1.0, 16)
-        exact = va.variance_exact_spherical(spec).value
+        exact = va.variance_exact_spherical([spec])[0].value
         runs = [fs.mc_polyspectrum_variance(spec, seed, dom, 2000)
                 for seed in range(77, 87)]
         ests = np.array([m.estimate for m in runs])

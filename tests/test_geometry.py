@@ -35,15 +35,16 @@ class TestWeightEuclidean:
     def test_value_at_zero(self):
         for d in (2, 3, 4, 5):
             expect = geo.omega(d - 1) * geo.ball_volume(d, 1.3)
-            assert geo.weight_euclidean(d, 1.3, 0.0) == pytest.approx(expect, rel=1e-12)
+            w = geo.make_weight(BallSpec(Geometry.EUCLIDEAN, d, 1.3))
+            assert w(0.0) == pytest.approx(expect, rel=1e-12)
 
     def test_tangent_balls(self):
-        assert geo.weight_euclidean(2, 1.0, 2.0) == 0.0
-        assert geo.weight_euclidean(3, 1.0, 2.7) == 0.0
+        assert geo.make_weight(BallSpec(Geometry.EUCLIDEAN, 2, 1.0))(2.0) == 0.0
+        assert geo.make_weight(BallSpec(Geometry.EUCLIDEAN, 3, 1.0))(2.7) == 0.0
 
     def test_planar_lens_oracle(self):
         lens = 2 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
-        assert geo.weight_euclidean(2, 1.0, 1.0) == pytest.approx(
+        assert geo.make_weight(BallSpec(Geometry.EUCLIDEAN, 2, 1.0))(1.0) == pytest.approx(
             2 * math.pi * lens, rel=1e-12
         )
 
@@ -62,12 +63,13 @@ class TestWeightEuclidean:
             else:
                 lens = mpmath.pi * (4 + x) * (2 - x) ** 2 / 12
             expect = float(geo.omega(d - 1) * lens)
-        assert geo.weight_euclidean(d, 1.0, r) == pytest.approx(expect, rel=1e-14, abs=0)
+        w = geo.make_weight(BallSpec(Geometry.EUCLIDEAN, d, 1.0))
+        assert w(r) == pytest.approx(expect, rel=1e-14, abs=0)
 
     def test_monotone_nonincreasing(self):
         r = np.linspace(0.0, 2.0, 100)
         for d in (2, 3, 5):
-            w = geo.weight_euclidean(d, 1.0, r)
+            w = geo.make_weight(BallSpec(Geometry.EUCLIDEAN, d, 1.0))(r)
             assert np.all(np.diff(w) <= 1e-12)
 
     def test_change_of_variable_identity_mc(self):
@@ -85,8 +87,9 @@ class TestWeightEuclidean:
             vol = geo.ball_volume(d, 1.0)
             mc = f.mean() * vol**2
             se = f.std() / math.sqrt(n) * vol**2
+            w = geo.make_weight(BallSpec(Geometry.EUCLIDEAN, d, 1.0))
             res = integrate_adaptive(
-                lambda r: np.exp(-r) * geo.weight_euclidean(d, 1.0, r) * r ** (d - 1),
+                lambda r: np.exp(-r) * w(r) * r ** (d - 1),
                 0.0, 2.0, 1e-9,
             )
             assert abs(res.value - mc) <= 4.0 * se
@@ -121,7 +124,7 @@ class TestLensAndCapAgainstMpmath:
         with mpmath.workdps(40):
             scale = 2 * omega_mpmath(d - 1) * omega_mpmath(d - 2) / (d - 1)
             expect = np.array([float(scale * sin_power_mpmath(d, mpmath.mpf(x))) for x in u])
-        got = geo.weight_euclidean(d, 1.0, 2.0 * u)
+        got = geo.make_weight(BallSpec(Geometry.EUCLIDEAN, d, 1.0))(2.0 * u)
         assert np.abs(got / expect - 1.0).max() <= 2e-15
 
     @pytest.mark.parametrize("d", range(2, 8))

@@ -78,13 +78,18 @@ def test_ladder_work_count(monkeypatch):
     assert sum(evals) < 180_000
 
 
-@pytest.mark.parametrize("geometry, d, q, R, freqs", [
+ladders = pytest.mark.parametrize("geometry, d, q, R, freqs", [
     (E, 2, 3, 1.0, (25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)),
     (E, 3, 4, 1.0, (7.5, 31.0, 260.0)),
     (S, 3, 3, 0.7, (10, 20, 40, 80, 160)),
     (S, 2, 3, math.pi, (10, 11, 20, 21, 40, 41)),
     (S, 2, 2, math.pi, (3, 8, 15)),
-], ids=["planar", "d3", "cap", "whole-sphere-odd-q", "whole-sphere-q2"])
+    (E, 2, 4, 1.0, (25.0, 100.0, 400.0)),
+    (S, 2, 4, 1.5, (10, 11, 40)),
+], ids=["planar", "d3", "cap", "whole-sphere-odd-q", "whole-sphere-q2", "planar-q4", "cap-q4"])
+
+
+@ladders
 def test_ladder_rungs_match_one_rung_calls(geometry, d, q, R, freqs):
     """Each rung of a ladder has the value and bar of its one-rung call bit
     for bit; whole-sphere odd-q rungs at odd degrees are exactly 0 in both."""
@@ -93,12 +98,26 @@ def test_ladder_rungs_match_one_rung_calls(geometry, d, q, R, freqs):
     ladder = exact(specs, 1e-8)
     assert [est.spec for est in ladder] == specs
     for spec, est in zip(specs, ladder):
-        alone = exact(spec, 1e-8)
+        alone = exact([spec], 1e-8)[0]
         assert (est.value, est.error, est.regime) == (alone.value, alone.error, alone.regime)
         if est.regime is va.Regime.PARITY_ZERO:
             assert est.value == est.error == 0.0
         else:
             assert est.value > 0.0 and est.error > 0.0
+
+
+@ladders
+def test_prediction_rungs_match_one_rung_calls(geometry, d, q, R, freqs):
+    """Each rung of a predicted ladder, whose weight and I_q^d are built
+    once, has the value and regime of its one-rung call bit for bit."""
+    specs = [va.PolyspectrumSpec(va.FieldSpec(geometry, d, f), q, R) for f in freqs]
+    ladder = va.variance_asymptotic(specs)
+    assert [pred.spec for pred in ladder] == specs
+    for spec, pred in zip(specs, ladder):
+        alone = va.variance_asymptotic([spec])[0]
+        assert (pred.value, pred.regime, pred.method) == (alone.value, alone.regime,
+                                                          va.Method.ASYMPTOTIC)
+        assert (pred.value == 0.0) == (pred.regime is va.Regime.PARITY_ZERO)
 
 
 def test_ladder_rejects_mixed_rungs():
@@ -108,6 +127,10 @@ def test_ladder_rejects_mixed_rungs():
         va.variance_exact_spherical([sphere(2, 10, 3, 1.0), euclid(2, 10.0, 3, 1.0)])
     with pytest.raises(ValueError, match="Euclidean spec required"):
         va.variance_exact_euclidean([])
+    with pytest.raises(ValueError, match="only in frequency"):
+        va.variance_asymptotic([sphere(2, 10, 3, 1.0), euclid(2, 10.0, 3, 1.0)])
+    with pytest.raises(ValueError, match="polyspectrum spec required"):
+        va.variance_asymptotic([])
 
 
 class TestSpecValidation:
@@ -137,43 +160,43 @@ class TestRegime:
 
 class TestExactEuclidean:
     def test_q2_frequency_scaling(self):
-        v10 = va.variance_exact_euclidean(euclid(2, 10.0, 2, 1.0))
-        v20 = va.variance_exact_euclidean(euclid(2, 20.0, 2, 1.0))
+        v10 = va.variance_exact_euclidean([euclid(2, 10.0, 2, 1.0)])[0]
+        v20 = va.variance_exact_euclidean([euclid(2, 20.0, 2, 1.0)])[0]
         assert v20.value / v10.value == pytest.approx(0.5, rel=0.15)
 
     def test_generic_limit_d3_q3(self):
         target = math.factorial(3) * (math.pi / 4) * omega(2) * (omega(2) / 3.0)
         ratios = []
         for lam in (100.0, 400.0):
-            v = va.variance_exact_euclidean(euclid(3, lam, 3, 1.0))
+            v = va.variance_exact_euclidean([euclid(3, lam, 3, 1.0)])[0]
             ratios.append(lam**3 * v.value / target)
         assert ratios[0] == pytest.approx(1.0, abs=0.1)
         assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
 
     def test_even_order_positive(self):
-        v = va.variance_exact_euclidean(euclid(2, 7.0, 4, 0.8))
+        v = va.variance_exact_euclidean([euclid(2, 7.0, 4, 0.8)])[0]
         assert v.value > 0
 
     def test_scaling_identity(self):
         # V(d,q,R,lam) = lam^(-2d) V(d,q,lam R, 1)
-        left = va.variance_exact_euclidean(euclid(2, 5.0, 3, 1.0), 1e-12)
-        right = va.variance_exact_euclidean(euclid(2, 1.0, 3, 5.0), 1e-12)
+        left = va.variance_exact_euclidean([euclid(2, 5.0, 3, 1.0)], 1e-12)[0]
+        right = va.variance_exact_euclidean([euclid(2, 1.0, 3, 5.0)], 1e-12)[0]
         assert left.value == pytest.approx(5.0**-4 * right.value, rel=1e-8)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tol"):
-            va.variance_exact_euclidean(euclid(2, 9.0, 3, 1.0), tol)
+            va.variance_exact_euclidean([euclid(2, 9.0, 3, 1.0)], tol)
 
     def test_method_tag_and_error(self):
-        v = va.variance_exact_euclidean(euclid(2, 9.0, 3, 1.0))
+        v = va.variance_exact_euclidean([euclid(2, 9.0, 3, 1.0)])[0]
         assert v.method is va.Method.EXACT_QUADRATURE
         assert v.error >= 0
 
 
 class TestExactSpherical:
     def test_parity_shortcut(self):
-        v = va.variance_exact_spherical(sphere(2, 11, 3, math.pi))
+        v = va.variance_exact_spherical([sphere(2, 11, 3, math.pi)])[0]
         assert v.value == 0.0 and v.regime is va.Regime.PARITY_ZERO
 
     def test_parity_raw_quadrature_tiny(self):
@@ -189,14 +212,14 @@ class TestExactSpherical:
         assert abs(raw) <= 1e-12 * scale
 
     def test_even_degree_full_sphere_constant(self):
-        v = va.variance_exact_spherical(sphere(2, 12, 3, math.pi))
+        v = va.variance_exact_spherical([sphere(2, 12, 3, math.pi)])[0]
         pred = 2 * math.factorial(3) * omega(1) * omega(2) * walk.idq_closed_form(2, 3) / 144.0
         assert v.value == pytest.approx(pred, rel=0.2)
 
     def test_q2_partial_cap_scaling(self):
         vals = {}
         for ell in (60, 120):
-            v = va.variance_exact_spherical(sphere(2, ell, 2, 1.0))
+            v = va.variance_exact_spherical([sphere(2, ell, 2, 1.0)])[0]
             vals[ell] = ell * v.value
         assert vals[120] == pytest.approx(vals[60], rel=0.1)
         assert vals[120] > 0
@@ -210,8 +233,8 @@ class TestExactSpherical:
             sphere(2, 31, 3, 2.0),       # partial cap
         ]
         for spec in base_pairs:
-            v = va.variance_exact_spherical(spec)
-            pred = va.variance_asymptotic(spec)
+            v = va.variance_exact_spherical([spec])[0]
+            pred = va.variance_asymptotic([spec])[0]
             assert v.value >= 0.5 * pred.value, spec
 
     @pytest.mark.parametrize("d, q, R, ell", [
@@ -224,12 +247,12 @@ class TestExactSpherical:
         # a cap weight off by more than rounding shows up beyond the bar
         # (the former PCHIP table was 1.5x to 3,600x outside it here)
         spec = sphere(d, ell, q, R)
-        v = va.variance_exact_spherical(spec, tol=1e-11)
+        v = va.variance_exact_spherical([spec], tol=1e-11)[0]
         tol_w = 1e-13 * cap_volume(d, R)
         monkeypatch.setattr(va, "make_weight", lambda ball: WeightFunction(
             ball, lambda r: latitude_oracle(d, R, r, tol_w), math.nan,
             min(2 * R, 2 * math.pi - 2 * R)))
-        ref = va.variance_exact_spherical(spec, tol=1e-13)
+        ref = va.variance_exact_spherical([spec], tol=1e-13)[0]
         assert abs(v.value - ref.value) <= v.error
 
     @pytest.mark.parametrize("q, R, ell", [(2, 1.5, 19), (3, 2.0, 10), (2, 2.5, 19)])
@@ -237,7 +260,7 @@ class TestExactSpherical:
         # W is not smooth at r* = min(2R, 2 pi - 2R), inside (0, pi) on these
         # caps; with no first-pass split there the bars at tol 1e-8 missed
         # this reference by 1.06x, 17x and 3.7x
-        v = va.variance_exact_spherical(sphere(2, ell, q, R), tol=1e-8)
+        v = va.variance_exact_spherical([sphere(2, ell, q, R)], tol=1e-8)[0]
         ref = math.factorial(q) * kink_split_gauss_legendre(
             lambda r: eval_legendre(ell, np.cos(r)) ** q * np.sin(r) * s2_cap_weight(R, r),
             min(2 * R, 2 * math.pi - 2 * R), math.pi)
@@ -248,7 +271,7 @@ class TestAsymptotic:
     def test_generic_constant_d3_q3(self):
         spec = euclid(3, 3.0, 3, 1.0)
         expect = 6 * (math.pi / 4) * omega(2) * (omega(2) / 3) * 3.0**-3
-        assert va.variance_asymptotic(spec).value == pytest.approx(expect, rel=1e-12)
+        assert va.variance_asymptotic([spec])[0].value == pytest.approx(expect, rel=1e-12)
 
     def test_full_sphere_doubling(self):
         spec = sphere(2, 40, 5, math.pi)
@@ -256,43 +279,43 @@ class TestAsymptotic:
             2 * math.factorial(5) * omega(1) * omega(2)
             * walk.idq_closed_form(2, 5) * 40.0**-2
         )
-        assert va.variance_asymptotic(spec).value == pytest.approx(expect, rel=1e-10)
+        assert va.variance_asymptotic([spec])[0].value == pytest.approx(expect, rel=1e-10)
 
     def test_parity_zero_prediction(self):
-        assert va.variance_asymptotic(sphere(2, 41, 5, math.pi)).value == 0.0
+        assert va.variance_asymptotic([sphere(2, 41, 5, math.pi)])[0].value == 0.0
 
     def test_d2q4_log_regime_against_exact(self):
         spec100 = euclid(2, 100.0, 4, 1.0)
         spec800 = euclid(2, 800.0, 4, 1.0)
         for spec in (spec100, spec800):
-            v = va.variance_exact_euclidean(spec, 1e-10)
-            p = va.variance_asymptotic(spec)
+            v = va.variance_exact_euclidean([spec], 1e-10)[0]
+            p = va.variance_asymptotic([spec])[0]
             assert v.value / p.value == pytest.approx(1.0, abs=0.35)
-        r100 = va.variance_exact_euclidean(spec100, 1e-10).value / va.variance_asymptotic(spec100).value
-        r800 = va.variance_exact_euclidean(spec800, 1e-10).value / va.variance_asymptotic(spec800).value
+        r100, r800 = (va.variance_exact_euclidean([spec], 1e-10)[0].value
+                      / va.variance_asymptotic([spec])[0].value for spec in (spec100, spec800))
         assert abs(r800 - 1.0) < abs(r100 - 1.0)
 
     def test_q2_constant_against_exact(self):
         for d in (2, 3):
             spec = euclid(d, 300.0, 2, 1.0)
-            v = va.variance_exact_euclidean(spec, 1e-10)
-            p = va.variance_asymptotic(spec)
+            v = va.variance_exact_euclidean([spec], 1e-10)[0]
+            p = va.variance_asymptotic([spec])[0]
             assert v.value / p.value == pytest.approx(1.0, abs=0.05), d
 
     def test_q2_spherical_constant_against_exact(self):
         spec = sphere(2, 200, 2, 1.0)
-        v = va.variance_exact_spherical(spec, 1e-10)
-        p = va.variance_asymptotic(spec)
+        v = va.variance_exact_spherical([spec], 1e-10)[0]
+        p = va.variance_asymptotic([spec])[0]
         assert v.value / p.value == pytest.approx(1.0, abs=0.08)
 
     def test_regime_consistency_sequence(self):
         # |lam^d V / (q! I W(0)) - 1| eventually decreasing along 25 * 2^k
         spec0 = euclid(3, 25.0, 3, 1.0)
-        target = va.variance_asymptotic(spec0).value * 25.0**3
+        target = va.variance_asymptotic([spec0])[0].value * 25.0**3
         devs = []
         for k in range(5):
             lam = 25.0 * 2**k
-            v = va.variance_exact_euclidean(euclid(3, lam, 3, 1.0))
+            v = va.variance_exact_euclidean([euclid(3, lam, 3, 1.0)])[0]
             devs.append(abs(lam**3 * v.value / target - 1.0))
         assert devs[-1] < devs[0]
         assert devs[-1] < devs[-2] or devs[-2] < devs[-3]
@@ -317,7 +340,7 @@ class TestAsymptotic:
 
     def test_positive_predictions(self):
         for spec in (euclid(2, 50.0, 3, 1.0), sphere(3, 20, 4, 1.0)):
-            assert va.variance_asymptotic(spec).value > 0
+            assert va.variance_asymptotic([spec])[0].value > 0
 
 
 class TestHermiteIdentity:
