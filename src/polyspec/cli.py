@@ -129,7 +129,7 @@ def _cmd_variance(args, started: float) -> int:
             mc = fieldsim.mc_polyspectrum_variance(spec, args.seed, dom, args.trials)
             bars.append((mc.estimate, mc.estimate - mc.ci95[0], mc.ci95[1] - mc.estimate))
     rows = [[freq, value, args.method, err_lo, err_hi, pred.regime.value,
-             value / pred.value if pred.value and math.isfinite(pred.value) else None]
+             value / pred.value if 0.0 < pred.value < math.inf else None]
             for freq, (value, err_lo, err_hi), pred in zip(freqs, bars, preds)]
     inputs = {"geometry": args.geometry, "d": args.d, "q": args.q, "R": args.R,
               "freqs": freqs, "method": args.method, "trials": args.trials,

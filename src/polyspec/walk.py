@@ -126,6 +126,11 @@ def _norm_factor(d: int) -> float:
     return math.exp(2.0 * gammaln(nu + 1.0)) * 4.0**nu
 
 
+def _rho2_scale(nu: float) -> float:
+    """2 / (pi binom(2nu, nu)), the constant of rho_2."""
+    return 2.0 / (math.pi * math.exp(gammaln(2 * nu + 1) - 2 * gammaln(nu + 1)))
+
+
 def rho2_closed(d: int, r):
     """Radius density of the two-step flight on (0, 2), zero outside.
 
@@ -135,10 +140,9 @@ def rho2_closed(d: int, r):
     """
     nu = specfun._validate_dim(d)
     arr = np.asarray(r, dtype=float)
-    binom = math.exp(gammaln(2 * nu + 1) - 2 * gammaln(nu + 1))
     inside = (arr > 0) & (arr < 2)
     x = np.where(inside, arr, 1.0)
-    vals = 2.0 / (math.pi * binom) * x ** (2 * nu) * ((2.0 - x) * (2.0 + x)) ** (nu - 0.5)
+    vals = _rho2_scale(nu) * x ** (2 * nu) * ((2.0 - x) * (2.0 + x)) ** (nu - 0.5)
     out = np.where(inside, vals, 0.0)
     return float(out) if arr.ndim == 0 else out
 
@@ -188,13 +192,10 @@ def _step_pref(d: int) -> float:
 
 
 def _psi_kinks(n: int) -> tuple[float, ...]:
-    """The radii where psi^d_n fails to be analytic, in any dimension.
-
-    psi_2 is integrably singular at u = 2 for d = 2 and jumps there for
-    d = 3; above it they are the integer lattice of sub-flight supports,
-    which includes the log-infinite point of the planar 3-step.
-    """
-    return (2.0,) if n == 2 else tuple(float(k) for k in range(1, n + 1))
+    """The radii where psi^d_n (n >= 3) fails to be analytic, in any
+    dimension: the integer lattice of sub-flight supports, which includes
+    the log-infinite point of the planar 3-step."""
+    return tuple(float(k) for k in range(1, n + 1))
 
 
 def _recursion_error(vals):
@@ -203,10 +204,54 @@ def _recursion_error(vals):
     return 1e-6 * np.abs(vals) + 1e-9
 
 
+def _psi3_step(d: int, rs: np.ndarray, tol: float) -> np.ndarray:
+    """psi^d_3 at each radius in rs (d >= 3), in the radius u of the two-step
+    partial sum.
+
+    With u du = -r sin(phi) dphi and psi_2(u) u = C ((2 - u)(2 + u))^(nu -
+    1/2), C = 2 / (pi binom(2nu, nu)), the step from psi_2 reads
+
+        psi_3(r) = pref C / r int_lo^hi ((2 - u)(2 + u))^(nu - 1/2)
+                   sin(phi(u))^(2nu - 1) du,
+
+    lo = |1 - r|, hi = min(1 + r, 2), sin(phi(u))^2 = ((1 + r)^2 - u^2)
+    (u^2 - (1 - r)^2) / (2r)^2: psi_2's 1/u blow-up cancels against the
+    Jacobian.  u = lo + h (1 - cos t), h = (hi - lo)/2, takes out the square
+    roots at both ends.  u - lo = 2h sin(t/2)^2 and hi - u = 2h cos(t/2)^2
+    give 1 + r - u and 2 - u as sums of positive terms, without the
+    cancellation of (1 + r)^2 - u^2 at r ~ 1e-9.  All radii go into one
+    integrate_adaptive_batch call over t in [0, pi]; one left unconverged
+    with an error above 100 tol raises NonConvergedError.
+    """
+    nu = 0.5 * d - 1.0
+    scale = _rho2_scale(nu)
+    low = rs <= 1.0  # hi = 1 + r, else hi = 2
+    lo = np.abs(1.0 - rs)
+    over = 1.0 / (2.0 * np.maximum(rs, 1.0))
+    ratio = np.where(low, 1.0, (3.0 - rs) * over)  # h / r
+    top = np.where(low, 0.0, (rs - 1.0) * over)  # (1 + r - hi) / (2r)
+    two_off = np.where(low, 1.0 - rs, 0.0)  # 2 - hi
+
+    def integrand(t: np.ndarray, k) -> np.ndarray:
+        r, q = rs[k], ratio[k]
+        a = q * np.sin(0.5 * t) ** 2  # (u - lo) / (2r)
+        b = q * np.cos(0.5 * t) ** 2  # (hi - u) / (2r)
+        u = lo[k] + 2.0 * r * a
+        sin2 = a * (top[k] + b) * (1.0 + r + u) * (u + lo[k])  # sin(phi(u))^2
+        two = (two_off[k] + 2.0 * r * b) * (2.0 + u)  # (2 - u)(2 + u)
+        return scale * q * (two * sin2) ** (nu - 0.5) * np.sin(t)
+
+    # one integral per radius, all over [0, pi]
+    res = quadrature.integrate_adaptive_batch(integrand, np.zeros(len(rs)), math.pi, tol,
+                                              max_evals=400_000)
+    quadrature.check_converged(res, tol, f"psi recursion step (d={d}, n=3)")
+    return _step_pref(d) * res.value
+
+
 def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
     """psi^d_n at each radius in rs, by one batched step from level n - 1.
 
-    In the angle variable the step reads
+    The step from psi_2 is _psi3_step.  Above it, in the angle variable,
 
         psi_n(r) = pref int_0^pi psi_{n-1}(sqrt(1 + 2 r cos(phi) + r^2))
                    sin(phi)^(2 nu) dphi,
@@ -214,16 +259,19 @@ def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
     pref = _step_pref(d).  All radii go into one integrate_adaptive_batch
     call; row k of its splits holds the angles where the argument at rs[k]
     crosses a kink radius of the previous level (NaN where it does not).
-    For radii within 0.1 of 1, a geometric ladder of splits into phi = pi is
-    added when the previous level is psi_2 (n = 3), which is ~1/u at u = 0 in
-    every dimension.  The step from the exact planar psi_3 hands it the
-    offset 1 - u computed without cancellation, since psi_3 is log-infinite
-    at u = 1, ~ -c ln|1 - u| with c = _PLANAR_LOG_SPIKE.  That step
-    integrates psi_3 + c ln|u^2 - 1|, bounded at u = 1, and subtracts the
-    closed form c int_0^pi ln|r (r + 2 cos(phi))| dphi = c pi (ln r +
-    arccosh(max(r/2, 1))).  An integral left unconverged with an error
-    above 100 tol raises NonConvergedError.
+    Two planar steps take a log spike of the level below in closed form,
+    c = _PLANAR_LOG_SPIKE.  The exact psi_3 is log-infinite at u = 1, ~ -c
+    ln|1 - u|: the step from it hands it the offset 1 - u computed without
+    cancellation, integrates psi_3 + c ln|u^2 - 1|, bounded at u = 1, and
+    subtracts the closed form c int_0^pi ln|r (r + 2 cos(phi))| dphi = c pi
+    (ln r + arccosh(max(r/2, 1))).  The psi_4 table is log-infinite at u =
+    0, ~ -c ln u, and stores psi_4 + c ln u: the step from it integrates
+    that, c ln u past the support, and subtracts c int_0^pi ln u dphi = c
+    pi ln max(1, r).  An integral left unconverged with an error above 100
+    tol raises NonConvergedError.
     """
+    if n == 3:
+        return _psi3_step(d, rs, tol)
     prev = _psi_level(d, n - 1)
     power = float(d - 2)  # 2 nu
     root = 2.0 * np.sqrt(rs)
@@ -233,13 +281,14 @@ def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
         splits = np.where((s > -1.0) & (s < 1.0), np.arccos(s), np.nan)
     # the first kink is u = 1, crossed at phi_1 = arccos(-r/2) when r < 2
     phi1 = splits[:, 0]
+    read = prev.with_log if (d, n) == (2, 5) else prev
 
     def integrand(phi: np.ndarray, k) -> np.ndarray:
         # cancellation-free form of sqrt(1 + 2 r cos(phi) + r^2); the naive
         # expression loses everything below u ~ 1e-8 when r is near 1
         u = np.hypot(1.0 - rs[k], root[k] * np.cos(0.5 * phi))
         if (d, n) != (2, 4):
-            return prev(u) * np.sin(phi) ** power if power else prev(u)
+            return read(u) * np.sin(phi) ** power if power else read(u)
         # the log spike of the planar psi_3 at u = 1 drowns in the rounding
         # of 1.0 - u when r is small (u - 1 ~ r cos(phi)), so form u^2 - 1 =
         # r (r + 2 cos(phi)) without cancellation: -4 r sin((phi + phi_1)/2)
@@ -252,28 +301,17 @@ def _psi_step(d: int, n: int, rs: np.ndarray, tol: float) -> np.ndarray:
         )
         return prev(u, -sq / (1.0 + u)) + _PLANAR_LOG_SPIKE * np.log(np.abs(sq))
 
-    # the argument grazes the 1/u blow-up of psi_2 at phi = pi when r is near
-    # 1; the resulting peak of width |1 - r| hides between quadrature nodes,
-    # and the error estimate misses it, so panel it down explicitly.  The
-    # levels above psi_2 are finite at u = 0, except the planar psi_4 table,
-    # which is only log-infinite there (psi_4(u) ~ -3 ln(u) / (2 pi^2)) and
-    # converges without a ladder
-    u_min = np.abs(1.0 - rs)
-    near = u_min < 0.1
-    if n == 3 and near.any():
-        ladder = np.full((len(rs), 30), np.nan)
-        ladder[near] = math.pi - np.geomspace(
-            np.maximum(u_min[near], 1e-11) * 0.5, 1.0, 30, axis=-1
-        )
-        splits = np.concatenate([splits, ladder], axis=1)
     # looked up on the module, so a wrapper installed there sees the call
     res = quadrature.integrate_adaptive_batch(
         integrand, 0.0, math.pi, tol, split_points=splits, max_evals=400_000
     )
     quadrature.check_converged(res, tol, f"psi recursion step (d={d}, n={n})")
-    if (d, n) != (2, 4):
+    if (d, n) == (2, 4):
+        spike = math.pi * (np.log(rs) + np.arccosh(np.maximum(0.5 * rs, 1.0)))
+    elif (d, n) == (2, 5):
+        spike = math.pi * np.log(np.maximum(rs, 1.0))
+    else:
         return _step_pref(d) * res.value
-    spike = math.pi * (np.log(rs) + np.arccosh(np.maximum(0.5 * rs, 1.0)))
     return _step_pref(d) * (res.value - _PLANAR_LOG_SPIKE * spike)
 
 
@@ -331,10 +369,16 @@ class _PsiTable:
     integrals and spline columns are independent, so a table fit in pieces
     equals one fit at once bit for bit.  A node left unconverged with an
     error above 100 tol raises NonConvergedError.
+
+    The planar psi_4 is log-infinite at u = 0, ~ -c ln u with c =
+    _PLANAR_LOG_SPIKE, so its table splines the bounded psi_4 + c ln u (log
+    = c, else 0): a read subtracts c ln u again, +inf at u = 0, and
+    with_log reads the stored part for the step to psi_5.
     """
 
     def __init__(self, d: int, n: int):
         self.d, self.n = d, n
+        self.log = _PLANAR_LOG_SPIKE if (d, n) == (2, 4) else 0.0
         # row p holds the coefficients of power 3 - p; entry
         # k (len(_UNIT_NODES) - 1) + i belongs to interval i of segment k
         self.coef = np.zeros((4, n * (len(_UNIT_NODES) - 1)))
@@ -349,13 +393,15 @@ class _PsiTable:
                 return
             # the step reads the level below up to u = 1 + max r, in its
             # segment top: fit that first, so the two fits run one after the
-            # other, not one inside the other's engine call holding its arrays
+            # other, not one inside the other's engine call holding its arrays.
+            # type(self), not the module's name, which a tracer may wrap
             below = _psi_level(self.d, self.n - 1)
-            if isinstance(below, _PsiTable):
+            if isinstance(below, type(self)):
                 below._fit_segments(min(top + 1, below.n))
             rs = (np.arange(lo, top)[:, None] + _UNIT_NODES).ravel()
             # column k holds segment lo + k at the nodes
-            y = _psi_step(self.d, self.n, rs, 1e-9).reshape(top - lo, -1).T
+            y = _psi_step(self.d, self.n, rs, 1e-9) + self.log * np.log(rs)
+            y = y.reshape(top - lo, -1).T
             m = len(_UNIT_NODES) - 1
             self.coef[:, lo * m:top * m] = _spline_coef(y)
             self._fit = top  # set last: a reader that sees it sees the coefficients
@@ -363,6 +409,21 @@ class _PsiTable:
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         inside = (u >= 0.0) & (u < self.n)
+        out = self._spline(u, inside)
+        if self.log:
+            with np.errstate(divide="ignore"):
+                out = out - self.log * np.log(np.where(inside, u, 1.0))
+        return np.maximum(np.where(inside, out, 0.0), 0.0)
+
+    def with_log(self, u):
+        """psi_4 + c ln u at u > 0, what the planar psi_4 table stores: its
+        spline on the support and c ln u past it."""
+        u = np.asarray(u, dtype=float)
+        inside = u < self.n
+        return np.where(inside, self._spline(u, inside), self.log * np.log(u))
+
+    def _spline(self, u: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        """The spline at u where inside, at u = 0 elsewhere."""
         # fit before forming this read's arrays: a fit reads the level below,
         # which may fit in turn, and each level's arrays would be held meanwhile
         top = int(np.floor(np.max(u, where=inside, initial=-1.0))) + 1
@@ -378,8 +439,7 @@ class _PsiTable:
         v = v - _UNIT_NODES[i]
         c0, c1, c2, c3 = self.coef
         out = ((c0.take(j) * v + c1.take(j)) * v + c2.take(j)) * v + c3.take(j)
-        out = out.reshape(u.shape)
-        return np.maximum(np.where(inside, out, 0.0), 0.0)
+        return out.reshape(u.shape)
 
 
 @build_once
@@ -409,8 +469,8 @@ def density_recursion(spec: WalkSpec, r):
     """rho^d_n(r) through the n -> n-1 recursion, n between 3 and the cap.
 
     r is a radius or an array of radii; every radius strictly inside the
-    support goes into one batched step, split at the kink crossings of the
-    previous level.  The planar three-step density is the closed form
+    support goes into one batched step, _psi_step.  The planar three-step
+    density is the closed form
     _psi3_planar, not a step.  Registered infinite-density points return inf.
     """
     d, n = spec.d, spec.n

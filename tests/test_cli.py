@@ -65,6 +65,22 @@ class TestDensityCommand:
         middle = rows[1].split(",")
         assert middle[0] == "1" and middle[1] == "inf"
 
+    def test_recursion_work_count(self, monkeypatch, capsys):
+        """`density --d 4 --n 3 --route recursion` is one batch-engine call
+        of fewer than 3,000 evaluations (2,565; 14,025 while the step from
+        psi_2 ran in the angle, with a split ladder into its 1/u blow-up)."""
+        engine, evals = quadrature.integrate_adaptive_batch, []
+
+        def counting(*args, **kwargs):
+            res = engine(*args, **kwargs)
+            evals.append(int(res.n_evals.sum()))
+            return res
+
+        monkeypatch.setattr(quadrature, "integrate_adaptive_batch", counting)
+        assert cli.main(["density", "--d", "4", "--n", "3", "--route", "recursion"]) == 0
+        capsys.readouterr()
+        assert len(evals) == 1 and evals[0] < 3_000
+
     def test_mc_route_byte_deterministic(self):
         args = ["density", "--d", "2", "--n", "4", "--route", "mc",
                 "--points", "11", "--seed", "42"]
@@ -215,6 +231,14 @@ class TestVarianceCommand:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[1] == "0" and row[5:] == ["D2Q4", ""]
 
+    def test_no_ratio_to_negative_prediction(self, capsys):
+        # below a wavenumber of 1 the D2Q4 prediction's log(f) is negative,
+        # no variance: the ratio read -0.937 at f = 0.5
+        assert cli.main(["variance", "--geometry", "euclidean", "--d", "2", "--q", "4",
+                         "--R", "1", "--freq", "0.5"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[1]) > 0 and row[5:] == ["D2Q4", ""]
+
     def test_grid_ratio_tends_to_one(self):
         proc = run_cli(
             ["variance", "--geometry", "euclidean", "--d", "2", "--q", "3",
@@ -300,10 +324,13 @@ class TestTableCommand:
         assert classif[("6", "8")] == "Absolute"
 
     def test_table_work_count(self, monkeypatch, capsys):
-        """`polyspec table` from cold psi tables takes fewer than 1.1 M
-        batch-engine evaluations (1,076,805; 1,714,695 while every psi level
-        was fit over its whole support and the planar psi_4 step bisected
-        toward the log spike of psi_3), in at most 79 engine calls (98 while
+        """`polyspec table` from cold psi tables takes fewer than 750,000
+        batch-engine evaluations (713,505; 1,076,805 while psi_3 at d >= 3
+        was stepped in the angle, with a split ladder into psi_2's 1/u
+        blow-up, and the planar psi_4 table splined psi_4 through its log
+        spike at u = 0; 1,714,695 while every psi level was fit over its
+        whole support and the planar psi_4 step bisected toward the log
+        spike of psi_3), in at most 79 engine calls (98 while
         the classification rows ran q upward, extending each psi level by
         one segment per q).  Engine calls nest at most two deep, the
         recursion endpoint's step around the fit of the table it reads: a
@@ -322,7 +349,7 @@ class TestTableCommand:
         walk._psi_level.cache_clear()
         assert cli.main(["table"]) == 0
         capsys.readouterr()
-        assert sum(evals) < 1_100_000
+        assert sum(evals) < 750_000
         assert len(evals) <= 79
         assert max(depths) <= 2
 

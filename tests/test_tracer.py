@@ -33,3 +33,21 @@ def test_install_wraps_and_uninstall_restores_every_name():
         t.uninstall()
     for m, attr in names:
         assert getattr(m, attr) is before[m.__name__, attr], (m.__name__, attr)
+
+
+def test_psi_tables_fit_under_the_tracer():
+    # the tracer wraps walk._PsiTable in a function, and a table's fit
+    # checked the level below with isinstance against that name: TypeError,
+    # so `table` failed in every traced benchmark run
+    from polyspec import walk
+
+    t = _load_tracer().Tracer()
+    walk._psi_level.cache_clear()
+    try:
+        t.install()
+        vals = walk._psi_level(3, 5)(np.linspace(0.0, 5.0, 11))
+    finally:
+        t.uninstall()
+        walk._psi_level.cache_clear()
+    assert np.all(np.isfinite(vals))
+    assert [span[0] for span in t.spans].count("walk.psi_table") == 3

@@ -302,6 +302,46 @@ def test_d3_levels_against_rayleigh_treloar(n):
     assert err.max() < 1e-8, grid[err.argmax()]
 
 
+def _psi3_by_angle(d, r, tol):
+    """psi^d_3(r) = pref int_0^pi psi_2(u) sin(phi)^(2 nu) dphi with u =
+    |1 + r e^(i phi)|, split where u crosses 2 and by a geometric ladder into
+    phi = pi, where psi_2 ~ 1/u peaks to a width |1 - r|."""
+    def f(phi):
+        u = np.hypot(1.0 - r, 2.0 * math.sqrt(r) * np.cos(0.5 * phi))
+        return walk._psi2(d, u) * np.sin(phi) ** (d - 2.0)
+
+    c = (3.0 - r * r) / (2.0 * r)
+    splits = [math.acos(c)] if -1.0 < c < 1.0 else []
+    splits += list(math.pi - np.geomspace(max(abs(1.0 - r), 1e-11) * 0.5, 1.0, 30))
+    res = quadrature.integrate_adaptive(f, 0.0, math.pi, tol, split_points=sorted(splits),
+                                        max_evals=400_000)
+    assert res.converged, r
+    return walk._step_pref(d) * res.value
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_psi3_step_against_angle_integral(d):
+    # the step from psi_2 integrates in the radius u of the two-step sum,
+    # where psi_2's 1/u blow-up cancels against the Jacobian: against the
+    # angle integral, radii by 0, at 1 from both sides, at 2 and by 3
+    rs = np.array([1e-9, 1e-3, 0.3, 0.5, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6,
+                   1.5, 2.0, 2.5, 3 - 1e-6])
+    got = walk._psi_step(d, 3, rs, 1e-12)
+    ref = [_psi3_by_angle(d, r, 1e-12) for r in rs]
+    np.testing.assert_allclose(got, ref, rtol=0, atol=2e-12)
+
+
+def test_planar_psi4_table_at_graded_midpoints():
+    # the planar psi_4 is log-infinite at u = 0; splined through the spike,
+    # the table was 2.4e-3 off at u = 1.5e-9.  It stores the bounded psi_4 +
+    # c ln u: 2.3e-10 off at most, at u = 0.014
+    x = walk._UNIT_NODES
+    mid = 0.5 * (x[1:] + x[:-1])
+    mid = mid[(mid < 0.25) | (mid > 0.75)]  # the geometric grading into 0 and 1
+    ref = walk._psi_step(2, 4, mid, 1e-12)
+    np.testing.assert_allclose(walk._psi_level(2, 4)(mid), ref, rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_recursion_endpoint_against_direct(d):
     for q in range(5, 9):
@@ -313,10 +353,13 @@ def test_recursion_endpoint_against_direct(d):
 def test_psi_levels_work_count(monkeypatch):
     """The psi levels `polyspec table` reads, each read over its whole
     support, take one engine call each, converge in every integral and,
-    together, take fewer than 1.45 M integrand evaluations (1.43 M; 1.69 M
-    before the planar psi_4 step took psi_3's log spike in closed form;
-    PCHIP tables took 26 M; 4.9 M while the planar psi_4 nodes at r ~ 1e-9
-    ran out their budgets on the rounding noise of 1.0 - u)."""
+    together, take fewer than 1.1 M integrand evaluations (1,071,510;
+    1,429,050 while psi_3 at d >= 3 was stepped in the angle, with a split
+    ladder into psi_2's 1/u blow-up, and the planar psi_4 table splined
+    psi_4 through its log spike at u = 0; 1.69 M before the planar psi_4
+    step took psi_3's log spike in closed form; PCHIP tables took 26 M;
+    4.9 M while the planar psi_4 nodes at r ~ 1e-9 ran out their budgets on
+    the rounding noise of 1.0 - u)."""
     engine = quadrature.integrate_adaptive_batch
     evals = []
 
@@ -334,7 +377,7 @@ def test_psi_levels_work_count(monkeypatch):
             walk._psi_level(d, n)(np.linspace(0.0, n, 10 * n + 1))
     # d = 2 tabulates n = 4, 5, 6 (n = 3 is exact); d >= 3 tabulates n = 3 to 6
     assert len(evals) == 3 + 4 * 4
-    assert sum(evals) < 1_450_000
+    assert sum(evals) < 1_100_000
 
 
 class TestDensityKluyver:
@@ -546,18 +589,21 @@ class TestPsiTable:
 
 def _scipy_psi_table(d, n):
     """The reference psi table: scipy's not-a-knot CubicSpline over the same
-    nodes and values, each point read in its own segment's column."""
+    nodes and values, each point read in its own segment's column.  The
+    planar psi_4 is log-infinite at u = 0, so its spline goes through the
+    bounded psi_4 + c ln u, and a read subtracts c ln u again."""
     from scipy.interpolate import CubicSpline
 
-    nodes = walk._UNIT_NODES
-    vals = walk._psi_step(d, n, (np.arange(n)[:, None] + nodes).ravel(), 1e-9)
-    spline = CubicSpline(nodes, vals.reshape(n, -1).T)
+    log = walk._PLANAR_LOG_SPIKE if (d, n) == (2, 4) else 0.0
+    at = (np.arange(n)[:, None] + walk._UNIT_NODES).ravel()
+    vals = walk._psi_step(d, n, at, 1e-9) + log * np.log(at)
+    spline = CubicSpline(walk._UNIT_NODES, vals.reshape(n, -1).T)
 
     def table(u):
         out = np.zeros_like(u)
         for k in range(n):
             mask = (u >= k) & (u < k + 1)
-            out[mask] = spline(u[mask] - k)[:, k]
+            out[mask] = spline(u[mask] - k)[:, k] - log * np.log(u[mask])
         return np.maximum(out, 0.0)
 
     return table
@@ -787,13 +833,11 @@ class TestIdq:
         assert walk.idq(4, 5, IdqRoute.DIRECT_INTEGRAL, tol).error > 0.0
 
     @pytest.mark.parametrize("d,q", [
-        pytest.param(*dq, marks=pytest.mark.xfail(
-            strict=True, reason="the planar psi_4 table's spline between nodes near"
-            " u = 2 leaves I_6^2 4.21e-7 off against a bar of 3.38e-7"))
-        if dq == (2, 6) else dq
-        for dq in sorted(IDQ_REFERENCES) if dq[1] - 1 <= walk.MAX_RECURSION_STEPS
+        dq for dq in sorted(IDQ_REFERENCES) if dq[1] - 1 <= walk.MAX_RECURSION_STEPS
     ])
     def test_recursion_error_bars_cover_references(self, d, q):
+        # I_6^2 was 4.21e-7 off against a bar of 3.38e-7 while the planar
+        # psi_4 table splined psi_4 itself through its log spike at u = 0
         res = walk.idq(d, q, IdqRoute.RECURSION_ENDPOINT)
         assert abs(res.value - IDQ_REFERENCES[(d, q)]) <= res.error
 
