@@ -97,7 +97,8 @@ def _cholesky_factor(spec: FieldSpec, points: np.ndarray) -> np.ndarray:
         for a in (perm, res, rows[:k].T):
             a[[k, i]] = a[[i, k]]
         col = _covariance(spec, points, [perm[k]])[perm[k:], 0]
-        col -= rows[:k, k] @ rows[:k, k:]
+        # einsum, not BLAS's gemv, whose sums change with its thread count
+        col -= np.einsum("i,ij->j", rows[:k, k], rows[:k, k:])
         col /= math.sqrt(res[k])
         res[k:] -= col * col
         rows[k, :k] = 0.0

@@ -17,8 +17,9 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import binom, gammaln, roots_jacobi
+from scipy.special import binom, gammaln
 
+from .quadrature import gauss_jacobi
 # integrate_adaptive is not called here; perfbench's tracer wraps the name
 from .quadrature import integrate_adaptive  # noqa: F401
 from .specfun import _validate_dim
@@ -187,7 +188,7 @@ def _cap_weight(spec: BallSpec) -> WeightFunction:
         return np.where(r < r_end, np.maximum(w0 - 2.0 * K * drop, w_pi), w_pi)
 
     v_end = math.asinh(1.0 / c)
-    x, wx = roots_jacobi(20 + 3 * math.ceil(v_end), 0.5 * (d - 1), 0.0)
+    x, wx = gauss_jacobi(20 + 3 * math.ceil(v_end), 0.5 * (d - 1), 0.0)
     v, gap = 0.5 * v_end * (1.0 + x), 0.5 * v_end * (1.0 - x)
     # (1 - c^2 sinh^2 v) / (v* - v), without cancellation next to v*
     inner = (2.0 * c * np.cosh(0.5 * (v_end + v)) * np.sinh(0.5 * gap) / gap

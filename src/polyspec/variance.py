@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from . import quadrature, specfun, walk
 from .geometry import BallSpec, Geometry, make_weight
@@ -32,7 +31,6 @@ __all__ = [
     "variance_exact_euclidean",
     "variance_exact_spherical",
     "variance_asymptotic",
-    "hermite_covariance_identity_check",
 ]
 
 
@@ -257,26 +255,3 @@ def variance_asymptotic(specs) -> list[VarianceEstimate]:
             value = qfac * idq_val * weight_term * _pow(f, -d)
         out.append(VarianceEstimate(spec, value, Method.ASYMPTOTIC, None, regime))
     return out
-
-
-def hermite_covariance_identity_check(q: int, rho: float) -> float:
-    """Discrepancy of the Hermite moment identity at correlation rho.
-
-    Computes E[H_q(X) H_q(Y)] for unit-variance jointly Gaussian (X, Y) by
-    Gauss-Hermite quadrature (exact for these polynomial integrands) and
-    returns the difference against q! rho^q.
-    """
-    if int(q) != q or q < 1:
-        raise ValueError("order must be an integer >= 1")
-    if abs(rho) > 1:
-        raise ValueError("correlation must lie in [-1, 1]")
-    m = q + 2
-    x, wx = roots_hermitenorm(m)
-    wx = wx / math.sqrt(2.0 * math.pi)
-    hx = specfun.hermite(q, x)
-    c = math.sqrt(max(0.0, 1.0 - rho * rho))
-    # Y = rho X + c Z over the product rule
-    yy = rho * x[:, None] + c * x[None, :]
-    hy = specfun.hermite(q, yy)
-    val = float(np.einsum("i,j,i,ij->", wx, wx, hx, hy))
-    return val - math.factorial(q) * rho**q

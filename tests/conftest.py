@@ -6,9 +6,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
-from scipy.special import beta, betainc
+from scipy.special import beta, betainc, roots_hermitenorm
 
 from polyspec import geometry as geo
+from polyspec import specfun as sf
 from polyspec.quadrature import check_converged, integrate_adaptive_batch
 
 _X16, _W16 = np.polynomial.legendre.leggauss(16)
@@ -94,3 +95,53 @@ def partial_integrals(f, t_values, chunks_per_period: int = 2) -> np.ndarray:
 def partial_integrals_oracle():
     """Cumulative truncated integrals int_0^T f over a grid of T."""
     return partial_integrals
+
+
+def hermite_covariance_identity_check(q: int, rho: float) -> float:
+    """Discrepancy of the Hermite moment identity at correlation rho.
+
+    Computes E[H_q(X) H_q(Y)] for unit-variance jointly Gaussian (X, Y) by
+    Gauss-Hermite quadrature (exact for these polynomial integrands) and
+    returns the difference against q! rho^q.
+    """
+    if int(q) != q or q < 1:
+        raise ValueError("order must be an integer >= 1")
+    if abs(rho) > 1:
+        raise ValueError("correlation must lie in [-1, 1]")
+    m = q + 2
+    x, wx = roots_hermitenorm(m)
+    wx = wx / math.sqrt(2.0 * math.pi)
+    hx = sf.hermite(q, x)
+    c = math.sqrt(max(0.0, 1.0 - rho * rho))
+    # Y = rho X + c Z over the product rule
+    yy = rho * x[:, None] + c * x[None, :]
+    hy = sf.hermite(q, yy)
+    val = float(np.einsum("i,j,i,ij->", wx, wx, hx, hy))
+    return val - math.factorial(q) * rho**q
+
+
+@pytest.fixture(scope="session")
+def hermite_identity():
+    """The Hermite moment identity's discrepancy, by Gauss-Hermite quadrature."""
+    return hermite_covariance_identity_check
+
+
+def hilb_main_term(spec: sf.GegenbauerSpec, theta):
+    """Bessel main term of the large-degree Gegenbauer approximation.
+
+    Returns (sin t)^{-nu} (2^nu / binom(ell+nu, ell)) (Gamma(ell+d/2) /
+    (L^nu ell!)) (t / sin t)^{1/2} J_nu(L t); the Gamma ratio cancels the
+    binomial exactly, leaving (t/sin t)^{nu + 1/2} jd(d, L t).
+    """
+    arr = np.asarray(theta, dtype=float)
+    if np.any((arr <= 0.0) | (arr >= math.pi)):
+        raise ValueError("angle must lie strictly inside (0, pi)")
+    vals = np.atleast_1d(arr)
+    out = (vals / np.sin(vals)) ** (spec.nu + 0.5) * sf.jd(spec.d, spec.L * vals)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+@pytest.fixture(scope="session")
+def hilb_term():
+    """Hilb's Bessel main term of a normalized Gegenbauer polynomial."""
+    return hilb_main_term

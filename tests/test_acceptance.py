@@ -249,16 +249,16 @@ def test_criterion_09_monte_carlo_consistency():
     report("criterion 9 (Monte Carlo consistency)", ok, detail)
 
 
-def test_criterion_10_hermite_identity():
+def test_criterion_10_hermite_identity(hermite_identity):
     worst = 0.0
     for q in range(1, 7):
         for rho in (0.0, 0.3, -0.3, 0.9, -0.9, 1.0):
-            worst = max(worst, abs(va.hermite_covariance_identity_check(q, rho)))
+            worst = max(worst, abs(hermite_identity(q, rho)))
     ok = worst <= 1e-8
     report("criterion 10 (Hermite identity)", ok, f"worst discrepancy {worst:.2e}")
 
 
-def test_criterion_11_hilb_validation():
+def test_criterion_11_hilb_validation(hilb_term):
     from polyspec import specfun as sf
 
     ok = True
@@ -269,7 +269,7 @@ def test_criterion_11_hilb_validation():
             spec = sf.GegenbauerSpec(d, ell)
             theta = np.linspace(0.1, 2.0, 400)
             errs[ell] = np.abs(
-                sf.hilb_main_term(spec, theta) - sf.gegenbauer(spec, np.cos(theta))
+                hilb_term(spec, theta) - sf.gegenbauer(spec, np.cos(theta))
             ).max()
         # the main term is exact at d = 3 (half-integer order), where both
         # errors sit at rounding level and cannot halve further

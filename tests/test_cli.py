@@ -369,28 +369,32 @@ class TestInfrastructure:
 
     def test_import_leaves_out_scipy_interpolate(self):
         # scipy.interpolate loads optimize, sparse, spatial and fft, ~0.2 s of
-        # every cold start.  The ops after the import load no further scipy
-        # module, so no import cost moves from set-up into the first solve:
-        # the first Gauss rule of a spherical op needs scipy.linalg, which
-        # walk imports for its spline fit
+        # every cold start, and scipy.linalg 0.04-0.08 s more.  Neither the import
+        # nor the ops after it load any of them, or any other scipy module, so
+        # no import cost moves from set-up into the first solve: the cap
+        # weight's and the sphere rule's Gauss-Jacobi nodes are numpy
+        # eigenvalues, and the psi tables' spline slopes a numpy product
         code = (
             "import contextlib, io, json, sys\n"
             "from polyspec import cli\n"
             "heavy = ['scipy.interpolate', 'scipy.optimize', 'scipy.sparse',"
-            " 'scipy.spatial', 'scipy.fft']\n"
+            " 'scipy.spatial', 'scipy.fft', 'scipy.linalg']\n"
             "at_import = [m for m in heavy if m in sys.modules]\n"
             "before = set(sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rcs = [cli.main(['variance', '--geometry', 'spherical', '--d', '2',"
             " '--q', '3', '--R', '1.0', '--freq-grid', '10,20,40']),\n"
             "           cli.main(['density', '--d', '3', '--n', '4', '--route',"
-            " 'recursion'])]\n"
+            " 'recursion']),\n"
+            "           cli.main(['variance', '--geometry', 'spherical', '--d', '3',"
+            " '--q', '3', '--R', '0.7', '--freq', '10', '--method', 'mc',"
+            " '--trials', '100', '--resolution', '8'])]\n"
             "late = sorted(m for m in set(sys.modules) - before if m.startswith('scipy'))\n"
             "print(json.dumps([at_import, rcs, late]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True)
-        assert json.loads(proc.stdout) == [[], [0, 0], []]
+        assert json.loads(proc.stdout) == [[], [0, 0, 0], []]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs /proc/self/task to count threads")

@@ -346,18 +346,18 @@ class TestAsymptotic:
 class TestHermiteIdentity:
     @pytest.mark.parametrize("q", range(1, 7))
     @pytest.mark.parametrize("rho", [0.0, 0.3, -0.3, 0.9, -0.9, 1.0])
-    def test_discrepancy_small(self, q, rho):
-        assert abs(va.hermite_covariance_identity_check(q, rho)) < 1e-8
+    def test_discrepancy_small(self, hermite_identity, q, rho):
+        assert abs(hermite_identity(q, rho)) < 1e-8
 
-    def test_independence(self):
-        assert va.hermite_covariance_identity_check(2, 0.0) == pytest.approx(0.0, abs=1e-10)
+    def test_independence(self, hermite_identity):
+        assert hermite_identity(2, 0.0) == pytest.approx(0.0, abs=1e-10)
 
-    def test_perfect_correlation(self):
+    def test_perfect_correlation(self, hermite_identity):
         # X = Y: E H_3(X)^2 = 3!
-        assert abs(va.hermite_covariance_identity_check(3, 1.0)) < 1e-10
+        assert abs(hermite_identity(3, 1.0)) < 1e-10
 
-    def test_rejects_bad_inputs(self):
+    def test_rejects_bad_inputs(self, hermite_identity):
         with pytest.raises(ValueError):
-            va.hermite_covariance_identity_check(0, 0.5)
+            hermite_identity(0, 0.5)
         with pytest.raises(ValueError):
-            va.hermite_covariance_identity_check(2, 1.5)
+            hermite_identity(2, 1.5)
