@@ -369,10 +369,10 @@ class TestInfrastructure:
 
     def test_import_leaves_out_scipy_interpolate(self):
         # scipy.interpolate loads optimize, sparse, spatial and fft, ~0.2 s of
-        # every cold start, and scipy.linalg 0.04-0.08 s more.  Neither the import
-        # nor the ops after it load any of them, or any other scipy module, so
-        # no import cost moves from set-up into the first solve: the cap
-        # weight's and the sphere rule's Gauss-Jacobi nodes are numpy
+        # every cold start, and scipy.linalg 0.04-0.08 s more.  Neither the
+        # import nor the ops after it load any of them, or any other scipy
+        # module, so no import cost moves from set-up into the first solve:
+        # the cap weight's and the sphere rule's Gauss-Jacobi nodes are numpy
         # eigenvalues, and the psi tables' spline slopes a numpy product
         code = (
             "import contextlib, io, json, sys\n"

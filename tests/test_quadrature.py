@@ -538,16 +538,17 @@ class TestGaussJacobi:
     # the cap weight's rules, alpha = (d - 1)/2 and beta = 0 at 20 + 3 k
     # nodes (134 at R = pi/2), symmetric rules nu - 1/2 (nu = 0 has alpha +
     # beta = -1, where the textbook off-diagonal is 0/0 at k = 1), and one
-    # non-symmetric rule with alpha + beta = -1.  Measured: nodes within
-    # 2.3e-16, weights within 3.1e-12 of the largest at m = 134 and 4.4e-12
-    # at (nu = 0, m = 64); scipy's roots_jacobi had the same non-symmetric
-    # weights, whose formula takes P_m' at the nodes before the Newton step
+    # non-symmetric rule with alpha + beta = -1, and one node.  Measured:
+    # nodes within 2.3e-16, weights within 3.1e-12 of the largest at m = 134
+    # (4.4e-12 at nu = 0, m = 64); scipy's roots_jacobi had the same
+    # non-symmetric weights, whose formula takes P_m' at the nodes before
+    # the Newton step
     @pytest.mark.parametrize("alpha,beta,m", [
         (0.5, 0.0, 20), (1.0, 0.0, 47), (1.5, 0.0, 134), (2.0, 0.0, 59),
         (2.5, 0.0, 26), (3.0, 0.0, 41),
         (-0.5, -0.5, 6), (-0.5, -0.5, 32), (0.0, 0.0, 7), (0.0, 0.0, 50),
         (0.5, 0.5, 40), (1.0, 1.0, 33), (2.0, 2.0, 9),
-        (-0.25, -0.75, 12),
+        (-0.25, -0.75, 12), (2.0, 0.0, 1),
     ])
     def test_matches_mpmath(self, alpha, beta, m):
         x, w = quad.gauss_jacobi(m, alpha, beta)
@@ -571,12 +572,6 @@ class TestGaussJacobi:
             with mpmath.workdps(30):
                 expect = float(mpmath.quad(lambda s: (1 - s) ** a * (1 + s) ** b * s**k, [-1, 1]))
             assert float(np.sum(w * x**k)) == pytest.approx(expect, rel=1e-13, abs=1e-15)
-
-    def test_one_node(self):
-        # the midpoint of the weight's mass, (b - a) / (a + b + 2)
-        x, w = quad.gauss_jacobi(1, 2.0, 0.0)
-        assert x[0] == pytest.approx(-0.5, abs=1e-16)
-        assert w[0] == pytest.approx(8.0 / 3.0, rel=1e-15)
 
     def test_budget(self):
         # every route asks for at most 161 nodes; the budget's own rule is a

@@ -41,7 +41,7 @@ def test_library_results_do_not_depend_on_blas_threads():
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env["OPENBLAS_NUM_THREADS"] = threads
         proc = subprocess.run([sys.executable, "-c", _CHILD], capture_output=True,
-                              text=True, check=True, env=env)
+                              text=True, check=True, env=env, timeout=300)
         return json.loads(proc.stdout)
 
     one, two = child("1"), child("2")
