@@ -6,7 +6,7 @@ and the |K15 - G7| error estimate; no endpoint evaluations, so integrable
 inverse-square-root endpoints need no special handling), the closed-form
 tail int_T^oo t^(-s) e^(i omega t) dt of one harmonic (power_exp_tail),
 and Gauss-Jacobi rules for the weight (1-s)^alpha (1+s)^beta (numpy's
-eigvalsh on the Jacobi matrix, so scipy.linalg stays unloaded).  An
+eigvalsh on the Jacobi matrix; scipy's linear algebra stays unloaded).  An
 improper oscillatory integral is the adaptive integrator's head on [0, T]
 plus closed-form tails past T (walk.density_kluyver).  The adaptive
 integrator rejects a tolerance that is not positive and finite.
@@ -497,8 +497,8 @@ def gauss_jacobi(m: int, alpha: float, beta: float):
     Golub-Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
     symmetric tridiagonal Jacobi matrix of the Jacobi recurrence, then one
     Newton step on P_m; the weights are 1 / (P_(m-1) P_m') at the nodes,
-    scaled to sum to 2^(alpha+beta+1) B(alpha+1, beta+1).  That is
-    scipy's roots_jacobi with numpy's eigvalsh in place of scipy.linalg.
+    scaled to sum to 2^(alpha+beta+1) B(alpha+1, beta+1), as scipy's
+    Gauss-Jacobi roots do, but with numpy's eigvalsh for the eigenvalues.
     The off-diagonal's k(k + alpha + beta) / (2k + alpha + beta - 1) is
     1 at k = 1, taken so, because it is 0/0 at alpha + beta = -1.
     """
